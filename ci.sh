@@ -64,6 +64,16 @@ BIN=target/release/memsim
 # reference: one uninterrupted run
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" reproduce --out "$smoke_dir/clean" \
     --scale mini --workloads cg,hash --threads 2 2>"$smoke_dir/clean.log"
+# results must not depend on the lane count: one lane walks every
+# structure of a group, three lanes split them three ways
+for threads in 1 3; do
+    MEMSIM_OBS_DETERMINISTIC=1 "$BIN" reproduce --out "$smoke_dir/threads-$threads" \
+        --scale mini --workloads cg,hash --threads "$threads" 2>/dev/null
+    for f in "$smoke_dir"/clean/*.md "$smoke_dir"/clean/*.csv; do
+        cmp "$f" "$smoke_dir/threads-$threads/$(basename "$f")"
+    done
+done
+echo "reproduce artifacts byte-identical at --threads 1/2/3"
 # same sweep again, SIGINT mid-flight (the binary runs directly, not under
 # `cargo run`, so the signal reaches the simulator process itself)
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" reproduce --out "$smoke_dir/resumed" \

@@ -48,5 +48,7 @@ pub use config::{Associativity, CacheConfig, WritebackMissPolicy};
 pub use hierarchy::{CountingMemory, Hierarchy, MainMemory};
 pub use policy::ReplacementPolicy;
 pub use probes::{HierarchyProbes, LevelProbes};
-pub use sharded::{shard_class_bits, ShardMerge, ShardedHierarchy, ShardedRun, CHUNK_EVENTS};
+pub use sharded::{
+    shard_class_bits, ShardMerge, ShardedHierarchy, ShardedRun, Walk, WalkPanic, CHUNK_EVENTS,
+};
 pub use stats::LevelStats;

@@ -36,6 +36,19 @@
 //! engine touches nothing for it. Shard-side filtering keeps the producer
 //! branch-free and gives every worker a sequential scan over shared memory.
 //!
+//! # Group walks
+//!
+//! Cache statistics depend only on the stream and the geometry, so one
+//! stream can feed many hierarchies at once. A worker is a *lane*: a
+//! thread carrying one or more walkers, each a (hierarchy replica, class
+//! filter) pair. [`ShardedHierarchy::new`] gives every replica of one
+//! hierarchy its own lane; [`ShardedHierarchy::group`] deals the replicas
+//! of several hierarchies round-robin over a fixed lane count, and each
+//! lane walks every chunk through all of its walkers in turn. The chunk
+//! broadcast and queues are the same either way. A walker that panics is
+//! dropped with its payload kept for [`ShardedHierarchy::finish_all`];
+//! its lane-mates finish the stream.
+//!
 //! # Work stealing — deliberately absent
 //!
 //! A shard's cache state is bound to its address classes, so no other
@@ -46,12 +59,14 @@
 //!
 //! # Determinism
 //!
-//! [`ShardedHierarchy::finish`] joins workers in shard order and merges
-//! with the saturating [`LevelStats::merge`], so the merged totals are
-//! independent of thread scheduling. Only telemetry that depends on
+//! [`ShardedHierarchy::finish`] joins the lanes and merges each
+//! hierarchy's replicas in replica order with the saturating
+//! [`LevelStats::merge`], so the merged totals are independent of thread
+//! scheduling. Only telemetry that depends on
 //! cross-class adjacency (line-buffer and MRU-ring hit splits) may differ
 //! from the sequential engine; the ten `LevelStats` fields may not.
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -62,6 +77,7 @@ use memsim_trace::{TraceEvent, TraceSink};
 
 use crate::cache::Cache;
 use crate::hierarchy::{CountingMemory, Hierarchy, MainMemory};
+use crate::probes::HierarchyProbes;
 use crate::stats::LevelStats;
 
 /// Events buffered per broadcast chunk — matches the trace-file chunk size
@@ -275,21 +291,35 @@ impl ShardQueue {
     }
 }
 
-/// Per-shard observability handles (only built when a prefix was given and
-/// the global registry is enabled).
+/// Per-replica observability handles of a multi-replica walk (only built
+/// when a prefix was given and the global registry is enabled).
 struct ShardObs {
     claims: Arc<Counter>,
     events: Arc<Counter>,
     total_events: Arc<Counter>,
 }
 
-/// What one worker hands back at flush.
-struct WorkerOut<M> {
-    levels: Vec<LevelStats>,
-    total_refs: u64,
-    demand_bytes: u64,
-    line_buffer_hits: u64,
-    memory: M,
+/// The payload of a panic caught inside a lane, kept whole so a
+/// one-hierarchy run can re-raise it unchanged.
+pub type WalkPanic = Box<dyn Any + Send + 'static>;
+
+/// One hierarchy of a [`ShardedHierarchy::group`] walk.
+pub struct Walk<M> {
+    /// The cache levels, top-down; cloned into every replica.
+    pub levels: Vec<Cache>,
+    /// A freshly constructed terminal memory, cloned into every replica
+    /// (see [`ShardMerge`] for why it must be fresh).
+    pub memory: M,
+    /// Class-filtered replicas walking this hierarchy: at least one,
+    /// capped at the levels' address-class count.
+    pub shards: usize,
+    /// Registry prefix for this hierarchy's telemetry. A single replica
+    /// publishes the sequential engine's [`HierarchyProbes`] under it;
+    /// several replicas publish per-replica `{prefix}.shard{i}.*` counters.
+    pub obs_prefix: Option<String>,
+    /// Flight-recorder span around this hierarchy's share of every chunk,
+    /// on the lane that walks it.
+    pub span: String,
 }
 
 /// The merged outcome of a sharded run: per-level stats, terminal memory,
@@ -311,32 +341,114 @@ pub struct ShardedRun<M> {
     pub line_buffer_hits: u64,
 }
 
-fn run_worker<M: MainMemory>(
-    mut hierarchy: Hierarchy<M>,
-    queue: &ShardQueue,
+impl<M: ShardMerge> ShardedRun<M> {
+    /// Fold a sibling replica's counters into this one.
+    fn merge(&mut self, other: &Self) {
+        debug_assert_eq!(self.levels.len(), other.levels.len());
+        for (acc, s) in self.levels.iter_mut().zip(&other.levels) {
+            acc.merge(s);
+        }
+        self.memory.merge_shard(&other.memory);
+        self.total_refs = self.total_refs.saturating_add(other.total_refs);
+        self.demand_bytes = self.demand_bytes.saturating_add(other.demand_bytes);
+        self.line_buffer_hits = self.line_buffer_hits.saturating_add(other.line_buffer_hits);
+    }
+}
+
+/// One (hierarchy replica, class filter) pair carried by a lane.
+struct Walker<M: MainMemory> {
+    walk: usize,
+    replica: usize,
+    /// The replica, or the panic that stopped it: a failed walker skips
+    /// the rest of the stream while its lane-mates carry on.
+    state: Result<Hierarchy<M>, WalkPanic>,
     filter: ShardFilter,
     obs: Option<ShardObs>,
-) -> WorkerOut<M> {
+    span: Arc<str>,
+}
+
+/// One replica's (or one merged walk's) outcome.
+type WalkResult<M> = Result<ShardedRun<M>, WalkPanic>;
+
+/// What a lane hands back at flush: `(walk, replica, run)` per walker.
+type LaneOut<M> = Vec<(usize, usize, WalkResult<M>)>;
+
+impl<M: MainMemory> Walker<M> {
+    /// Walk this replica's slice of `events`; returns the events it kept.
+    fn step(
+        &mut self,
+        events: &[TraceEvent],
+        slice: &mut Vec<TraceEvent>,
+        recording: bool,
+    ) -> usize {
+        let Ok(hierarchy) = &mut self.state else {
+            return 0;
+        };
+        if recording {
+            memsim_obs::recorder::span_begin(&self.span);
+        }
+        let filter = self.filter;
+        let kept = panic::catch_unwind(AssertUnwindSafe(|| {
+            if filter.pass_through {
+                hierarchy.access_chunk(events);
+                events.len()
+            } else {
+                filter.filter_chunk(events, slice);
+                hierarchy.access_chunk(slice);
+                slice.len()
+            }
+        }));
+        if recording {
+            memsim_obs::recorder::span_end(&self.span);
+        }
+        match kept {
+            Ok(kept) => {
+                if let Some(o) = &self.obs {
+                    o.claims.inc();
+                    o.events.add(kept as u64);
+                    o.total_events.add(kept as u64);
+                }
+                kept
+            }
+            Err(payload) => {
+                self.state = Err(payload);
+                0
+            }
+        }
+    }
+
+    /// Drain the replica and harvest its counters.
+    fn finish(self) -> (usize, usize, WalkResult<M>) {
+        let run = self.state.and_then(|mut hierarchy| {
+            panic::catch_unwind(AssertUnwindSafe(move || {
+                hierarchy.drain();
+                hierarchy.assert_consistent();
+                ShardedRun {
+                    levels: hierarchy.levels().iter().map(|c| c.stats()).collect(),
+                    total_refs: hierarchy.total_refs(),
+                    demand_bytes: hierarchy.demand_bytes(),
+                    line_buffer_hits: hierarchy.line_buffer_hits(),
+                    memory: hierarchy.into_memory(),
+                }
+            }))
+        });
+        (self.walk, self.replica, run)
+    }
+}
+
+fn run_lane<M: MainMemory>(mut walkers: Vec<Walker<M>>, queue: &ShardQueue) -> LaneOut<M> {
     let mut slice: Vec<TraceEvent> = Vec::with_capacity(CHUNK_EVENTS);
     while let Msg::Chunk(events) = queue.pop() {
-        // Flight-recorder lane for this shard (the worker thread's name):
-        // one span per chunk plus queue-depth / throughput counter tracks.
+        // Flight-recorder lane (the worker thread's name): one span per
+        // walker per chunk plus queue-depth / throughput counter tracks.
         // One relaxed load when the recorder is disarmed.
         let recording = memsim_obs::recorder::recording();
         let t0 = recording.then(std::time::Instant::now);
+        let kept: usize = walkers
+            .iter_mut()
+            .map(|w| w.step(&events, &mut slice, recording))
+            .sum();
         if recording {
-            memsim_obs::recorder::span_begin("shard.chunk");
-        }
-        let kept = if filter.pass_through {
-            hierarchy.access_chunk(&events);
-            events.len()
-        } else {
-            filter.filter_chunk(&events, &mut slice);
-            hierarchy.access_chunk(&slice);
-            slice.len()
-        };
-        if recording {
-            memsim_obs::recorder::span_end("shard.chunk");
             let depth = queue.depth.as_ref().map_or(0, |g| g.get());
             memsim_obs::recorder::counter("shard.queue_depth", depth as f64);
             // always emitted so the event stream stays deterministic;
@@ -349,38 +461,28 @@ fn run_worker<M: MainMemory>(
             };
             memsim_obs::recorder::counter("shard.mev_s", mev_s);
         }
-        if let Some(o) = &obs {
-            o.claims.inc();
-            o.events.add(kept as u64);
-            o.total_events.add(kept as u64);
-        }
     }
-    hierarchy.drain();
-    hierarchy.assert_consistent();
-    WorkerOut {
-        levels: hierarchy.levels().iter().map(|c| c.stats()).collect(),
-        total_refs: hierarchy.total_refs(),
-        demand_bytes: hierarchy.demand_bytes(),
-        line_buffer_hits: hierarchy.line_buffer_hits(),
-        memory: hierarchy.into_memory(),
-    }
+    walkers.into_iter().map(Walker::finish).collect()
 }
 
 /// Parallel drop-in for [`Hierarchy`]: implements [`TraceSink`], fans
-/// chunks out to set-bound worker shards, and merges their results into a
-/// [`ShardedRun`] whose `LevelStats` are bit-identical to the sequential
-/// engine's.
+/// chunks out to lane threads that walk set-bound hierarchy replicas, and
+/// merges each hierarchy's replicas into a [`ShardedRun`] whose
+/// `LevelStats` are bit-identical to the sequential engine's.
 ///
-/// The requested shard count is capped at the number of address classes
-/// the configuration supports ([`shard_class_bits`]); [`Self::shards`]
-/// reports the effective count. With one effective shard the single worker
-/// runs the unmodified sequential engine, so degenerate configurations
-/// (cache-less hierarchies, single-set levels) stay correct.
+/// [`Self::new`] walks one hierarchy with one replica per lane;
+/// [`Self::group`] walks several hierarchies from the same stream, dealing
+/// their replicas out over a fixed number of lanes. A replica count is
+/// capped at the number of address classes its levels support
+/// ([`shard_class_bits`]); with one replica the walker runs the unmodified
+/// sequential engine, so degenerate configurations (cache-less
+/// hierarchies, single-set levels) stay correct.
 pub struct ShardedHierarchy<M> {
     queues: Vec<Arc<ShardQueue>>,
-    workers: Vec<JoinHandle<WorkerOut<M>>>,
+    workers: Vec<JoinHandle<LaneOut<M>>>,
+    walks: usize,
     buf: Vec<TraceEvent>,
-    result: Option<ShardedRun<M>>,
+    result: Option<Vec<WalkResult<M>>>,
     chunks: Option<Arc<Counter>>,
 }
 
@@ -388,58 +490,108 @@ impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
     /// Build a sharded engine over up to `shards` workers (at least one;
     /// capped at the configuration's class count), cloning one hierarchy
     /// replica per shard from `levels` and a freshly constructed `memory`.
+    /// Workers are named `memsim-shard{i}`.
     ///
-    /// With `obs_prefix` set and the global registry enabled, registers
-    /// per-shard telemetry under `{prefix}.shard{i}.` (`queue_depth`,
-    /// `claims`, `steals`) plus `progress.shard{i}.events`,
-    /// `progress.events`, and `progress.chunks`. The `steals` counter is
+    /// With `obs_prefix` set and the global registry enabled, several
+    /// shards register per-shard telemetry under `{prefix}.shard{i}.`
+    /// (`queue_depth`, `claims`, `steals`) plus `progress.shard{i}.events`,
+    /// `progress.events`, and `progress.chunks`; a single shard publishes
+    /// the sequential engine's probes instead. The `steals` counter is
     /// registered but stays at zero: set-bound shards make work stealing
     /// structurally impossible (see the module docs).
     pub fn new(levels: Vec<Cache>, memory: M, shards: usize, obs_prefix: Option<&str>) -> Self {
-        let (lo, hi) = shard_class_bits(&levels);
-        let bits = (hi - lo).min(MAX_CLASS_BITS);
-        let classes = 1u64 << bits;
-        let nshards = shards.max(1).min(classes as usize);
-        let l1_shift = levels.first().map_or(0, |c| c.set_index_bits().0);
-        let obs_prefix = obs_prefix.filter(|_| memsim_obs::enabled());
+        let walk = Walk {
+            levels,
+            memory,
+            shards,
+            obs_prefix: obs_prefix.map(str::to_string),
+            span: "shard.chunk".to_string(),
+        };
+        Self::spawn(vec![walk], shards, "memsim-shard", obs_prefix)
+    }
+
+    /// Walk every hierarchy in `walks` from one stream: all replicas of
+    /// all walks are dealt round-robin (walk-major) over at most `lanes`
+    /// lane threads named `{lane_name}{i}`, and every lane receives the
+    /// same broadcast chunks. Finish with [`Self::finish_all`].
+    pub fn group(walks: Vec<Walk<M>>, lanes: usize, lane_name: &str) -> Self {
+        Self::spawn(walks, lanes, lane_name, None)
+    }
+
+    fn spawn(walks: Vec<Walk<M>>, lanes: usize, lane_name: &str, depth: Option<&str>) -> Self {
         let reg = memsim_obs::global();
-        let chunks = obs_prefix.map(|_| reg.counter("progress.chunks"));
-        let total_events = obs_prefix.map(|_| reg.counter("progress.events"));
-        let mut queues = Vec::with_capacity(nshards);
-        let mut workers = Vec::with_capacity(nshards);
-        for i in 0..nshards {
-            let filter = ShardFilter {
-                class_shift: lo,
-                class_mask: classes - 1,
-                nshards: nshards as u64,
-                shard: i as u64,
-                l1_shift,
-                pass_through: nshards == 1,
-            };
-            let (depth, obs) = match obs_prefix {
-                Some(p) => {
-                    // registered but never incremented — see module docs
-                    let _ = reg.counter(&format!("{p}.shard{i}.steals"));
-                    (
-                        Some(reg.gauge(&format!("{p}.shard{i}.queue_depth"))),
+        let nwalks = walks.len();
+        let mut chunks = None;
+        let mut walkers = Vec::new();
+        for (w, walk) in walks.into_iter().enumerate() {
+            let (lo, hi) = shard_class_bits(&walk.levels);
+            let bits = (hi - lo).min(MAX_CLASS_BITS);
+            let classes = 1u64 << bits;
+            let nshards = walk.shards.max(1).min(classes as usize);
+            let l1_shift = walk.levels.first().map_or(0, |c| c.set_index_bits().0);
+            let prefix = walk.obs_prefix.as_deref().filter(|_| memsim_obs::enabled());
+            if nshards > 1 && prefix.is_some() {
+                chunks = Some(reg.counter("progress.chunks"));
+            }
+            let span: Arc<str> = Arc::from(walk.span);
+            for i in 0..nshards {
+                let filter = ShardFilter {
+                    class_shift: lo,
+                    class_mask: classes - 1,
+                    nshards: nshards as u64,
+                    shard: i as u64,
+                    l1_shift,
+                    pass_through: nshards == 1,
+                };
+                let mut replica = Hierarchy::new(walk.levels.clone(), walk.memory.clone());
+                let obs = match prefix {
+                    Some(p) if nshards == 1 => {
+                        let names: Vec<&str> = walk
+                            .levels
+                            .iter()
+                            .map(|c| c.config().name.as_str())
+                            .collect();
+                        replica.set_probes(HierarchyProbes::register(reg, p, &names));
+                        None
+                    }
+                    Some(p) => {
+                        // registered but never incremented — see module docs
+                        let _ = reg.counter(&format!("{p}.shard{i}.steals"));
                         Some(ShardObs {
                             claims: reg.counter(&format!("{p}.shard{i}.claims")),
                             events: reg.counter(&format!("progress.shard{i}.events")),
-                            total_events: Arc::clone(total_events.as_ref().unwrap()),
-                        }),
-                    )
-                }
-                None => (None, None),
-            };
-            let queue = Arc::new(ShardQueue::new(depth));
-            let replica = Hierarchy::new(levels.clone(), memory.clone());
+                            total_events: reg.counter("progress.events"),
+                        })
+                    }
+                    None => None,
+                };
+                walkers.push(Walker {
+                    walk: w,
+                    replica: i,
+                    state: Ok(replica),
+                    filter,
+                    obs,
+                    span: Arc::clone(&span),
+                });
+            }
+        }
+        let lanes = lanes.clamp(1, walkers.len().max(1));
+        let mut dealt: Vec<Vec<Walker<M>>> = (0..lanes).map(|_| Vec::new()).collect();
+        for (j, walker) in walkers.into_iter().enumerate() {
+            dealt[j % lanes].push(walker);
+        }
+        let depth = depth.filter(|_| memsim_obs::enabled());
+        let mut queues = Vec::with_capacity(lanes);
+        let mut workers = Vec::with_capacity(lanes);
+        for (i, lane) in dealt.into_iter().enumerate() {
+            let gauge = depth.map(|p| reg.gauge(&format!("{p}.shard{i}.queue_depth")));
+            let queue = Arc::new(ShardQueue::new(gauge));
             let worker_queue = Arc::clone(&queue);
             let handle = std::thread::Builder::new()
-                .name(format!("memsim-shard{i}"))
+                .name(format!("{lane_name}{i}"))
                 .spawn(move || {
-                    let out = panic::catch_unwind(AssertUnwindSafe(|| {
-                        run_worker(replica, &worker_queue, filter, obs)
-                    }));
+                    let out =
+                        panic::catch_unwind(AssertUnwindSafe(|| run_lane(lane, &worker_queue)));
                     match out {
                         Ok(out) => out,
                         Err(payload) => {
@@ -450,20 +602,22 @@ impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
                         }
                     }
                 })
-                .expect("spawn shard worker");
+                .expect("spawn lane worker");
             queues.push(queue);
             workers.push(handle);
         }
         Self {
             queues,
             workers,
+            walks: nwalks,
             buf: Vec::with_capacity(CHUNK_EVENTS),
             result: None,
             chunks,
         }
     }
 
-    /// The effective shard (worker) count after class capping.
+    /// The lane (worker thread) count: for [`Self::new`], the effective
+    /// shard count after class capping.
     pub fn shards(&self) -> usize {
         self.queues.len()
     }
@@ -486,9 +640,10 @@ impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
         self.send(chunk);
     }
 
-    /// Flush buffered events, stop the workers, and merge their results in
-    /// shard order. Idempotent via the cached result; a worker panic is
-    /// re-raised here (after every worker has been joined).
+    /// Flush buffered events, stop the lanes, and merge every walk's
+    /// replicas in replica order. Idempotent via the cached result; a lane
+    /// that panicked outside its walkers is re-raised here (after every
+    /// lane has been joined).
     fn finish_inner(&mut self) {
         if self.result.is_some() || self.workers.is_empty() {
             return;
@@ -497,52 +652,59 @@ impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
         for q in &self.queues {
             q.push_flush();
         }
-        let mut merged: Option<ShardedRun<M>> = None;
+        let mut replicas: Vec<Vec<(usize, WalkResult<M>)>> =
+            (0..self.walks).map(|_| Vec::new()).collect();
         let mut panic_payload = None;
         for handle in self.workers.drain(..) {
-            let out = match handle.join() {
-                Ok(out) => out,
+            match handle.join() {
+                Ok(outs) => {
+                    for (walk, replica, run) in outs {
+                        replicas[walk].push((replica, run));
+                    }
+                }
                 Err(payload) => {
                     panic_payload.get_or_insert(payload);
-                    continue;
-                }
-            };
-            match &mut merged {
-                None => {
-                    merged = Some(ShardedRun {
-                        levels: out.levels,
-                        memory: out.memory,
-                        total_refs: out.total_refs,
-                        demand_bytes: out.demand_bytes,
-                        line_buffer_hits: out.line_buffer_hits,
-                    });
-                }
-                Some(run) => {
-                    debug_assert_eq!(run.levels.len(), out.levels.len());
-                    for (acc, s) in run.levels.iter_mut().zip(out.levels.iter()) {
-                        acc.merge(s);
-                    }
-                    run.memory.merge_shard(&out.memory);
-                    run.total_refs = run.total_refs.saturating_add(out.total_refs);
-                    run.demand_bytes = run.demand_bytes.saturating_add(out.demand_bytes);
-                    run.line_buffer_hits =
-                        run.line_buffer_hits.saturating_add(out.line_buffer_hits);
                 }
             }
         }
         if let Some(payload) = panic_payload {
             panic::resume_unwind(payload);
         }
-        self.result = merged;
+        let merged = replicas.into_iter().map(|mut reps| {
+            reps.sort_by_key(|(replica, _)| *replica);
+            let mut runs = reps.into_iter().map(|(_, run)| run);
+            let first = runs.next().expect("every walk has a replica");
+            runs.fold(first, |acc, run| match (acc, run) {
+                (Ok(mut acc), Ok(run)) => {
+                    acc.merge(&run);
+                    Ok(acc)
+                }
+                (Err(e), _) | (Ok(_), Err(e)) => Err(e),
+            })
+        });
+        self.result = Some(merged.collect());
     }
 
-    /// Consume the engine and return the merged run. Drives the flush
-    /// handshake if [`TraceSink::flush`] was not already called.
-    pub fn finish(mut self) -> ShardedRun<M> {
+    /// Consume a one-hierarchy engine and return the merged run. Drives
+    /// the flush handshake if [`TraceSink::flush`] was not already called;
+    /// a replica's panic is re-raised here with its original payload.
+    pub fn finish(self) -> ShardedRun<M> {
+        let mut runs = self.finish_all();
+        debug_assert_eq!(runs.len(), 1, "finish() walks one hierarchy");
+        match runs.swap_remove(0) {
+            Ok(run) => run,
+            Err(payload) => panic::resume_unwind(payload),
+        }
+    }
+
+    /// Consume the engine and return every walk's merged run, in walk
+    /// order. A walk whose replica panicked yields that panic's payload;
+    /// the other walks on its lane are unaffected.
+    pub fn finish_all(mut self) -> Vec<Result<ShardedRun<M>, WalkPanic>> {
         self.finish_inner();
         self.result
             .take()
-            .expect("sharded hierarchy yields a merged result after flush")
+            .expect("sharded hierarchy yields merged results after flush")
     }
 }
 
@@ -694,5 +856,68 @@ mod tests {
         let run = sh.finish();
         let (seq_levels, ..) = sequential(&events);
         assert_eq!(run.levels, seq_levels);
+    }
+
+    /// A terminal that panics once it has served more than `fuse` loads.
+    #[derive(Debug, Clone, Default)]
+    struct FusedMemory {
+        counts: CountingMemory,
+        fuse: Option<u64>,
+    }
+
+    impl MainMemory for FusedMemory {
+        fn load(&mut self, addr: u64, bytes: u32) {
+            self.counts.load(addr, bytes);
+            if self.fuse.is_some_and(|f| self.counts.loads > f) {
+                panic!("fuse blown");
+            }
+        }
+
+        fn store(&mut self, addr: u64, bytes: u32) {
+            self.counts.store(addr, bytes);
+        }
+    }
+
+    impl ShardMerge for FusedMemory {
+        fn merge_shard(&mut self, other: &Self) {
+            self.counts.merge_shard(&other.counts);
+        }
+    }
+
+    #[test]
+    fn group_walks_match_sequential_and_isolate_a_failed_walker() {
+        let events = stream();
+        let (seq_levels, seq_mem, seq_refs, _) = sequential(&events);
+        let walk = |shards, fuse| Walk {
+            levels: small_levels(),
+            memory: FusedMemory {
+                fuse,
+                ..FusedMemory::default()
+            },
+            shards,
+            obs_prefix: None,
+            span: "walk.test".to_string(),
+        };
+        for lanes in [1usize, 2, 3] {
+            let walks = vec![walk(2, None), walk(1, Some(10)), walk(1, None)];
+            let mut sh = ShardedHierarchy::group(walks, lanes, "memsim-test-walk");
+            assert_eq!(sh.shards(), lanes);
+            for chunk in events.chunks(100) {
+                sh.access_chunk(chunk);
+            }
+            let runs = sh.finish_all();
+            assert_eq!(runs.len(), 3);
+            // the blown walker fails alone; its lane-mates finish the stream
+            let payload = runs[1].as_ref().expect_err("walker 1 panicked");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"fuse blown"));
+            for i in [0, 2] {
+                let run = runs[i]
+                    .as_ref()
+                    .unwrap_or_else(|_| panic!("walk {i} failed"));
+                assert_eq!(run.levels, seq_levels, "walk {i}, lanes={lanes}");
+                assert_eq!(run.memory.counts, seq_mem, "walk {i}, lanes={lanes}");
+                assert_eq!(run.total_refs, seq_refs, "walk {i}, lanes={lanes}");
+            }
+        }
     }
 }

@@ -1,12 +1,14 @@
 //! Record/replay: persist a workload's address stream once, then drive
 //! any number of hierarchy configurations from the file.
 //!
-//! The live path re-generates the stream per structure (`runner`
-//! memoizes, but each distinct structure still pays a full workload
-//! execution — data initialization, kernel arithmetic, verification). The
-//! replay path pays the workload once at record time; after that every
-//! structure in the config grid is a pure trace walk, and the walks shard
-//! across threads with each worker streaming the file independently.
+//! The live grid runs each workload once per grid and fans that run's
+//! stream out to every structure it needs (`runner`), but the stream is
+//! not kept: a structure requested later — by another grid, or another
+//! process — pays a fresh workload execution (data initialization, kernel
+//! arithmetic, verification). The replay path pays the workload once at
+//! record time; after that every structure in the config grid is a pure
+//! trace walk, and the walks shard across threads with each worker
+//! streaming the file independently.
 //! Cache statistics depend only on the address stream and the geometry,
 //! so a replayed run is bit-identical to the live run it was recorded
 //! from (the `record_replay` integration tests pin this).

@@ -13,6 +13,10 @@
 //!    export.
 //! 3. Queue backpressure, cancellation, and result availability over the
 //!    real HTTP surface.
+//!
+//! Every test that starts a daemon holds `memsim_obs::test_lock()`: the
+//! metrics registry is process-global, so a sibling daemon's walks would
+//! otherwise land in the coalescing test's `sim.memo.*` counters.
 
 use memsim_core::jsontext::{get_str, get_u64, parse_json};
 use memsim_server::client::Client;
@@ -59,6 +63,7 @@ fn reference_run(tag: &str) -> (Vec<u8>, Vec<u8>, String) {
 
 #[test]
 fn killed_daemon_resumes_job_and_result_is_byte_identical() {
+    let _guard = memsim_obs::test_lock();
     let (reference, journal, id) = reference_run("ref");
     let lines: Vec<&[u8]> = journal.split_inclusive(|&b| b == b'\n').collect();
     assert!(lines.len() >= 2, "need >=2 journaled points to truncate");
@@ -185,6 +190,7 @@ fn concurrent_jobs_coalesce_shared_points_in_the_memo() {
 
 #[test]
 fn backpressure_answers_503_with_retry_after_and_recovers() {
+    let _guard = memsim_obs::test_lock();
     let dir = tmp_dir("backpressure");
     // No workers draining: set up a server whose queue fills and stays
     // full by submitting more than `queue` jobs before workers can run
@@ -253,6 +259,7 @@ fn backpressure_answers_503_with_retry_after_and_recovers() {
 
 #[test]
 fn cancel_drains_and_is_terminal_over_http() {
+    let _guard = memsim_obs::test_lock();
     let dir = tmp_dir("cancel");
     let server = start(&dir, 1, 8);
     let client = client_of(&server);
@@ -292,6 +299,7 @@ fn cancel_drains_and_is_terminal_over_http() {
 
 #[test]
 fn replay_jobs_share_the_content_addressed_trace_store() {
+    let _guard = memsim_obs::test_lock();
     let dir = tmp_dir("replay");
     let server = start(&dir, 2, 8);
     let client = client_of(&server);
