@@ -81,14 +81,12 @@ impl<'a> ExperimentCtx<'a> {
 }
 
 /// Run a grid under the context's sweep state and lift the outcome into a
-/// `Result`: an interrupt wins over failures (the journal already holds
-/// both kinds of entry), and failures abort the *artifact* while every
-/// surviving point remains journaled for the next attempt.
+/// `Result` ([`crate::runner::GridOutcome::into_result`]).
 fn grid_or_err(
     ctx: &ExperimentCtx,
     points: &[(WorkloadKind, Design)],
 ) -> Result<Vec<EvalResult>, SweepError> {
-    let outcome = evaluate_grid_sweep_sampled(
+    evaluate_grid_sweep_sampled(
         points,
         &ctx.scale,
         ctx.cache,
@@ -96,18 +94,8 @@ fn grid_or_err(
         ctx.sweep,
         ctx.engine,
         ctx.sample,
-    );
-    if outcome.interrupted {
-        return Err(SweepError::Interrupted);
-    }
-    if !outcome.failures.is_empty() {
-        return Err(SweepError::Failed(outcome.failures));
-    }
-    Ok(outcome
-        .results
-        .into_iter()
-        .map(|slot| slot.expect("missing result"))
-        .collect())
+    )
+    .into_result()
 }
 
 /// Which normalized metric a figure plots.
@@ -434,6 +422,7 @@ pub fn fig9(ctx: &ExperimentCtx) -> Result<HeatmapData, SweepError> {
         Axis::Latency,
         &m,
         &m,
+        ctx.threads,
         ctx.sweep,
         ctx.engine,
         ctx.sample,
@@ -450,6 +439,7 @@ pub fn fig10(ctx: &ExperimentCtx) -> Result<HeatmapData, SweepError> {
         Axis::Energy,
         &m,
         &m,
+        ctx.threads,
         ctx.sweep,
         ctx.engine,
         ctx.sample,

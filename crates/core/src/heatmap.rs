@@ -10,7 +10,7 @@ use crate::configs::n_by_name;
 use crate::design::{sram_costs, Design, MEM_NAME};
 use crate::journal::SweepCtx;
 use crate::model::{LevelCost, Metrics};
-use crate::runner::{sweep_point_sampled, Engine, SimCache, SweepError};
+use crate::runner::{evaluate_grid_sweep_sampled, Engine, SimCache, SweepError};
 use crate::sampling::SampleMode;
 use crate::scale::Scale;
 use memsim_cache::LevelStats;
@@ -58,10 +58,11 @@ pub fn default_multipliers() -> Vec<f64> {
 /// page cache stays real DRAM; the hierarchy is the paper's NMM at N6
 /// (512 MB, 512 B pages).
 ///
-/// The two simulated points per workload (baseline and NMM@N6) go through
-/// [`sweep_point`], so with a sweep context they are journaled, served
-/// from `--resume`, and panic-isolated like grid points; an armed
-/// interrupt stops between workloads.
+/// The two simulated points per workload (baseline and NMM@N6) are one
+/// grid ([`evaluate_grid_sweep_sampled`] over `threads` lanes): each
+/// workload's two structures are walked from one run of its kernel, and
+/// with a sweep context the points are journaled, served from
+/// `--resume`, and fault-isolated like any grid point.
 #[allow(clippy::too_many_arguments)]
 pub fn heatmap(
     kinds: &[WorkloadKind],
@@ -70,6 +71,7 @@ pub fn heatmap(
     axis: Axis,
     read_mults: &[f64],
     write_mults: &[f64],
+    threads: Option<usize>,
     sweep: Option<&SweepCtx>,
     engine: Engine,
 ) -> Result<HeatmapData, SweepError> {
@@ -80,6 +82,7 @@ pub fn heatmap(
         axis,
         read_mults,
         write_mults,
+        threads,
         sweep,
         engine,
         SampleMode::Off,
@@ -97,49 +100,27 @@ pub fn heatmap_sampled(
     axis: Axis,
     read_mults: &[f64],
     write_mults: &[f64],
+    threads: Option<usize>,
     sweep: Option<&SweepCtx>,
     engine: Engine,
     sample: SampleMode,
 ) -> Result<HeatmapData, SweepError> {
     let n6 = n_by_name("N6").expect("N6 exists");
+    let nmm = Design::Nmm {
+        nvm: Technology::Pcm,
+        config: n6,
+    };
+    // one simulation (structure of NMM@N6) + baseline per workload
+    let points: Vec<(WorkloadKind, Design)> = kinds
+        .iter()
+        .flat_map(|k| [(*k, Design::Baseline), (*k, nmm)])
+        .collect();
+    let results =
+        evaluate_grid_sweep_sampled(&points, scale, cache, threads, sweep, engine, sample)
+            .into_result()?;
     let mut grid = vec![vec![0.0f64; read_mults.len()]; write_mults.len()];
-    let mut failures = Vec::new();
-    for kind in kinds {
-        if sweep.is_some_and(SweepCtx::interrupted) {
-            return Err(SweepError::Interrupted);
-        }
-        // one simulation (structure of NMM@N6) + baseline per workload
-        let pair = sweep_point_sampled(
-            *kind,
-            scale,
-            &Design::Baseline,
-            cache,
-            sweep,
-            engine,
-            sample,
-        )
-        .and_then(|base| {
-            sweep_point_sampled(
-                *kind,
-                scale,
-                &Design::Nmm {
-                    nvm: Technology::Pcm,
-                    config: n6,
-                },
-                cache,
-                sweep,
-                engine,
-                sample,
-            )
-            .map(|nmm| (base, nmm))
-        });
-        let (base, nmm) = match pair {
-            Ok(p) => p,
-            Err(failed) => {
-                failures.push(failed);
-                continue;
-            }
-        };
+    for pair in results.chunks(2) {
+        let (base, nmm) = (&pair[0], &pair[1]);
         let run = &nmm.run;
         // fixed costs: SRAM levels + the DRAM page cache
         let mut fixed = sram_costs(scale);
@@ -173,9 +154,6 @@ pub fn heatmap_sampled(
             }
         }
     }
-    if !failures.is_empty() {
-        return Err(SweepError::Failed(failures));
-    }
     Ok(HeatmapData {
         title: match axis {
             Axis::Latency => "Normalized runtime of NMM vs read/write latency ×".into(),
@@ -200,6 +178,7 @@ mod tests {
             axis,
             &[1.0, 5.0, 20.0],
             &[1.0, 5.0, 20.0],
+            None,
             None,
             Engine::Sequential,
         )
@@ -282,6 +261,7 @@ mod tests {
             Axis::Latency,
             &ladder,
             &ladder,
+            None,
             None,
             Engine::Sequential,
         )

@@ -72,9 +72,8 @@ pub use replay::{
     replay_structure_engine, RecordSummary, ReplayFailure, ReplayOutcome,
 };
 pub use runner::{
-    evaluate, simulate_structure, simulate_structure_engine, simulate_structure_sampled,
-    sweep_point, sweep_point_engine, sweep_point_sampled, Engine, EvalResult, FailedPoint,
-    GridOutcome, RawRun, SimCache, SweepError,
+    evaluate, simulate_structure, simulate_structure_engine, simulate_structure_sampled, Engine,
+    EvalResult, FailedPoint, GridOutcome, RawRun, SimCache, SweepError,
 };
 pub use sampling::{SampleCi, SampleMode, SamplePlan, SampleSpec, Warmup};
 pub use scale::Scale;
