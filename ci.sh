@@ -97,11 +97,11 @@ done
 echo "interrupt/resume reproduction is byte-identical ($(ls "$smoke_dir"/clean/*.md | wc -l) artifacts)"
 
 echo "== sharded engine: golden parity at shards=1/2/N + obs-export diff vs sequential"
-# the dedicated parity suites (golden tests, proptest, zero-steal pin)
+# the dedicated parity suites (golden tests, proptest, per-shard claim counters)
 cargo test -p memsim-integration-tests --offline -q --test sharded_parity
 # end-to-end: a live run per engine, exported metrics diffed field by field.
 # Telemetry that legitimately depends on event adjacency (mru_hits, the L1
-# line-buffer split, progress.* and per-shard queue/claim/steal counters)
+# line-buffer split, progress.* and per-shard queue/claim counters)
 # is excluded; the ten LevelStats fields and memory counters must be exact.
 ncores=$(nproc 2>/dev/null || echo 4)
 for shards in 1 2 "$ncores"; do
@@ -226,13 +226,15 @@ cmp "$smoke_dir/trace-sharded-a.json" "$smoke_dir/trace-sharded-b.json"
 # Sampled replay: warm-vs-measure phase spans and CI-halfwidth counter
 # tracks. The first run pays the one-time interval-plan build (an extra
 # sample.plan span) and warms the plan sidecar; the next two are the
-# byte-stability pair, diffed against the committed golden.
+# byte-stability pair, diffed against the committed golden. The engine is
+# pinned because the timeline's manifest records it (`--shards auto`
+# would name this host's core count).
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-    --sample interval=32k,clusters=2 --threads 1 --quiet \
+    --sample interval=32k,clusters=2 --threads 1 --shards seq --quiet \
     --trace-out "$smoke_dir/trace-planwarm.json"
 for t in a b; do
     MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-        --sample interval=32k,clusters=2 --threads 1 --quiet \
+        --sample interval=32k,clusters=2 --threads 1 --shards seq --quiet \
         --trace-out "$smoke_dir/trace-sampled-$t.json"
 done
 cmp "$smoke_dir/trace-sampled-a.json" "$smoke_dir/trace-sampled-b.json"

@@ -53,9 +53,7 @@
 //!
 //! A shard's cache state is bound to its address classes, so no other
 //! worker *can* take its work: stealing a chunk would mean probing sets
-//! whose lines live in another replica. The per-shard `steals` counter is
-//! registered anyway and pinned at zero — an honest, tested invariant
-//! rather than an unimplemented feature.
+//! whose lines live in another replica.
 //!
 //! # Determinism
 //!
@@ -494,11 +492,9 @@ impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
     ///
     /// With `obs_prefix` set and the global registry enabled, several
     /// shards register per-shard telemetry under `{prefix}.shard{i}.`
-    /// (`queue_depth`, `claims`, `steals`) plus `progress.shard{i}.events`,
+    /// (`queue_depth`, `claims`) plus `progress.shard{i}.events`,
     /// `progress.events`, and `progress.chunks`; a single shard publishes
-    /// the sequential engine's probes instead. The `steals` counter is
-    /// registered but stays at zero: set-bound shards make work stealing
-    /// structurally impossible (see the module docs).
+    /// the sequential engine's probes instead.
     pub fn new(levels: Vec<Cache>, memory: M, shards: usize, obs_prefix: Option<&str>) -> Self {
         let walk = Walk {
             levels,
@@ -554,15 +550,11 @@ impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
                         replica.set_probes(HierarchyProbes::register(reg, p, &names));
                         None
                     }
-                    Some(p) => {
-                        // registered but never incremented — see module docs
-                        let _ = reg.counter(&format!("{p}.shard{i}.steals"));
-                        Some(ShardObs {
-                            claims: reg.counter(&format!("{p}.shard{i}.claims")),
-                            events: reg.counter(&format!("progress.shard{i}.events")),
-                            total_events: reg.counter("progress.events"),
-                        })
-                    }
+                    Some(p) => Some(ShardObs {
+                        claims: reg.counter(&format!("{p}.shard{i}.claims")),
+                        events: reg.counter(&format!("progress.shard{i}.events")),
+                        total_events: reg.counter("progress.events"),
+                    }),
                     None => None,
                 };
                 walkers.push(Walker {

@@ -24,8 +24,10 @@ mod output;
 use memsim_core::configs::{eh_by_name, eh_configs, n_by_name, n_configs};
 use memsim_core::experiments::{self, ExperimentCtx, Metric};
 use memsim_core::report::{heatmap_to_csv, heatmap_to_markdown};
+use memsim_core::runner::evaluate_grid_sweep;
 use memsim_core::{
-    evaluate, Design, Engine, SampleMode, Scale, SimCache, SweepCtx, SweepError, JOURNAL_FILE,
+    Design, Engine, EvalResult, RunOpts, SampleMode, Scale, SimCache, SweepCtx, SweepError,
+    JOURNAL_FILE,
 };
 use memsim_obs::json;
 use memsim_tech::Technology;
@@ -512,16 +514,11 @@ fn cmd_list() -> Result<(), String> {
 /// Open (or resume) the sweep journal in `out` and arm the ctrl-c flag.
 /// The sampling mode joins the journal fingerprint: a sampled journal
 /// refuses to resume a full-fidelity sweep and vice versa.
-fn start_sweep(
-    out: &Path,
-    scale: &Scale,
-    resume: bool,
-    sample: SampleMode,
-) -> Result<SweepCtx, String> {
+fn start_sweep(out: &Path, scale: &Scale, resume: bool, run: RunOpts) -> Result<SweepCtx, String> {
     std::fs::create_dir_all(out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     let journal = out.join(JOURNAL_FILE);
     let mut ctx = if resume {
-        let (ctx, rec) = SweepCtx::resume_sampled(scale, &journal, sample)?;
+        let (ctx, rec) = SweepCtx::resume(scale, &journal, run)?;
         if rec.corrupt_lines > 0 {
             eprintln!(
                 "resume: dropped {} corrupt journal line(s)",
@@ -541,25 +538,106 @@ fn start_sweep(
         );
         ctx
     } else {
-        SweepCtx::fresh_sampled(scale, &journal, sample)?
+        SweepCtx::fresh(scale, &journal, run)?
     };
     ctx.set_interrupt(interrupt::install());
     Ok(ctx)
 }
 
-/// Journaling for `table`/`figure`/`heatmap`: armed only when `--out` is
-/// present (`reproduce` always journals and uses [`start_sweep`] directly).
-fn start_sweep_opt(
-    opts: &Opts,
-    scale: &Scale,
-    sample: SampleMode,
-) -> Result<Option<SweepCtx>, String> {
-    match opts.get("out") {
-        Some(out) => start_sweep(Path::new(out), scale, opts.has("resume"), sample).map(Some),
-        None if opts.has("resume") => {
-            Err("--resume needs --out DIR (the journal lives there)".into())
+/// What the sweep commands (`table table4`, `figure`, `heatmap`,
+/// `reproduce`) share: the scale, the run options, the journal directory
+/// and its sweep context, the simulation memo, and the benchmark set and
+/// thread count of their [`ExperimentCtx`].
+struct SweepSetup {
+    cmd: &'static str,
+    scale: Scale,
+    run: RunOpts,
+    /// Where the journal and the written artifacts live.
+    out: Option<PathBuf>,
+    sweep: Option<SweepCtx>,
+    cache: SimCache,
+    workloads: Vec<WorkloadKind>,
+    threads: Option<usize>,
+}
+
+impl SweepSetup {
+    /// Parse the sweep options and open the journal. `reproduce` always
+    /// journals (to `--out`, by default `reproduction`); the others only
+    /// with `--out`. `table` takes no `--shards`: it runs sequentially.
+    fn new(opts: &Opts, cmd: &'static str) -> Result<Self, String> {
+        let scale = opts.scale()?;
+        let engine = match cmd {
+            "table" => Engine::Sequential,
+            _ => opts.shards()?,
+        };
+        let run = RunOpts {
+            engine,
+            sample: opts.sample()?,
+        };
+        let out = match (cmd, opts.get("out")) {
+            ("reproduce", out) => Some(PathBuf::from(out.unwrap_or("reproduction"))),
+            (_, out) => out.map(PathBuf::from),
+        };
+        let sweep = match &out {
+            Some(out) => Some(start_sweep(out, &scale, opts.has("resume"), run)?),
+            None if opts.has("resume") => {
+                return Err("--resume needs --out DIR (the journal lives there)".into())
+            }
+            None => None,
+        };
+        Ok(Self {
+            cmd,
+            scale,
+            run,
+            out,
+            sweep,
+            cache: SimCache::new(),
+            workloads: opts.workloads()?,
+            threads: opts.threads()?,
+        })
+    }
+
+    fn ctx(&self) -> ExperimentCtx<'_> {
+        ExperimentCtx {
+            scale: self.scale,
+            workloads: self.workloads.clone(),
+            cache: &self.cache,
+            threads: self.threads,
+            sweep: self.sweep.as_ref(),
+            opts: self.run,
         }
-        None => Ok(None),
+    }
+
+    /// Render a sweep failure or interrupt as a runtime [`CliError`]; on
+    /// interrupt, report the journal state and print the resume command.
+    fn err(&self, e: SweepError, opts: &Opts) -> CliError {
+        match e {
+            SweepError::Interrupted => {
+                if let Some(ctx) = &self.sweep {
+                    eprintln!(
+                        "interrupted: {} completed point(s) journaled",
+                        ctx.persisted_points()
+                    );
+                    eprintln!("resume with: {}", resume_hint(self.cmd, opts));
+                }
+                CliError::runtime("interrupted before the sweep completed".into())
+            }
+            SweepError::Failed(failures) => {
+                eprintln!("{} sweep point(s) failed:", failures.len());
+                for f in &failures {
+                    eprintln!("  {f}");
+                }
+                CliError::runtime(format!("{} sweep point(s) failed", failures.len()))
+            }
+        }
+    }
+
+    /// Write a rendered artifact next to the journal, when there is one.
+    fn write(&self, name: &str, md: &str, csv: &str) -> Result<(), String> {
+        match &self.out {
+            Some(out) => write_artifact(out, name, md, csv),
+            None => Ok(()),
+        }
     }
 }
 
@@ -579,30 +657,6 @@ fn resume_hint(cmd: &str, opts: &Opts) -> String {
     }
     parts.push("--resume".to_string());
     parts.join(" ")
-}
-
-/// Render a sweep failure or interrupt as a runtime [`CliError`]; on
-/// interrupt, report the journal state and print the resume command.
-fn sweep_err(e: SweepError, cmd: &str, opts: &Opts, sweep: Option<&SweepCtx>) -> CliError {
-    match e {
-        SweepError::Interrupted => {
-            if let Some(ctx) = sweep {
-                eprintln!(
-                    "interrupted: {} completed point(s) journaled",
-                    ctx.persisted_points()
-                );
-                eprintln!("resume with: {}", resume_hint(cmd, opts));
-            }
-            CliError::runtime("interrupted before the sweep completed".into())
-        }
-        SweepError::Failed(failures) => {
-            eprintln!("{} sweep point(s) failed:", failures.len());
-            for f in &failures {
-                eprintln!("  {f}");
-            }
-            CliError::runtime(format!("{} sweep point(s) failed", failures.len()))
-        }
-    }
 }
 
 /// Write a rendered artifact's markdown and CSV next to the journal.
@@ -650,18 +704,8 @@ fn cmd_table(opts: &Opts) -> Result<(), CliError> {
             }
         }
         "table4" | "workloads" => {
-            let scale = opts.scale()?;
-            let sample = opts.sample()?;
-            let sweep = start_sweep_opt(opts, &scale, sample)?;
-            let cache = SimCache::new();
-            let mut ctx = ExperimentCtx::new(scale, &cache).with_sample(sample);
-            if let Some(s) = &sweep {
-                ctx = ctx.with_sweep(s);
-            }
-            ctx.workloads = opts.workloads()?;
-            ctx.threads = opts.threads()?;
-            let t = experiments::table4(&ctx)
-                .map_err(|e| sweep_err(e, "table", opts, sweep.as_ref()))?;
+            let setup = SweepSetup::new(opts, "table")?;
+            let t = experiments::table4(&setup.ctx()).map_err(|e| setup.err(e, opts))?;
             println!(
                 "{}",
                 if opts.has("csv") {
@@ -670,9 +714,7 @@ fn cmd_table(opts: &Opts) -> Result<(), CliError> {
                     t.to_markdown()
                 }
             );
-            if let Some(out) = opts.get("out") {
-                write_artifact(Path::new(out), "table4", &t.to_markdown(), &t.to_csv())?;
-            }
+            setup.write("table4", &t.to_markdown(), &t.to_csv())?;
         }
         other => return Err(format!("unknown table '{other}'").into()),
     }
@@ -686,26 +728,12 @@ fn cmd_figure(opts: &Opts) -> Result<(), CliError> {
         .positional
         .first()
         .ok_or("figure needs an id (fig1..fig10)")?;
-    let scale = opts.scale()?;
-    let engine = opts.shards()?;
-    let sample = opts.sample()?;
+    let setup = SweepSetup::new(opts, "figure")?;
     let mut obs = ObsSession::start(opts, "figure");
     obs.annotate("figure", which.clone());
-    obs.annotate("scale", scale.class.name().to_string());
-    let mut sweep = start_sweep_opt(opts, &scale, sample)?;
-    if let Some(s) = sweep.as_mut() {
-        s.set_shards(engine.journal_shards());
-    }
-    let cache = SimCache::new();
-    let mut ctx = ExperimentCtx::new(scale, &cache)
-        .with_engine(engine)
-        .with_sample(sample);
-    if let Some(s) = &sweep {
-        ctx = ctx.with_sweep(s);
-    }
-    ctx.workloads = opts.workloads()?;
-    ctx.threads = opts.threads()?;
-    let to_err = |e| sweep_err(e, "figure", opts, sweep.as_ref());
+    obs.annotate("scale", setup.scale.class.name().to_string());
+    let ctx = setup.ctx();
+    let to_err = |e| setup.err(e, opts);
     let (md, csv) = match which.as_str() {
         "fig1" => render_fig(&experiments::fig_nmm(&ctx, Metric::Time).map_err(to_err)?),
         "fig2" => render_fig(&experiments::fig_nmm(&ctx, Metric::Energy).map_err(to_err)?),
@@ -720,9 +748,7 @@ fn cmd_figure(opts: &Opts) -> Result<(), CliError> {
         other => return Err(format!("unknown figure '{other}'").into()),
     };
     println!("{}", if opts.has("csv") { &csv } else { &md });
-    if let Some(out) = opts.get("out") {
-        write_artifact(Path::new(out), which, &md, &csv)?;
-    }
+    setup.write(which, &md, &csv)?;
     obs.finish()?;
     Ok(())
 }
@@ -766,8 +792,16 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
     obs.annotate("design", design.label());
     obs.annotate("scale", scale.class.name().to_string());
 
-    let base = evaluate(workload, &scale, &Design::Baseline);
-    let result = evaluate(workload, &scale, &design);
+    // one grid: the kernel runs once for both points, and a design that
+    // shares the baseline's structure (NDM) walks it once
+    let points = [(workload, Design::Baseline), (workload, design)];
+    let cache = SimCache::new();
+    let grid = evaluate_grid_sweep(&points, &scale, &cache, None, None, RunOpts::default());
+    let [base, result]: [EvalResult; 2] = grid
+        .into_result()
+        .map_err(|e| e.to_string())?
+        .try_into()
+        .expect("one result per point");
     let norm = result.metrics.normalized_to(&base.metrics);
 
     r.text(format!("# {} on {}", design.label(), workload.name()));
@@ -1019,13 +1053,6 @@ fn human_capacity(bytes: u64) -> String {
     }
 }
 
-/// Build one `reproduce` artifact as (markdown, CSV) through the shared
-/// artifact registry (`memsim_core::artifacts`) — the same code path the
-/// server's jobs use, which is what keeps them byte-identical.
-fn build_artifact(ctx: &ExperimentCtx, name: &str) -> Result<(String, String), SweepError> {
-    memsim_core::build_artifact(ctx, name)
-}
-
 /// Regenerate every table and figure into `--out DIR` (markdown + CSV),
 /// sharing one simulation memo across all of them.
 ///
@@ -1036,27 +1063,19 @@ fn build_artifact(ctx: &ExperimentCtx, name: &str) -> Result<(String, String), S
 /// every other artifact still builds, and ctrl-c drains in-flight points
 /// and prints the exact resume command.
 fn cmd_reproduce(opts: &Opts) -> Result<(), CliError> {
-    let out = PathBuf::from(opts.get("out").unwrap_or("reproduction"));
-    let scale = opts.scale()?;
-    let engine = opts.shards()?;
-    let sample = opts.sample()?;
-    let mut sweep = start_sweep(&out, &scale, opts.has("resume"), sample)?;
-    sweep.set_shards(engine.journal_shards());
+    let setup = SweepSetup::new(opts, "reproduce")?;
+    let (Some(out), Some(sweep)) = (&setup.out, &setup.sweep) else {
+        unreachable!("reproduce always journals")
+    };
     let mut obs = ObsSession::start(opts, "reproduce");
-    obs.annotate("scale", scale.class.name().to_string());
+    obs.annotate("scale", setup.scale.class.name().to_string());
     obs.annotate("out", out.display().to_string());
-    obs.annotate("engine", engine.to_string());
-    obs.annotate("sample", sample.canon());
-    let cache = SimCache::new();
-    let mut ctx = ExperimentCtx::new(scale, &cache)
-        .with_sweep(&sweep)
-        .with_engine(engine)
-        .with_sample(sample);
-    ctx.workloads = opts.workloads()?;
-    ctx.threads = opts.threads()?;
+    obs.annotate("engine", setup.run.engine.to_string());
+    obs.annotate("sample", setup.run.sample.canon());
+    let ctx = setup.ctx();
 
     let write = |name: &str, md: String, csv: String| -> Result<(), String> {
-        write_artifact(&out, name, &md, &csv)?;
+        write_artifact(out, name, &md, &csv)?;
         eprintln!("wrote {name}");
         Ok(())
     };
@@ -1074,7 +1093,7 @@ fn cmd_reproduce(opts: &Opts) -> Result<(), CliError> {
             interrupted = true;
             break;
         }
-        match build_artifact(&ctx, name) {
+        match memsim_core::build_artifact(&ctx, name) {
             Ok((md, csv)) => write(name, md, csv)?,
             Err(SweepError::Interrupted) => {
                 interrupted = true;
@@ -1170,13 +1189,6 @@ fn cmd_record(opts: &Opts) -> Result<(), String> {
     obs.finish()
 }
 
-/// The design grid `replay` evaluates by default: one representative per
-/// architecture family, at the configs the paper highlights (shared with
-/// the server's design-grid jobs).
-fn default_replay_designs() -> Vec<(&'static str, Design)> {
-    memsim_core::named_designs()
-}
-
 fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
     let file = opts.positional.first().ok_or("replay needs a trace file")?;
     let path = Path::new(file);
@@ -1201,31 +1213,30 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
         );
     }
 
-    let all = default_replay_designs();
+    // by default one representative per architecture family, at the
+    // configs the paper highlights (the server's design-grid names)
     let designs: Vec<Design> = match opts.get("designs") {
-        None => all.iter().map(|(_, d)| *d).collect(),
-        Some(list) => list
-            .split(',')
-            .map(|name| {
-                all.iter()
-                    .find(|(n, _)| *n == name)
-                    .map(|(_, d)| *d)
-                    .ok_or_else(|| format!("unknown design '{name}'"))
-            })
-            .collect::<Result<_, _>>()?,
+        None => memsim_core::named_designs()
+            .into_iter()
+            .map(|(_, d)| d)
+            .collect(),
+        Some(list) => memsim_core::parse_design_list(list)?,
     };
     // Baseline anchors normalization even when not requested explicitly.
     let mut grid = vec![Design::Baseline];
     grid.extend(designs.iter().filter(|d| **d != Design::Baseline).copied());
 
-    let engine = opts.shards()?;
-    let sample = opts.sample()?;
+    let run = RunOpts {
+        engine: opts.shards()?,
+        sample: opts.sample()?,
+    };
+    let sample = run.sample;
     let mut rep = Report::new(opts.report_mode()?);
     let mut obs = ObsSession::start(opts, "replay");
     obs.annotate("trace", trace_basename(file));
     obs.annotate("workload", header.workload.clone());
     obs.annotate("scale", scale.class.name().to_string());
-    obs.annotate("engine", engine.to_string());
+    obs.annotate("engine", run.engine.to_string());
     obs.annotate("sample", sample.canon());
     obs.annotate(
         "designs",
@@ -1235,14 +1246,7 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
     // Fault-isolated: a shard that fails to decode (corrupt chunk,
     // truncation mid-walk) or panics strands only its own designs; the
     // surviving rows still print, and the exit is non-zero.
-    let outcome = memsim_core::replay_grid_robust_sampled(
-        path,
-        &grid,
-        &scale,
-        opts.threads()?,
-        engine,
-        sample,
-    )?;
+    let outcome = memsim_core::replay_grid_robust(path, &grid, &scale, opts.threads()?, run)?;
     let stranded: Vec<Design> = outcome
         .failures
         .iter()
@@ -1259,7 +1263,7 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
     }
     // surviving results are in grid order; pair them back up with designs
     let mut survivors = outcome.results.iter();
-    let results: Vec<(Design, &memsim_core::EvalResult)> = grid
+    let results: Vec<(Design, &EvalResult)> = grid
         .iter()
         .filter(|d| !stranded.contains(d))
         .map(|d| (*d, survivors.next().expect("one result per survivor")))
@@ -1459,31 +1463,16 @@ fn cmd_heatmap(opts: &Opts) -> Result<(), CliError> {
         .first()
         .map(|s| s.as_str())
         .unwrap_or("latency");
-    let scale = opts.scale()?;
-    let engine = opts.shards()?;
-    let sample = opts.sample()?;
+    let setup = SweepSetup::new(opts, "heatmap")?;
     let mut obs = ObsSession::start(opts, "heatmap");
     obs.annotate("axis", axis.to_string());
-    obs.annotate("scale", scale.class.name().to_string());
-    let mut sweep = start_sweep_opt(opts, &scale, sample)?;
-    if let Some(s) = sweep.as_mut() {
-        s.set_shards(engine.journal_shards());
-    }
-    let cache = SimCache::new();
-    let mut ctx = ExperimentCtx::new(scale, &cache)
-        .with_engine(engine)
-        .with_sample(sample);
-    if let Some(s) = &sweep {
-        ctx = ctx.with_sweep(s);
-    }
-    ctx.workloads = opts.workloads()?;
-    ctx.threads = opts.threads()?;
+    obs.annotate("scale", setup.scale.class.name().to_string());
     let h = match axis {
-        "latency" => experiments::fig9(&ctx),
-        "energy" => experiments::fig10(&ctx),
+        "latency" => experiments::fig9(&setup.ctx()),
+        "energy" => experiments::fig10(&setup.ctx()),
         other => return Err(format!("unknown heatmap axis '{other}'").into()),
     }
-    .map_err(|e| sweep_err(e, "heatmap", opts, sweep.as_ref()))?;
+    .map_err(|e| setup.err(e, opts))?;
     println!(
         "{}",
         if opts.has("csv") {
@@ -1492,10 +1481,8 @@ fn cmd_heatmap(opts: &Opts) -> Result<(), CliError> {
             heatmap_to_markdown(&h)
         }
     );
-    if let Some(out) = opts.get("out") {
-        let (md, csv) = render_heat(&h);
-        write_artifact(Path::new(out), axis, &md, &csv)?;
-    }
+    let (md, csv) = render_heat(&h);
+    setup.write(axis, &md, &csv)?;
     obs.finish()?;
     Ok(())
 }
@@ -2018,6 +2005,63 @@ mod tests {
         assert!(doc.contains("\"replay.3L.reader.crc_verified_chunks\""));
         assert!(doc.contains("\"progress.shards_done\""));
 
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_evaluates_both_points_from_one_kernel_run() {
+        let _lock = memsim_obs::test_lock();
+        let dir = std::env::temp_dir().join(format!("memsim-cli-run-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let metrics = dir.join("run.json").display().to_string();
+        let counter = |doc: &str, key: &str| -> u64 {
+            let at = doc.find(&format!("\"{key}\":")).expect(key) + key.len() + 3;
+            let digits: String = doc[at..].chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().unwrap()
+        };
+        // NMM walks two structures, NDM shares the baseline's: either way
+        // the kernel runs once and each distinct structure is walked once
+        for (design, walks) in [("nmm", 2), ("ndm", 1)] {
+            let argv = [
+                "run",
+                "--workload",
+                "hash",
+                "--design",
+                design,
+                "--scale",
+                "mini",
+            ];
+            let mut argv = args(&argv);
+            argv.extend(args(&["--quiet", "--metrics-out", &metrics]));
+            run(&argv).unwrap();
+            let doc = std::fs::read_to_string(&metrics).unwrap();
+            assert_eq!(counter(&doc, "sim.workload_runs"), 1, "{design}");
+            assert_eq!(counter(&doc, "sim.memo.misses"), walks, "{design}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn replay_of_a_corrupt_trace_fails_without_a_baseline() {
+        let dir = std::env::temp_dir().join(format!("memsim-cli-corrupt-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let trace = dir.join("hash.trace");
+        let path = trace.display().to_string();
+        run(&args(&[
+            "record", "hash", "-o", &path, "--scale", "mini", "--quiet",
+        ]))
+        .unwrap();
+        let mut bytes = std::fs::read(&trace).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&trace, &bytes).unwrap();
+
+        let argv = ["replay", &path, "--designs", "baseline,nmm", "--quiet"];
+        let err = run(&args(&argv)).unwrap_err();
+        assert!(!err.show_usage);
+        let want = "baseline shard failed, cannot normalize: structure 3L (designs Baseline): \
+                    CRC mismatch in chunk";
+        assert!(err.message.starts_with(want), "{}", err.message);
         std::fs::remove_dir_all(&dir).ok();
     }
 

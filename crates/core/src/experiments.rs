@@ -6,12 +6,11 @@
 
 use crate::configs::{eh_configs, n_configs};
 use crate::design::Design;
-use crate::heatmap::{default_multipliers, heatmap_sampled, Axis, HeatmapData};
+use crate::heatmap::{default_multipliers, heatmap, Axis, HeatmapData};
 use crate::journal::SweepCtx;
 use crate::model::NormMetrics;
 use crate::report::{FigureData, Series};
-use crate::runner::{evaluate_grid_sweep_sampled, Engine, EvalResult, SimCache, SweepError};
-use crate::sampling::SampleMode;
+use crate::runner::{evaluate_grid_sweep, EvalResult, RunOpts, SimCache, SweepError};
 use crate::scale::Scale;
 use memsim_tech::{TechParams, Technology};
 use memsim_workloads::WorkloadKind;
@@ -30,13 +29,8 @@ pub struct ExperimentCtx<'a> {
     /// Journal/resume/interrupt state shared across the suite (None =
     /// plain run, no checkpointing).
     pub sweep: Option<&'a SweepCtx>,
-    /// Which engine walks each structure simulation (results are
-    /// engine-independent; this is a throughput choice).
-    pub engine: Engine,
-    /// Interval sampling mode: `Off` runs every event; `On` simulates
-    /// one representative interval per cluster and extrapolates (results
-    /// carry confidence intervals).
-    pub sample: SampleMode,
+    /// How each structure simulation runs: engine and sampling mode.
+    pub opts: RunOpts,
 }
 
 impl<'a> ExperimentCtx<'a> {
@@ -48,8 +42,7 @@ impl<'a> ExperimentCtx<'a> {
             cache,
             threads: None,
             sweep: None,
-            engine: Engine::Sequential,
-            sample: SampleMode::Off,
+            opts: RunOpts::default(),
         }
     }
 
@@ -67,35 +60,29 @@ impl<'a> ExperimentCtx<'a> {
         self
     }
 
-    /// Choose the simulation engine (default sequential).
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
+    /// Choose the engine and sampling mode (default sequential, full
+    /// fidelity).
+    pub fn with_opts(mut self, opts: RunOpts) -> Self {
+        self.opts = opts;
         self
     }
 
-    /// Choose the sampling mode (default off = full fidelity).
-    pub fn with_sample(mut self, sample: SampleMode) -> Self {
-        self.sample = sample;
-        self
+    /// Run a grid under the context's sweep state and lift the outcome
+    /// into a `Result` ([`crate::runner::GridOutcome::into_result`]).
+    pub(crate) fn grid(
+        &self,
+        points: &[(WorkloadKind, Design)],
+    ) -> Result<Vec<EvalResult>, SweepError> {
+        evaluate_grid_sweep(
+            points,
+            &self.scale,
+            self.cache,
+            self.threads,
+            self.sweep,
+            self.opts,
+        )
+        .into_result()
     }
-}
-
-/// Run a grid under the context's sweep state and lift the outcome into a
-/// `Result` ([`crate::runner::GridOutcome::into_result`]).
-fn grid_or_err(
-    ctx: &ExperimentCtx,
-    points: &[(WorkloadKind, Design)],
-) -> Result<Vec<EvalResult>, SweepError> {
-    evaluate_grid_sweep_sampled(
-        points,
-        &ctx.scale,
-        ctx.cache,
-        ctx.threads,
-        ctx.sweep,
-        ctx.engine,
-        ctx.sample,
-    )
-    .into_result()
 }
 
 /// Which normalized metric a figure plots.
@@ -132,7 +119,7 @@ pub fn norm_grid(
             points.push((w, *d));
         }
     }
-    let results = grid_or_err(ctx, &points)?;
+    let results = ctx.grid(&points)?;
     let mut base: HashMap<WorkloadKind, EvalResult> = HashMap::new();
     for r in &results {
         if matches!(r.design, Design::Baseline) {
@@ -204,7 +191,7 @@ pub fn table4(ctx: &ExperimentCtx) -> Result<FigureData, SweepError> {
         .iter()
         .map(|w| (*w, Design::Baseline))
         .collect();
-    let results = grid_or_err(ctx, &points)?;
+    let results = ctx.grid(&points)?;
     Ok(FigureData {
         id: "table4".into(),
         title: "Characteristics of the benchmarks (model scale)".into(),
@@ -415,35 +402,13 @@ pub fn fig_ndm(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepE
 /// Figure 9: the runtime heat map over read/write latency multipliers.
 pub fn fig9(ctx: &ExperimentCtx) -> Result<HeatmapData, SweepError> {
     let m = default_multipliers();
-    heatmap_sampled(
-        &ctx.workloads,
-        &ctx.scale,
-        ctx.cache,
-        Axis::Latency,
-        &m,
-        &m,
-        ctx.threads,
-        ctx.sweep,
-        ctx.engine,
-        ctx.sample,
-    )
+    heatmap(ctx, Axis::Latency, &m, &m)
 }
 
 /// Figure 10: the energy heat map over read/write energy multipliers.
 pub fn fig10(ctx: &ExperimentCtx) -> Result<HeatmapData, SweepError> {
     let m = default_multipliers();
-    heatmap_sampled(
-        &ctx.workloads,
-        &ctx.scale,
-        ctx.cache,
-        Axis::Energy,
-        &m,
-        &m,
-        ctx.threads,
-        ctx.sweep,
-        ctx.engine,
-        ctx.sample,
-    )
+    heatmap(ctx, Axis::Energy, &m, &m)
 }
 
 #[cfg(test)]

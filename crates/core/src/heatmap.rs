@@ -8,11 +8,9 @@
 
 use crate::configs::n_by_name;
 use crate::design::{sram_costs, Design, MEM_NAME};
-use crate::journal::SweepCtx;
+use crate::experiments::ExperimentCtx;
 use crate::model::{LevelCost, Metrics};
-use crate::runner::{evaluate_grid_sweep_sampled, Engine, SimCache, SweepError};
-use crate::sampling::SampleMode;
-use crate::scale::Scale;
+use crate::runner::SweepError;
 use memsim_cache::LevelStats;
 use memsim_tech::{Multipliers, TechParams, Technology};
 use memsim_workloads::WorkloadKind;
@@ -52,58 +50,24 @@ pub fn default_multipliers() -> Vec<f64> {
     vec![1.0, 2.0, 5.0, 10.0, 15.0, 20.0]
 }
 
-/// Compute a heat map for `axis`, averaging over `kinds`.
+/// Compute a heat map for `axis`, averaging over the context's workloads.
 ///
 /// The hypothetical memory is DRAM with the given axis scaled; the DRAM
 /// page cache stays real DRAM; the hierarchy is the paper's NMM at N6
 /// (512 MB, 512 B pages).
 ///
 /// The two simulated points per workload (baseline and NMM@N6) are one
-/// grid ([`evaluate_grid_sweep_sampled`] over `threads` lanes): each
-/// workload's two structures are walked from one run of its kernel, and
-/// with a sweep context the points are journaled, served from
-/// `--resume`, and fault-isolated like any grid point.
-#[allow(clippy::too_many_arguments)]
+/// grid under the context's threads, sweep and run options: each
+/// workload's two structures are walked from one run of its kernel (or,
+/// sampled, from the interval-sampled replay, and every cell is costed
+/// from the extrapolated counters), and with a sweep context the points
+/// are journaled, served from `--resume`, and fault-isolated like any
+/// grid point.
 pub fn heatmap(
-    kinds: &[WorkloadKind],
-    scale: &Scale,
-    cache: &SimCache,
+    ctx: &ExperimentCtx,
     axis: Axis,
     read_mults: &[f64],
     write_mults: &[f64],
-    threads: Option<usize>,
-    sweep: Option<&SweepCtx>,
-    engine: Engine,
-) -> Result<HeatmapData, SweepError> {
-    heatmap_sampled(
-        kinds,
-        scale,
-        cache,
-        axis,
-        read_mults,
-        write_mults,
-        threads,
-        sweep,
-        engine,
-        SampleMode::Off,
-    )
-}
-
-/// [`heatmap`] with an explicit sampling mode: with sampling on, the two
-/// simulated points per workload come from the interval-sampled replay
-/// (extrapolated counters), and every cell is costed from those.
-#[allow(clippy::too_many_arguments)]
-pub fn heatmap_sampled(
-    kinds: &[WorkloadKind],
-    scale: &Scale,
-    cache: &SimCache,
-    axis: Axis,
-    read_mults: &[f64],
-    write_mults: &[f64],
-    threads: Option<usize>,
-    sweep: Option<&SweepCtx>,
-    engine: Engine,
-    sample: SampleMode,
 ) -> Result<HeatmapData, SweepError> {
     let n6 = n_by_name("N6").expect("N6 exists");
     let nmm = Design::Nmm {
@@ -111,19 +75,18 @@ pub fn heatmap_sampled(
         config: n6,
     };
     // one simulation (structure of NMM@N6) + baseline per workload
-    let points: Vec<(WorkloadKind, Design)> = kinds
+    let points: Vec<(WorkloadKind, Design)> = ctx
+        .workloads
         .iter()
         .flat_map(|k| [(*k, Design::Baseline), (*k, nmm)])
         .collect();
-    let results =
-        evaluate_grid_sweep_sampled(&points, scale, cache, threads, sweep, engine, sample)
-            .into_result()?;
+    let results = ctx.grid(&points)?;
     let mut grid = vec![vec![0.0f64; read_mults.len()]; write_mults.len()];
     for pair in results.chunks(2) {
         let (base, nmm) = (&pair[0], &pair[1]);
         let run = &nmm.run;
         // fixed costs: SRAM levels + the DRAM page cache
-        let mut fixed = sram_costs(scale);
+        let mut fixed = sram_costs(&ctx.scale);
         // static on the paper-scale N6 capacity (512 MB)
         fixed.push(LevelCost::from_tech(
             "L4",
@@ -150,7 +113,7 @@ pub fn heatmap_sampled(
                 grid[wi][ri] += match axis {
                     Axis::Latency => norm.time,
                     Axis::Energy => norm.energy,
-                } / kinds.len() as f64;
+                } / ctx.workloads.len() as f64;
             }
         }
     }
@@ -169,20 +132,17 @@ pub fn heatmap_sampled(
 mod tests {
     use super::*;
 
-    fn quick_map(axis: Axis) -> HeatmapData {
+    use crate::runner::SimCache;
+    use crate::scale::Scale;
+
+    fn cg_map(axis: Axis, ladder: &[f64]) -> HeatmapData {
         let cache = SimCache::new();
-        heatmap(
-            &[WorkloadKind::Cg],
-            &Scale::mini(),
-            &cache,
-            axis,
-            &[1.0, 5.0, 20.0],
-            &[1.0, 5.0, 20.0],
-            None,
-            None,
-            Engine::Sequential,
-        )
-        .unwrap()
+        let ctx = ExperimentCtx::new(Scale::mini(), &cache).with_workloads(&[WorkloadKind::Cg]);
+        heatmap(&ctx, axis, ladder, ladder).unwrap()
+    }
+
+    fn quick_map(axis: Axis) -> HeatmapData {
+        cg_map(axis, &[1.0, 5.0, 20.0])
     }
 
     #[test]
@@ -252,20 +212,8 @@ mod tests {
         // multipliers must produce exactly n rows × n columns with the
         // (max read ×, max write ×) point present and equal to the
         // monotone maximum of the whole map.
-        let cache = SimCache::new();
         let ladder = [1.0, 20.0, 1000.0];
-        let m = heatmap(
-            &[WorkloadKind::Cg],
-            &Scale::mini(),
-            &cache,
-            Axis::Latency,
-            &ladder,
-            &ladder,
-            None,
-            None,
-            Engine::Sequential,
-        )
-        .unwrap();
+        let m = cg_map(Axis::Latency, &ladder);
         assert_eq!(m.grid.len(), ladder.len());
         for row in &m.grid {
             assert_eq!(row.len(), ladder.len());

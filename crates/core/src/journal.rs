@@ -26,7 +26,7 @@
 use crate::design::Design;
 use crate::jsontext::{get, get_str, get_u64, parse_json, JVal};
 use crate::model::Metrics;
-use crate::runner::{EvalResult, RawRun};
+use crate::runner::{EvalResult, RawRun, RunOpts};
 use crate::sampling::{SampleCi, SampleMode};
 use crate::scale::Scale;
 use memsim_cache::LevelStats;
@@ -52,21 +52,16 @@ pub const JOURNAL_FILE: &str = "sweep.journal.jsonl";
 pub type PointKey = (String, String);
 
 /// Fingerprint of everything that could invalidate a journaled point:
-/// journal schema, crate version, and the full [`Scale`] geometry (which
-/// also pins the workload class). Two runs with equal fingerprints produce
-/// bit-identical simulation results, so their journal entries are
-/// interchangeable.
-pub fn sweep_fingerprint(scale: &Scale) -> String {
-    sweep_fingerprint_sampled(scale, SampleMode::Off)
-}
-
-/// [`sweep_fingerprint`] for a sampled sweep: the sampling parameters
-/// join the canonical string (full-fidelity runs hash the exact legacy
-/// string, so existing journals stay valid). Sampled results are
-/// extrapolations, not measurements — a sampled point must never be
-/// served to a full-fidelity resume or vice versa, and distinct sampling
-/// parameters must not mix either.
-pub fn sweep_fingerprint_sampled(scale: &Scale, sample: SampleMode) -> String {
+/// journal schema, crate version, the full [`Scale`] geometry (which also
+/// pins the workload class), and the sampling parameters. Two runs with
+/// equal fingerprints produce bit-identical simulation results, so their
+/// journal entries are interchangeable.
+///
+/// Full-fidelity runs hash the exact legacy string, so existing journals
+/// stay valid. Sampled results are extrapolations, not measurements — a
+/// sampled point must never be served to a full-fidelity resume or vice
+/// versa, and distinct sampling parameters must not mix either.
+pub fn sweep_fingerprint(scale: &Scale, sample: SampleMode) -> String {
     let mut canon = format!(
         "memsim-sweep-v{JOURNAL_VERSION}|{}|l1={}:{}|l2={}:{}|l3={}:{}|line={}|div={}|l4w={}|fpm={}|class={}",
         env!("CARGO_PKG_VERSION"),
@@ -487,12 +482,6 @@ pub struct JournalRecovery {
     pub failed_entries: usize,
 }
 
-/// Read and validate a journal for a full-fidelity resume.
-/// See [`load_journal_sampled`].
-pub fn load_journal(path: &Path, expected_fp: &str) -> Result<JournalRecovery, String> {
-    load_journal_sampled(path, expected_fp, SampleMode::Off)
-}
-
 /// Read and validate a journal. A missing file is an empty recovery, not
 /// an error — `--resume` on a sweep that never started is a fresh run.
 /// Damaged or foreign lines are counted and dropped, never trusted.
@@ -503,7 +492,7 @@ pub fn load_journal(path: &Path, expected_fp: &str) -> Result<JournalRecovery, S
 /// full-fidelity journal under sampled points) would silently change
 /// what the artifact means. The caller must pick a different output
 /// directory or delete the journal, and the error says so.
-pub fn load_journal_sampled(
+pub fn load_journal(
     path: &Path,
     expected_fp: &str,
     expected_sample: SampleMode,
@@ -580,81 +569,54 @@ struct CtxState {
 pub struct SweepCtx {
     scale: Scale,
     fingerprint: String,
-    journal: Option<SweepJournal>,
+    journal: SweepJournal,
     resumed: HashMap<PointKey, RestoredPoint>,
     interrupt: Option<Arc<AtomicBool>>,
-    /// Shard count journaled with each point for provenance (0 =
-    /// sequential engine). Never part of the fingerprint: results are
-    /// engine-independent, so resume must not refuse on a mismatch.
-    shards: u64,
-    /// The sweep's sampling mode — part of the fingerprint *and* an
-    /// explicit resume gate (unlike `shards`): sampled and full-fidelity
-    /// points must never mix.
-    sample: SampleMode,
+    /// The engine's shard count is journaled with each point for
+    /// provenance (0 = sequential engine), never part of the fingerprint:
+    /// results are engine-independent, so resume must not refuse on a
+    /// mismatch. The sampling mode is part of the fingerprint *and* an
+    /// explicit resume gate: sampled and full-fidelity points must never
+    /// mix.
+    opts: RunOpts,
     state: Mutex<CtxState>,
 }
 
 impl SweepCtx {
-    /// A context with no journal and no resume data (tests, ad-hoc grids):
-    /// panic isolation and interrupt draining still work.
-    pub fn detached(scale: &Scale) -> Self {
-        Self::detached_sampled(scale, SampleMode::Off)
-    }
-
-    /// [`SweepCtx::detached`] for a sampled sweep.
-    pub fn detached_sampled(scale: &Scale, sample: SampleMode) -> Self {
+    /// A context for a sweep run with `opts`, appending to `journal` and
+    /// serving nothing yet.
+    fn new(scale: &Scale, journal: SweepJournal, opts: RunOpts) -> Self {
         Self {
             scale: *scale,
-            fingerprint: sweep_fingerprint_sampled(scale, sample),
-            journal: None,
+            fingerprint: sweep_fingerprint(scale, opts.sample),
+            journal,
             resumed: HashMap::new(),
             interrupt: None,
-            shards: 0,
-            sample,
+            opts,
             state: Mutex::new(CtxState::default()),
         }
     }
 
-    /// Start a fresh journaled sweep, truncating any journal at `path`.
-    pub fn fresh(scale: &Scale, path: &Path) -> Result<Self, String> {
-        Self::fresh_sampled(scale, path, SampleMode::Off)
+    /// Start a fresh journaled sweep run with `opts`, truncating any
+    /// journal at `path`.
+    pub fn fresh(scale: &Scale, path: &Path, opts: RunOpts) -> Result<Self, String> {
+        Ok(Self::new(scale, SweepJournal::create(path)?, opts))
     }
 
-    /// [`SweepCtx::fresh`] for a sampled sweep.
-    pub fn fresh_sampled(scale: &Scale, path: &Path, sample: SampleMode) -> Result<Self, String> {
-        let mut ctx = Self::detached_sampled(scale, sample);
-        ctx.journal = Some(SweepJournal::create(path)?);
-        Ok(ctx)
-    }
-
-    /// Resume a journaled sweep: load and validate `path`, then append.
-    /// Returns the context plus the recovery statistics.
-    pub fn resume(scale: &Scale, path: &Path) -> Result<(Self, JournalRecovery), String> {
-        Self::resume_sampled(scale, path, SampleMode::Off)
-    }
-
-    /// [`SweepCtx::resume`] for a sampled sweep: refuses (does not
-    /// silently skip) a journal whose sampling mode differs — see
-    /// [`load_journal_sampled`].
-    pub fn resume_sampled(
+    /// Resume a journaled sweep run with `opts`: load and validate `path`,
+    /// then append. Returns the context plus the recovery statistics.
+    /// Refuses (does not silently skip) a journal whose sampling mode
+    /// differs — see [`load_journal`].
+    pub fn resume(
         scale: &Scale,
         path: &Path,
-        sample: SampleMode,
+        opts: RunOpts,
     ) -> Result<(Self, JournalRecovery), String> {
-        let mut ctx = Self::detached_sampled(scale, sample);
-        let rec = load_journal_sampled(path, &ctx.fingerprint, sample)?;
-        ctx.journal = Some(SweepJournal::append_to(path)?);
-        {
-            let mut st = ctx.state.lock().unwrap_or_else(|e| e.into_inner());
-            for key in rec.points.keys() {
-                st.persisted.insert(key.clone());
-            }
-        }
-        ctx.resumed = rec
-            .points
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
+        let rec = load_journal(path, &sweep_fingerprint(scale, opts.sample), opts.sample)?;
+        let mut ctx = Self::new(scale, SweepJournal::append_to(path)?, opts);
+        let state = ctx.state.get_mut().unwrap_or_else(|e| e.into_inner());
+        state.persisted.extend(rec.points.keys().cloned());
+        ctx.resumed = rec.points.clone();
         Ok((ctx, rec))
     }
 
@@ -662,12 +624,6 @@ impl SweepCtx {
     /// once `flag` is set; in-flight points finish and are journaled.
     pub fn set_interrupt(&mut self, flag: Arc<AtomicBool>) {
         self.interrupt = Some(flag);
-    }
-
-    /// Record the engine's shard count (0 = sequential) in every journaled
-    /// point, as provenance only — see [`crate::runner::Engine`].
-    pub fn set_shards(&mut self, shards: u64) {
-        self.shards = shards;
     }
 
     /// Has the interrupt flag been raised?
@@ -734,15 +690,13 @@ impl SweepCtx {
             }
         }
         memsim_obs::global().counter("sweep.points_done").inc();
-        if let Some(j) = &self.journal {
-            j.write_line(&envelope(&point_payload(
-                &self.fingerprint,
-                &self.scale,
-                res,
-                self.shards,
-                self.sample,
-            )));
-        }
+        self.journal.write_line(&envelope(&point_payload(
+            &self.fingerprint,
+            &self.scale,
+            res,
+            self.opts.engine.journal_shards(),
+            self.opts.sample,
+        )));
     }
 
     /// Journal a failed point (panic payload or shard error) for
@@ -757,23 +711,27 @@ impl SweepCtx {
             }
         }
         memsim_obs::global().counter("sweep.points_failed").inc();
-        if let Some(j) = &self.journal {
-            j.write_line(&envelope(&failure_payload(
-                &self.fingerprint,
-                &self.scale,
-                &key,
-                message,
-                self.sample,
-            )));
-        }
+        self.journal.write_line(&envelope(&failure_payload(
+            &self.fingerprint,
+            &self.scale,
+            &key,
+            message,
+            self.opts.sample,
+        )));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::evaluate;
+    use crate::runner::{evaluate_cached, Engine, SimCache};
     use memsim_tech::Technology;
+
+    const OFF: SampleMode = SampleMode::Off;
+
+    fn evaluate(kind: WorkloadKind, scale: &Scale, design: &Design) -> EvalResult {
+        evaluate_cached(kind, scale, design, &SimCache::new(), RunOpts::default())
+    }
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("memsim-journal-{}", std::process::id()));
@@ -783,10 +741,10 @@ mod tests {
 
     #[test]
     fn fingerprint_distinguishes_scales() {
-        let mini = sweep_fingerprint(&Scale::mini());
-        let demo = sweep_fingerprint(&Scale::demo());
+        let mini = sweep_fingerprint(&Scale::mini(), OFF);
+        let demo = sweep_fingerprint(&Scale::demo(), OFF);
         assert_ne!(mini, demo);
-        assert_eq!(mini, sweep_fingerprint(&Scale::mini()));
+        assert_eq!(mini, sweep_fingerprint(&Scale::mini(), OFF));
         assert_eq!(mini.len(), 8);
     }
 
@@ -825,7 +783,7 @@ mod tests {
                 nvm: Technology::Pcm,
             },
         );
-        let fp = sweep_fingerprint(&scale);
+        let fp = sweep_fingerprint(&scale, OFF);
         let line = envelope(&point_payload(&fp, &scale, &res, 3, SampleMode::Off));
         let (key, point, got_fp, got_sample) = decode_line(&line).unwrap();
         assert_eq!(got_fp, fp);
@@ -854,7 +812,7 @@ mod tests {
         // accept it (results are engine-independent by the parity tests).
         let scale = Scale::mini();
         let res = evaluate(WorkloadKind::Hash, &scale, &Design::Baseline);
-        let fp = sweep_fingerprint(&scale);
+        let fp = sweep_fingerprint(&scale, OFF);
         let seq_line = envelope(&point_payload(&fp, &scale, &res, 0, SampleMode::Off));
         let sharded_line = envelope(&point_payload(&fp, &scale, &res, 4, SampleMode::Off));
         let (seq_key, seq_point, seq_fp, _) = decode_line(&seq_line).unwrap();
@@ -873,11 +831,13 @@ mod tests {
         // (sequential) context — the point must be served, not refused
         let path = temp_path("xengine.journal.jsonl");
         {
-            let mut ctx = SweepCtx::fresh(&scale, &path).unwrap();
-            ctx.set_shards(4);
-            ctx.record(&res);
+            let opts = RunOpts {
+                engine: Engine::Sharded(4),
+                sample: OFF,
+            };
+            SweepCtx::fresh(&scale, &path, opts).unwrap().record(&res);
         }
-        let (ctx, rec) = SweepCtx::resume(&scale, &path).unwrap();
+        let (ctx, rec) = SweepCtx::resume(&scale, &path, RunOpts::default()).unwrap();
         assert_eq!(rec.points.len(), 1, "sharded entry refused on resume");
         assert!(ctx.lookup(WorkloadKind::Hash, &Design::Baseline).is_some());
         std::fs::remove_file(&path).ok();
@@ -887,7 +847,7 @@ mod tests {
     fn corrupt_lines_fail_closed() {
         let scale = Scale::mini();
         let res = evaluate(WorkloadKind::Hash, &scale, &Design::Baseline);
-        let fp = sweep_fingerprint(&scale);
+        let fp = sweep_fingerprint(&scale, OFF);
         let line = envelope(&point_payload(&fp, &scale, &res, 0, SampleMode::Off));
 
         // truncation at any prefix length must never decode
@@ -907,7 +867,7 @@ mod tests {
     fn journal_load_skips_damage_and_foreign_fingerprints() {
         let scale = Scale::mini();
         let path = temp_path("load.journal.jsonl");
-        let ctx = SweepCtx::fresh(&scale, &path).unwrap();
+        let ctx = SweepCtx::fresh(&scale, &path, RunOpts::default()).unwrap();
         let good = evaluate(WorkloadKind::Hash, &scale, &Design::Baseline);
         ctx.record(&good);
         ctx.record_failure(
@@ -934,7 +894,7 @@ mod tests {
             ));
             f.write_all(foreign.as_bytes()).unwrap();
         }
-        let rec = load_journal(&path, &sweep_fingerprint(&scale)).unwrap();
+        let rec = load_journal(&path, &sweep_fingerprint(&scale, OFF), OFF).unwrap();
         assert_eq!(rec.points.len(), 1);
         assert_eq!(rec.corrupt_lines, 1);
         assert_eq!(rec.mismatched_lines, 1);
@@ -951,14 +911,14 @@ mod tests {
         let path = temp_path("resume.journal.jsonl");
         let res = evaluate(WorkloadKind::Hash, &scale, &Design::Baseline);
         {
-            let ctx = SweepCtx::fresh(&scale, &path).unwrap();
+            let ctx = SweepCtx::fresh(&scale, &path, RunOpts::default()).unwrap();
             ctx.record(&res);
             ctx.record(&res); // dedup: second append is a no-op
         }
         let lines = std::fs::read_to_string(&path).unwrap().lines().count();
         assert_eq!(lines, 1);
 
-        let (ctx, rec) = SweepCtx::resume(&scale, &path).unwrap();
+        let (ctx, rec) = SweepCtx::resume(&scale, &path, RunOpts::default()).unwrap();
         assert_eq!(rec.points.len(), 1);
         let restored = ctx
             .lookup(WorkloadKind::Hash, &Design::Baseline)
@@ -980,21 +940,26 @@ mod tests {
         use crate::sampling::SampleSpec;
         let scale = Scale::mini();
         let spec = SampleMode::On(SampleSpec::default());
+        let full = RunOpts::default();
+        let sampled = RunOpts {
+            sample: spec,
+            ..full
+        };
 
         // distinct fingerprints per mode (and per parameters)
-        let off = sweep_fingerprint(&scale);
-        let on = sweep_fingerprint_sampled(&scale, spec);
+        let off = sweep_fingerprint(&scale, OFF);
+        let on = sweep_fingerprint(&scale, spec);
         assert_ne!(off, on);
         let other = SampleMode::parse("interval=2m,clusters=4").unwrap();
-        assert_ne!(on, sweep_fingerprint_sampled(&scale, other));
+        assert_ne!(on, sweep_fingerprint(&scale, other));
 
         // a full-fidelity journal must refuse a sampled resume...
         let path = temp_path("xsample-full.journal.jsonl");
         {
-            let ctx = SweepCtx::fresh(&scale, &path).unwrap();
+            let ctx = SweepCtx::fresh(&scale, &path, full).unwrap();
             ctx.record(&evaluate(WorkloadKind::Hash, &scale, &Design::Baseline));
         }
-        let err = SweepCtx::resume_sampled(&scale, &path, spec).unwrap_err();
+        let err = SweepCtx::resume(&scale, &path, sampled).unwrap_err();
         assert!(err.contains("full-fidelity"), "{err}");
         assert!(err.contains("interval-sampled"), "{err}");
         assert!(err.contains("refusing"), "{err}");
@@ -1003,14 +968,14 @@ mod tests {
         // even when the sampled side only recorded a failure
         let path2 = temp_path("xsample-sampled.journal.jsonl");
         {
-            let ctx = SweepCtx::fresh_sampled(&scale, &path2, spec).unwrap();
+            let ctx = SweepCtx::fresh(&scale, &path2, sampled).unwrap();
             ctx.record_failure(WorkloadKind::Hash, &Design::Baseline, "injected");
         }
-        let err2 = SweepCtx::resume(&scale, &path2).unwrap_err();
+        let err2 = SweepCtx::resume(&scale, &path2, full).unwrap_err();
         assert!(err2.contains("refusing"), "{err2}");
 
         // same mode resumes fine
-        let (_, rec) = SweepCtx::resume_sampled(&scale, &path2, spec).unwrap();
+        let (_, rec) = SweepCtx::resume(&scale, &path2, sampled).unwrap();
         assert_eq!(rec.failed_entries, 1);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&path2).ok();
@@ -1018,7 +983,7 @@ mod tests {
 
     #[test]
     fn missing_journal_is_empty_recovery() {
-        let rec = load_journal(Path::new("/nonexistent/never.jsonl"), "00000000").unwrap();
+        let rec = load_journal(Path::new("/nonexistent/never.jsonl"), "00000000", OFF).unwrap();
         assert!(rec.points.is_empty());
         assert_eq!(rec.corrupt_lines, 0);
     }

@@ -13,10 +13,13 @@
 //!   (pJ/bit × bits moved), capacity-proportional static energy, EDP.
 //! * [`runner`] — simulates a workload through a hierarchy *structure* once
 //!   and costs any number of technology assignments analytically (cache
-//!   statistics do not depend on latency/energy parameters).
+//!   statistics do not depend on latency/energy parameters); one
+//!   [`RunOpts`] picks the engine and the sampling mode of every walk.
 //! * [`sampling`] — interval-sampled simulation: cluster the stream's
 //!   intervals by locality signature, simulate one representative per
 //!   cluster, extrapolate with per-metric confidence intervals.
+//! * [`store`] — the content-addressed store of recorded traces, keyed by
+//!   workload, scale and build.
 //! * [`partition`] — the NDM oracle: merge the address space into a few hot
 //!   ranges and pick the best DRAM/NVM placement analytically.
 //! * [`dynamic`] — phase-aware partitioning (the paper's future work): an
@@ -34,8 +37,9 @@
 //!
 //! let scale = Scale::mini();
 //! let design = Design::Nmm { nvm: Technology::Pcm, config: n_configs()[4] }; // N5
-//! let result = runner::evaluate(WorkloadKind::Cg, &scale, &design);
-//! let base = runner::evaluate(WorkloadKind::Cg, &scale, &Design::Baseline);
+//! let (cache, opts) = (runner::SimCache::new(), runner::RunOpts::default());
+//! let result = runner::evaluate_cached(WorkloadKind::Cg, &scale, &design, &cache, opts);
+//! let base = runner::evaluate_cached(WorkloadKind::Cg, &scale, &Design::Baseline, &cache, opts);
 //! let norm = result.metrics.normalized_to(&base.metrics);
 //! assert!(norm.time > 0.5 && norm.time < 2.0);
 //! ```
@@ -58,22 +62,19 @@ pub mod report;
 pub mod runner;
 pub mod sampling;
 mod scale;
+pub mod store;
 
 pub use artifacts::{build_artifact, named_designs, parse_design_list, ARTIFACT_NAMES};
 pub use design::{Design, Structure};
-pub use journal::{
-    sweep_fingerprint, sweep_fingerprint_sampled, JournalRecovery, SweepCtx, SweepJournal,
-    JOURNAL_FILE,
-};
+pub use journal::{sweep_fingerprint, JournalRecovery, SweepCtx, SweepJournal, JOURNAL_FILE};
 pub use model::{breakdown, LevelBreakdown, LevelCost, Metrics, NormMetrics};
 pub use replay::{
-    record_workload, replay_grid, replay_grid_engine, replay_grid_robust,
-    replay_grid_robust_engine, replay_grid_robust_sampled, replay_structure,
-    replay_structure_engine, RecordSummary, ReplayFailure, ReplayOutcome,
+    record_workload, replay_grid_robust, replay_structure, RecordSummary, ReplayFailure,
+    ReplayOutcome,
 };
 pub use runner::{
-    evaluate, simulate_structure, simulate_structure_engine, simulate_structure_sampled, Engine,
-    EvalResult, FailedPoint, GridOutcome, RawRun, SimCache, SweepError,
+    simulate_structure, Engine, EvalResult, FailedPoint, GridOutcome, RawRun, RunOpts, SimCache,
+    SweepError,
 };
 pub use sampling::{SampleCi, SampleMode, SamplePlan, SampleSpec, Warmup};
 pub use scale::Scale;

@@ -213,7 +213,13 @@ mod tests {
     use memsim_workloads::WorkloadKind;
 
     fn run() -> RawRun {
-        simulate_structure(WorkloadKind::Cg, &Scale::mini(), &Structure::ThreeLevel)
+        let opts = crate::runner::RunOpts::default();
+        simulate_structure(
+            WorkloadKind::Cg,
+            &Scale::mini(),
+            &Structure::ThreeLevel,
+            opts,
+        )
     }
 
     #[test]

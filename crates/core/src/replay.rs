@@ -15,8 +15,7 @@
 
 use crate::design::{Design, Structure};
 use crate::runner::{
-    build_caches, evaluate_run, raw_run_from_hierarchy, raw_run_from_parts, Engine, EvalResult,
-    RawRun,
+    build_caches, evaluate_run, raw_run_from_parts, Engine, EvalResult, RawRun, RunOpts,
 };
 use crate::sampling::{plan_for, replay_structure_sampled, SampleMode};
 use crate::scale::Scale;
@@ -105,23 +104,15 @@ pub fn record_workload(
     })
 }
 
-/// Replay the trace at `path` through `structure`'s hierarchy at `scale`.
+/// Replay the trace at `path` through `structure`'s hierarchy at `scale`
+/// with the chosen engine: the set-sharded engine fans the file's
+/// 4096-event chunks out across its workers and merges at drain,
+/// producing the same [`RawRun`] counters as the sequential walk.
 ///
 /// The terminal memory's region table comes from the trace header, so
 /// per-region traffic (the NDM oracle's input) is attributed exactly as
 /// in the live run.
 pub fn replay_structure(
-    path: &Path,
-    scale: &Scale,
-    structure: &Structure,
-) -> Result<RawRun, TraceError> {
-    replay_structure_shard(path, scale, structure, None, Engine::Sequential)
-}
-
-/// [`replay_structure`] with an explicit engine: the set-sharded engine
-/// fans the file's 4096-event chunks out across its workers and merges at
-/// drain, producing the same [`RawRun`] counters as the sequential walk.
-pub fn replay_structure_engine(
     path: &Path,
     scale: &Scale,
     structure: &Structure,
@@ -132,9 +123,9 @@ pub fn replay_structure_engine(
 
 /// [`replay_structure`] with observability shard attribution: `shard`
 /// names this walk's `progress.shard{i}.events` counter and span, so the
-/// sampler can show per-shard lag across `replay_grid` workers. (With the
-/// set-sharded engine the engine's own per-shard counters take over that
-/// role instead.)
+/// sampler can show per-shard lag across `replay_grid_robust` workers.
+/// (With the set-sharded engine the engine's own per-shard counters take
+/// over that role instead.)
 fn replay_structure_shard(
     path: &Path,
     scale: &Scale,
@@ -153,47 +144,34 @@ fn replay_structure_shard(
     let caches = build_caches(scale, structure);
     let terminal = PartitionedMemory::new(&regions, Technology::Pcm);
 
-    if let Engine::Sharded(shards) = engine {
+    let (levels, memory, total_refs) = if let Engine::Sharded(shards) = engine {
         let mut sharded = ShardedHierarchy::new(caches, terminal, shards, obs_prefix.as_deref());
         replay_into(&mut reader, &mut sharded)?;
         let run = sharded.finish();
+        (run.levels, run.memory, run.total_refs)
+    } else {
+        let mut hierarchy = Hierarchy::new(caches, terminal);
         if let Some(prefix) = &obs_prefix {
             let reg = memsim_obs::global();
-            let store = |field: &str, v: u64| {
-                reg.counter(&format!("{prefix}.reader.{field}")).store(v);
-            };
-            store("chunks", reader.chunks_read());
-            store("crc_verified_chunks", reader.crc_verified_chunks());
-            store("payload_bytes", reader.payload_bytes());
+            let names: Vec<String> = hierarchy
+                .levels()
+                .iter()
+                .map(|c| c.config().name.clone())
+                .collect();
+            let names: Vec<&str> = names.iter().map(String::as_str).collect();
+            let mut probes = HierarchyProbes::register(reg, prefix, &names);
+            if let Some(i) = shard {
+                probes.add_events_counter(reg.counter(&format!("progress.shard{i}.events")));
+            }
+            hierarchy.set_probes(probes);
         }
-        span.add_events(run.total_refs);
-        return Ok(raw_run_from_parts(
-            run.levels,
-            run.memory,
-            &regions,
-            run.total_refs,
-            obs_prefix.as_deref(),
-        ));
-    }
-
-    let mut hierarchy = Hierarchy::new(caches, terminal);
-    if let Some(prefix) = &obs_prefix {
-        let reg = memsim_obs::global();
-        let names: Vec<String> = hierarchy
-            .levels()
-            .iter()
-            .map(|c| c.config().name.clone())
-            .collect();
-        let names: Vec<&str> = names.iter().map(String::as_str).collect();
-        let mut probes = HierarchyProbes::register(reg, prefix, &names);
-        if let Some(i) = shard {
-            probes.add_events_counter(reg.counter(&format!("progress.shard{i}.events")));
-        }
-        hierarchy.set_probes(probes);
-    }
-    replay_into(&mut reader, &mut hierarchy)?;
-    hierarchy.drain();
-    hierarchy.assert_consistent();
+        replay_into(&mut reader, &mut hierarchy)?;
+        hierarchy.drain();
+        hierarchy.assert_consistent();
+        let total_refs = hierarchy.total_refs();
+        let levels = hierarchy.levels().iter().map(|c| c.stats()).collect();
+        (levels, hierarchy.into_memory(), total_refs)
+    };
     if let Some(prefix) = &obs_prefix {
         // Trace-health counters from the reader: every chunk that reached
         // the sink passed its CRC check.
@@ -205,12 +183,9 @@ fn replay_structure_shard(
         store("crc_verified_chunks", reader.crc_verified_chunks());
         store("payload_bytes", reader.payload_bytes());
     }
-    span.add_events(hierarchy.total_refs());
-    Ok(raw_run_from_hierarchy(
-        hierarchy,
-        &regions,
-        obs_prefix.as_deref(),
-    ))
+    span.add_events(total_refs);
+    let run = raw_run_from_parts(levels, memory, &regions, total_refs, obs_prefix.as_deref());
+    Ok(run)
 }
 
 /// The workload a trace records, parsed from its header.
@@ -262,60 +237,54 @@ pub struct ReplayOutcome {
     pub failures: Vec<ReplayFailure>,
 }
 
+impl ReplayOutcome {
+    /// Lift the outcome into a `Result` for strict callers: any failed
+    /// shard turns the whole grid into an `Err` naming every stranded
+    /// structure and design.
+    pub fn into_result(self) -> Result<Vec<EvalResult>, String> {
+        if self.failures.is_empty() {
+            return Ok(self.results);
+        }
+        let list: Vec<String> = self.failures.iter().map(ReplayFailure::to_string).collect();
+        Err(format!(
+            "{} replay shard(s) failed: {}",
+            self.failures.len(),
+            list.join("; ")
+        ))
+    }
+}
+
 /// Evaluate a grid of designs against one recorded trace, sharded in
 /// parallel: the distinct hierarchy *structures* among `designs` are
 /// replayed concurrently (each worker streams the file independently, so
 /// there is no shared decode state to contend on), then every design is
 /// costed analytically from its structure's replayed run — the same
-/// two-phase split as the live `evaluate_grid`, with the workload
-/// execution replaced by a trace walk.
+/// two-phase split as the live `evaluate_grid_sweep`, with the workload
+/// execution replaced by a trace walk. `opts.engine` walks each structure
+/// at full fidelity; with `opts.sample` on, each structure's walk instead
+/// simulates one representative interval per cluster of the trace (per
+/// the shared [`crate::sampling::SamplePlan`]) and extrapolates. The plan
+/// is built once per (trace, spec) and shared by every worker.
 ///
 /// Fault-isolated: a shard that fails to decode (corrupt chunk, truncated
 /// file mid-walk) or panics strands only the designs sharing its
 /// structure; every other shard completes and its designs are costed.
-/// Errors that precede the walk (unreadable header, invalid design) still
-/// fail the whole call.
+/// Errors that precede the walk (unreadable header, invalid design, a plan
+/// that cannot be built) still fail the whole call. Strict callers lift
+/// the outcome with [`ReplayOutcome::into_result`].
 pub fn replay_grid_robust(
     path: &Path,
     designs: &[Design],
     scale: &Scale,
     threads: Option<usize>,
-) -> Result<ReplayOutcome, String> {
-    replay_grid_robust_engine(path, designs, scale, threads, Engine::Sequential)
-}
-
-/// [`replay_grid_robust`] with an explicit engine for each structure's
-/// trace walk.
-pub fn replay_grid_robust_engine(
-    path: &Path,
-    designs: &[Design],
-    scale: &Scale,
-    threads: Option<usize>,
-    engine: Engine,
-) -> Result<ReplayOutcome, String> {
-    replay_grid_robust_sampled(path, designs, scale, threads, engine, SampleMode::Off)
-}
-
-/// [`replay_grid_robust`] with an explicit engine and sampling mode: with
-/// sampling on, each structure's walk simulates one representative
-/// interval per cluster of the trace (per the shared [`SamplePlan`]) and
-/// extrapolates, instead of walking every event. The plan is built once
-/// per (trace, spec) and shared by every worker; a plan that cannot be
-/// built fails the whole call, like an unreadable header.
-pub fn replay_grid_robust_sampled(
-    path: &Path,
-    designs: &[Design],
-    scale: &Scale,
-    threads: Option<usize>,
-    engine: Engine,
-    sample: SampleMode,
+    opts: RunOpts,
 ) -> Result<ReplayOutcome, String> {
     let _span = memsim_obs::span!("replay");
     for d in designs {
         d.validate()?;
     }
     let kind = trace_workload(path)?;
-    let plan = match sample {
+    let plan = match opts.sample {
         SampleMode::Off => None,
         SampleMode::On(spec) => Some(plan_for(path, spec)?),
     };
@@ -363,9 +332,13 @@ pub fn replay_grid_robust_sampled(
                 let run =
                     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match &plan {
                         Some(plan) => replay_structure_sampled(path, scale, &structures[i], plan),
-                        None => {
-                            replay_structure_shard(path, scale, &structures[i], Some(i), engine)
-                        }
+                        None => replay_structure_shard(
+                            path,
+                            scale,
+                            &structures[i],
+                            Some(i),
+                            opts.engine,
+                        ),
                     })) {
                         Ok(Ok(run)) => Ok(Arc::new(run)),
                         Ok(Err(e)) => Err(e.to_string()),
@@ -417,41 +390,6 @@ pub fn replay_grid_robust_sampled(
     Ok(ReplayOutcome { results, failures })
 }
 
-/// Strict [`replay_grid_robust`]: any failed shard turns the whole grid
-/// into an `Err` naming every stranded structure and design.
-pub fn replay_grid(
-    path: &Path,
-    designs: &[Design],
-    scale: &Scale,
-    threads: Option<usize>,
-) -> Result<Vec<EvalResult>, String> {
-    replay_grid_engine(path, designs, scale, threads, Engine::Sequential)
-}
-
-/// Strict [`replay_grid`] with an explicit engine choice.
-pub fn replay_grid_engine(
-    path: &Path,
-    designs: &[Design],
-    scale: &Scale,
-    threads: Option<usize>,
-    engine: Engine,
-) -> Result<Vec<EvalResult>, String> {
-    let outcome = replay_grid_robust_engine(path, designs, scale, threads, engine)?;
-    if !outcome.failures.is_empty() {
-        let list: Vec<String> = outcome
-            .failures
-            .iter()
-            .map(ReplayFailure::to_string)
-            .collect();
-        return Err(format!(
-            "{} replay shard(s) failed: {}",
-            outcome.failures.len(),
-            list.join("; ")
-        ));
-    }
-    Ok(outcome.results)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -481,11 +419,14 @@ mod tests {
                 config: n_configs()[0],
             },
         ];
-        let replayed = replay_grid(&path, &designs, &scale, Some(2)).unwrap();
+        let replayed = replay_grid_robust(&path, &designs, &scale, Some(2), RunOpts::default())
+            .and_then(ReplayOutcome::into_result)
+            .unwrap();
 
         let cache = crate::runner::SimCache::new();
         for (r, d) in replayed.iter().zip(&designs) {
-            let live = crate::runner::evaluate_cached(WorkloadKind::Hash, &scale, d, &cache);
+            let opts = RunOpts::default();
+            let live = crate::runner::evaluate_cached(WorkloadKind::Hash, &scale, d, &cache, opts);
             assert_eq!(r.workload, WorkloadKind::Hash);
             assert_eq!(r.run.caches, live.run.caches, "{}", d.label());
             assert_eq!(r.run.mem, live.run.mem, "{}", d.label());
@@ -501,9 +442,9 @@ mod tests {
         let path = temp_trace("hash-sharded.trace");
         record_workload(WorkloadKind::Hash, Class::Mini, &path).unwrap();
         let st = Structure::ThreeLevel;
-        let seq = replay_structure(&path, &scale, &st).unwrap();
+        let seq = replay_structure(&path, &scale, &st, Engine::Sequential).unwrap();
         for shards in [2usize, 7] {
-            let sh = replay_structure_engine(&path, &scale, &st, Engine::Sharded(shards)).unwrap();
+            let sh = replay_structure(&path, &scale, &st, Engine::Sharded(shards)).unwrap();
             assert_eq!(sh.caches, seq.caches, "shards={shards}");
             assert_eq!(sh.mem, seq.mem, "shards={shards}");
             assert_eq!(sh.per_region, seq.per_region, "shards={shards}");
@@ -515,13 +456,59 @@ mod tests {
     #[test]
     fn replay_of_missing_file_errors() {
         let scale = Scale::mini();
-        let err = replay_grid(
+        let err = replay_grid_robust(
             Path::new("/nonexistent/never.trace"),
             &[Design::Baseline],
             &scale,
             None,
+            RunOpts::default(),
         )
         .unwrap_err();
         assert!(err.contains("I/O error"), "{err}");
+    }
+
+    #[test]
+    fn a_corrupt_chunk_strands_every_design_of_each_structure_once() {
+        let scale = Scale::mini();
+        let path = temp_trace("hash-corrupt.trace");
+        record_workload(WorkloadKind::Hash, Class::Mini, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let n6 = crate::configs::n_by_name("N6").unwrap();
+        let designs = [
+            Design::Baseline,
+            Design::Nmm {
+                nvm: Technology::Pcm,
+                config: n6,
+            },
+            Design::Nmm {
+                nvm: Technology::SttRam,
+                config: n6,
+            },
+        ];
+        let outcome = replay_grid_robust(&path, &designs, &scale, Some(2), RunOpts::default())
+            .expect("a mid-file corruption fails the shards, not the call");
+        assert!(outcome.results.is_empty());
+        // one failure per structure (3L and NMM@N6's L4), each naming the
+        // CRC mismatch, and every design stranded exactly once
+        assert_eq!(outcome.failures.len(), 2);
+        for f in &outcome.failures {
+            assert!(f.message.contains("CRC mismatch"), "{f}");
+        }
+        let stranded: Vec<Design> = outcome
+            .failures
+            .iter()
+            .flat_map(|f| f.designs.iter().copied())
+            .collect();
+        assert_eq!(stranded, designs);
+        let err = outcome.into_result().unwrap_err();
+        assert!(
+            err.starts_with("2 replay shard(s) failed: structure 3L"),
+            "{err}"
+        );
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -32,7 +32,7 @@ use crate::model::Metrics;
 use crate::partition::{self, Placement};
 use crate::sampling::SampleMode;
 use crate::scale::Scale;
-use memsim_cache::{Cache, CacheConfig, Hierarchy, LevelStats, ShardedHierarchy, Walk};
+use memsim_cache::{Cache, CacheConfig, LevelStats, ShardedHierarchy, Walk};
 use memsim_memory::{PartitionedMemory, RegionTraffic};
 use memsim_tech::Technology;
 use memsim_trace::{Region, TraceSink};
@@ -85,7 +85,7 @@ impl RawRun {
 /// points across engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// The single-threaded [`Hierarchy`] walk.
+    /// The single-threaded [`memsim_cache::Hierarchy`] walk.
     #[default]
     Sequential,
     /// The set-sharded parallel engine with this many requested worker
@@ -129,6 +129,19 @@ impl std::fmt::Display for Engine {
             Engine::Sharded(n) => write!(f, "sharded({n})"),
         }
     }
+}
+
+/// How structure walks run: the engine and the sampling mode. The
+/// default is the sequential engine at full fidelity.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RunOpts {
+    /// Which engine walks a full-fidelity stream. Results are
+    /// engine-independent; this is a throughput choice.
+    pub engine: Engine,
+    /// Interval sampling: `Off` walks every event; `On` simulates one
+    /// representative interval per cluster and extrapolates (results
+    /// carry confidence intervals). A sampled walk is always sequential.
+    pub sample: SampleMode,
 }
 
 /// Build the cache stack of a `structure` at `scale` (L1/L2/L3, plus the
@@ -211,25 +224,11 @@ pub(crate) fn publish_final_stats(prefix: &str, stats: &LevelStats) {
     store("bytes_stored", stats.bytes_stored);
 }
 
-/// Harvest a drained hierarchy into a [`RawRun`] (shared by the live and
-/// replay paths — the counters must be assembled identically). When
-/// `obs_prefix` is set and observability is enabled, every level's final
-/// stats (caches and `MEM`) are published under it.
-pub(crate) fn raw_run_from_hierarchy(
-    hierarchy: Hierarchy<PartitionedMemory>,
-    regions: &[memsim_trace::Region],
-    obs_prefix: Option<&str>,
-) -> RawRun {
-    let total_refs = hierarchy.total_refs();
-    let cache_stats: Vec<LevelStats> = hierarchy.levels().iter().map(|c| c.stats()).collect();
-    let mem_part = hierarchy.into_memory();
-    raw_run_from_parts(cache_stats, mem_part, regions, total_refs, obs_prefix)
-}
-
-/// Assemble a [`RawRun`] from already-harvested pieces — the common tail
-/// of the sequential ([`raw_run_from_hierarchy`]) and sharded (merged
-/// [`memsim_cache::ShardedRun`]) engines, so both publish and report
-/// identically.
+/// Assemble a [`RawRun`] from a walk's harvested pieces — the common tail
+/// of the live and replay paths, with either engine, so all of them
+/// publish and report identically. When `obs_prefix` is set and
+/// observability is enabled, every level's final stats (caches and `MEM`)
+/// are published under it.
 pub(crate) fn raw_run_from_parts(
     cache_stats: Vec<LevelStats>,
     mem_part: PartitionedMemory,
@@ -387,15 +386,16 @@ fn walk_live(
 }
 
 /// One structure's interval-sampled replay: the workload's stream is
-/// recorded once per process, an interval plan is built and memoized, and
-/// only representative windows are replayed — see [`crate::sampling`].
+/// recorded once into the process-wide trace store (keyed by scale and
+/// build), an interval plan is built and memoized, and only
+/// representative windows are replayed — see [`crate::sampling`].
 fn replay_sampled(
     kind: WorkloadKind,
     scale: &Scale,
     structure: &Structure,
     spec: crate::sampling::SampleSpec,
 ) -> Result<RawRun, String> {
-    let path = crate::sampling::cached_trace(kind, scale.class)?;
+    let path = crate::sampling::trace_store()?.ensure(kind, scale)?;
     let plan = crate::sampling::plan_for(&path, spec)?;
     crate::sampling::replay_structure_sampled(&path, scale, structure, &plan)
         .map_err(|e| format!("sampled replay of {}: {e}", path.display()))
@@ -409,13 +409,12 @@ fn walk(
     kind: WorkloadKind,
     scale: &Scale,
     structures: &[Structure],
-    engine: Engine,
-    sample: SampleMode,
+    opts: RunOpts,
     lanes: usize,
 ) -> Vec<Result<RawRun, String>> {
     let mut span = memsim_obs::span!("grid.walk.{}", kind.name());
-    let runs = match sample {
-        SampleMode::Off => walk_live(kind, scale, structures, engine, lanes),
+    let runs = match opts.sample {
+        SampleMode::Off => walk_live(kind, scale, structures, opts.engine, lanes),
         SampleMode::On(spec) => structures
             .iter()
             .map(|st| {
@@ -430,52 +429,28 @@ fn walk(
     runs
 }
 
-/// Simulate `kind` (at `scale.class`) through `structure` with the
-/// sequential engine. This is the expensive step: every memory reference
-/// of the workload walks the hierarchy.
-pub fn simulate_structure(kind: WorkloadKind, scale: &Scale, structure: &Structure) -> RawRun {
-    simulate_structure_engine(kind, scale, structure, Engine::Sequential)
-}
-
-/// Simulate `kind` (at `scale.class`) through `structure` with the chosen
-/// `engine`. Both engines yield bit-identical [`RawRun`] counters; the
-/// sharded engine trades the sequential path's per-epoch probe publication
-/// for per-shard progress telemetry, with the identical finals published
-/// at drain either way.
-pub fn simulate_structure_engine(
-    kind: WorkloadKind,
-    scale: &Scale,
-    structure: &Structure,
-    engine: Engine,
-) -> RawRun {
-    simulate_structure_sampled(kind, scale, structure, engine, SampleMode::Off)
-}
-
-/// Simulate `kind` through `structure`, either at full fidelity (the
-/// chosen `engine` walks every reference) or interval-sampled (see
-/// [`crate::sampling`]). The sampled walk is always sequential (the
-/// snapshot deltas need one hierarchy in event order), so `engine`
-/// applies to full-fidelity runs only. This is a one-structure group
-/// walk, with one lane per replica.
+/// Simulate `kind` (at `scale.class`) through `structure`. This is the
+/// expensive step: every memory reference of the workload walks the
+/// hierarchy.
+///
+/// At full fidelity the chosen engine walks every reference; both engines
+/// yield bit-identical [`RawRun`] counters (the sharded engine trades the
+/// sequential path's per-epoch probe publication for per-shard progress
+/// telemetry, with the identical finals published at drain either way).
+/// Interval-sampled runs (see [`crate::sampling`]) are always sequential:
+/// the snapshot deltas need one hierarchy in event order. This is a
+/// one-structure group walk, with one lane per replica.
 ///
 /// Panics on a failed walk (a failed workload, an unreadable trace) —
 /// grid workers turn those into [`FailedPoint`]s.
-pub fn simulate_structure_sampled(
+pub fn simulate_structure(
     kind: WorkloadKind,
     scale: &Scale,
     structure: &Structure,
-    engine: Engine,
-    sample: SampleMode,
+    opts: RunOpts,
 ) -> RawRun {
-    let lanes = engine.replicas();
-    let mut runs = walk(
-        kind,
-        scale,
-        std::slice::from_ref(structure),
-        engine,
-        sample,
-        lanes,
-    );
+    let structures = std::slice::from_ref(structure);
+    let mut runs = walk(kind, scale, structures, opts, opts.engine.replicas());
     runs.pop()
         .expect("one run per structure")
         .unwrap_or_else(|e| panic!("{e}"))
@@ -528,13 +503,13 @@ impl Cell {
 struct Claim {
     kind: WorkloadKind,
     scale: Scale,
-    sample: SampleMode,
+    opts: RunOpts,
     entries: Vec<(Structure, Arc<Cell>, bool)>,
 }
 
 impl Claim {
     fn key(&self, structure: Structure) -> SimKey {
-        (self.kind, self.scale, structure, self.sample)
+        (self.kind, self.scale, structure, self.opts.sample)
     }
 
     /// The structures this request must walk, with their cells.
@@ -598,35 +573,18 @@ impl SimCache {
         Self::default()
     }
 
-    /// Fetch or simulate with the sequential engine.
-    pub fn get(&self, kind: WorkloadKind, scale: &Scale, structure: &Structure) -> Arc<RawRun> {
-        self.get_engine(kind, scale, structure, Engine::Sequential)
-    }
-
-    /// Fetch or simulate with the chosen engine (full fidelity).
-    pub fn get_engine(
+    /// Fetch or simulate one structure: a one-structure group, walked
+    /// with one lane per replica. Panics when the walk fails; otherwise
+    /// counts one memo hit or miss.
+    pub fn get(
         &self,
         kind: WorkloadKind,
         scale: &Scale,
         structure: &Structure,
-        engine: Engine,
-    ) -> Arc<RawRun> {
-        self.get_sampled(kind, scale, structure, engine, SampleMode::Off)
-    }
-
-    /// Fetch or simulate one structure with the chosen engine and sampling
-    /// mode: a one-structure group, walked with one lane per replica.
-    /// Panics when the walk fails; otherwise counts one memo hit or miss.
-    pub fn get_sampled(
-        &self,
-        kind: WorkloadKind,
-        scale: &Scale,
-        structure: &Structure,
-        engine: Engine,
-        sample: SampleMode,
+        opts: RunOpts,
     ) -> Arc<RawRun> {
         let structures = std::slice::from_ref(structure);
-        let mut runs = self.fetch(kind, scale, structures, engine, sample, engine.replicas());
+        let mut runs = self.fetch(kind, scale, structures, opts, opts.engine.replicas());
         let fetched = runs.pop().expect("a fetch yields every structure");
         let run = fetched.run.unwrap_or_else(|e| panic!("{e}"));
         count_memo(fetched.walked);
@@ -642,13 +600,12 @@ impl SimCache {
         kind: WorkloadKind,
         scale: &Scale,
         structures: &[Structure],
-        engine: Engine,
-        sample: SampleMode,
+        opts: RunOpts,
         lanes: usize,
     ) -> Vec<Fetched> {
-        let claim = self.claim(kind, scale, sample, structures);
-        let walked = self.walk_claim(&claim, engine, lanes);
-        self.collect(&claim, walked, engine, lanes, false)
+        let claim = self.claim(kind, scale, opts, structures);
+        let walked = self.walk_claim(&claim, lanes);
+        self.collect(&claim, walked, lanes, false)
     }
 
     /// Claim every absent key among `structures` under one lock.
@@ -656,13 +613,13 @@ impl SimCache {
         &self,
         kind: WorkloadKind,
         scale: &Scale,
-        sample: SampleMode,
+        opts: RunOpts,
         structures: &[Structure],
     ) -> Claim {
         let mut claim = Claim {
             kind,
             scale: *scale,
-            sample,
+            opts,
             entries: Vec::with_capacity(structures.len()),
         };
         let mut map = self.map.lock().expect("sim cache poisoned");
@@ -683,19 +640,12 @@ impl SimCache {
     /// Walk the structures `claim` owns from one workload run and settle
     /// their cells: a walked run fills its cell, a failed walk releases it.
     /// Returns the owned structures' outcomes.
-    fn walk_claim(&self, claim: &Claim, engine: Engine, lanes: usize) -> Vec<Fetched> {
+    fn walk_claim(&self, claim: &Claim, lanes: usize) -> Vec<Fetched> {
         let owned: Vec<Structure> = claim.owned().map(|(st, _)| st).collect();
         if owned.is_empty() {
             return Vec::new();
         }
-        let runs = walk(
-            claim.kind,
-            &claim.scale,
-            &owned,
-            engine,
-            claim.sample,
-            lanes,
-        );
+        let runs = walk(claim.kind, &claim.scale, &owned, claim.opts, lanes);
         claim
             .owned()
             .zip(runs)
@@ -741,7 +691,6 @@ impl SimCache {
         &self,
         claim: &Claim,
         mut walked: Vec<Fetched>,
-        engine: Engine,
         lanes: usize,
         interrupted: bool,
     ) -> Vec<Fetched> {
@@ -767,8 +716,7 @@ impl SimCache {
             out.push(fetched);
         }
         if !released.is_empty() {
-            let (kind, scale, sample) = (claim.kind, &claim.scale, claim.sample);
-            for fetched in self.fetch(kind, scale, &released, engine, sample, lanes) {
+            for fetched in self.fetch(claim.kind, &claim.scale, &released, claim.opts, lanes) {
                 let i = claim
                     .entries
                     .iter()
@@ -849,46 +797,18 @@ pub fn evaluate_run(
     }
 }
 
-/// Evaluate one design point, memoizing the simulation in `cache`.
+/// Evaluate one design point, memoizing the (full or sampled) simulation
+/// in `cache`.
 pub fn evaluate_cached(
     kind: WorkloadKind,
     scale: &Scale,
     design: &Design,
     cache: &SimCache,
-) -> EvalResult {
-    evaluate_cached_engine(kind, scale, design, cache, Engine::Sequential)
-}
-
-/// Evaluate one design point with the chosen engine, memoizing the
-/// simulation in `cache`.
-pub fn evaluate_cached_engine(
-    kind: WorkloadKind,
-    scale: &Scale,
-    design: &Design,
-    cache: &SimCache,
-    engine: Engine,
-) -> EvalResult {
-    evaluate_cached_sampled(kind, scale, design, cache, engine, SampleMode::Off)
-}
-
-/// Evaluate one design point with the chosen engine and sampling mode,
-/// memoizing the (full or sampled) simulation in `cache`.
-pub fn evaluate_cached_sampled(
-    kind: WorkloadKind,
-    scale: &Scale,
-    design: &Design,
-    cache: &SimCache,
-    engine: Engine,
-    sample: SampleMode,
+    opts: RunOpts,
 ) -> EvalResult {
     design.validate().expect("invalid design");
-    let run = cache.get_sampled(kind, scale, &design.structure(scale), engine, sample);
+    let run = cache.get(kind, scale, &design.structure(scale), opts);
     evaluate_run(kind, scale, design, run)
-}
-
-/// Evaluate one design point with a throwaway memo.
-pub fn evaluate(kind: WorkloadKind, scale: &Scale, design: &Design) -> EvalResult {
-    evaluate_cached(kind, scale, design, &SimCache::new())
 }
 
 /// Identity and cause of a grid point that did not produce a result.
@@ -998,7 +918,8 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Evaluate a grid of points in parallel over `threads` workers (defaults
-/// to the available parallelism when `None`), sharing one simulation memo.
+/// to the available parallelism when `None`), sharing one simulation memo,
+/// with `opts` choosing each structure walk's engine and sampling mode.
 ///
 /// Two phases (see the module docs): every structure the grid's
 /// unjournaled, valid points need is walked first, one kernel run per
@@ -1011,48 +932,15 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// journaled points are served from the journal and fresh completions are
 /// appended as they land; an armed interrupt flag stops new groups from
 /// starting while the groups in flight finish and journal their points.
+/// Callers that treat a failed point as a bug lift the outcome with
+/// [`GridOutcome::into_result`].
 pub fn evaluate_grid_sweep(
     points: &[(WorkloadKind, Design)],
     scale: &Scale,
     cache: &SimCache,
     threads: Option<usize>,
     sweep: Option<&crate::journal::SweepCtx>,
-) -> GridOutcome {
-    evaluate_grid_sweep_engine(points, scale, cache, threads, sweep, Engine::Sequential)
-}
-
-/// [`evaluate_grid_sweep`] with an explicit engine choice for each
-/// structure walk.
-pub fn evaluate_grid_sweep_engine(
-    points: &[(WorkloadKind, Design)],
-    scale: &Scale,
-    cache: &SimCache,
-    threads: Option<usize>,
-    sweep: Option<&crate::journal::SweepCtx>,
-    engine: Engine,
-) -> GridOutcome {
-    evaluate_grid_sweep_sampled(
-        points,
-        scale,
-        cache,
-        threads,
-        sweep,
-        engine,
-        SampleMode::Off,
-    )
-}
-
-/// [`evaluate_grid_sweep`] with explicit engine and sampling choices for
-/// each structure walk.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_grid_sweep_sampled(
-    points: &[(WorkloadKind, Design)],
-    scale: &Scale,
-    cache: &SimCache,
-    threads: Option<usize>,
-    sweep: Option<&crate::journal::SweepCtx>,
-    engine: Engine,
-    sample: SampleMode,
+    opts: RunOpts,
 ) -> GridOutcome {
     let threads = threads
         .unwrap_or_else(|| {
@@ -1061,7 +949,7 @@ pub fn evaluate_grid_sweep_sampled(
                 .unwrap_or(4)
         })
         .max(1);
-    let runs = walk_grid(points, scale, cache, threads, sweep, engine, sample);
+    let runs = walk_grid(points, scale, cache, threads, sweep, opts);
 
     let next = AtomicUsize::new(0);
     // Each point gets its own result slot: workers claim disjoint indices
@@ -1159,8 +1047,7 @@ fn walk_grid(
     cache: &SimCache,
     threads: usize,
     sweep: Option<&crate::journal::SweepCtx>,
-    engine: Engine,
-    sample: SampleMode,
+    opts: RunOpts,
 ) -> WalkedRuns {
     let interrupted = || sweep.is_some_and(|ctx| ctx.interrupted());
     let mut groups: Vec<(WorkloadKind, Vec<Structure>)> = Vec::new();
@@ -1177,7 +1064,7 @@ fn walk_grid(
             None => groups.push((*kind, vec![st])),
         }
     }
-    if sample.is_on() {
+    if opts.sample.is_on() {
         // A sampled walk replays a recorded trace per structure: there is
         // no kernel run to share, so every structure is its own group.
         groups = groups
@@ -1187,14 +1074,14 @@ fn walk_grid(
     }
     let claims: Vec<Claim> = groups
         .iter()
-        .map(|(kind, sts)| cache.claim(*kind, scale, sample, sts))
+        .map(|(kind, sts)| cache.claim(*kind, scale, opts, sts))
         .collect();
     let walked: Vec<OnceLock<Vec<Fetched>>> = claims.iter().map(|_| OnceLock::new()).collect();
     let walk_one = |i: usize, lanes: usize| {
         if interrupted() {
             cache.release(&claims[i]);
         } else {
-            let runs = cache.walk_claim(&claims[i], engine, lanes);
+            let runs = cache.walk_claim(&claims[i], lanes);
             walked[i].set(runs).expect("group walked twice");
         }
     };
@@ -1225,7 +1112,7 @@ fn walk_grid(
     let mut runs = HashMap::new();
     for (claim, walked) in claims.iter().zip(walked) {
         let walked = walked.into_inner().unwrap_or_default();
-        for f in cache.collect(claim, walked, engine, threads, interrupted()) {
+        for f in cache.collect(claim, walked, threads, interrupted()) {
             let run = Walked {
                 run: f.run,
                 miss: AtomicBool::new(f.walked),
@@ -1284,36 +1171,6 @@ fn cost_point(
     })
 }
 
-/// Evaluate a grid of points in parallel, panicking if any point fails —
-/// the strict interface for callers (tests, benches, examples) that treat
-/// a failed point as a bug. For fault isolation and checkpoint/resume use
-/// [`evaluate_grid_sweep`].
-pub fn evaluate_grid(
-    points: &[(WorkloadKind, Design)],
-    scale: &Scale,
-    cache: &SimCache,
-    threads: Option<usize>,
-) -> Vec<EvalResult> {
-    let outcome = evaluate_grid_sweep(points, scale, cache, threads, None);
-    if !outcome.failures.is_empty() {
-        let list: Vec<String> = outcome
-            .failures
-            .iter()
-            .map(FailedPoint::to_string)
-            .collect();
-        panic!(
-            "{} grid point(s) failed: {}",
-            outcome.failures.len(),
-            list.join("; ")
-        );
-    }
-    outcome
-        .results
-        .into_iter()
-        .map(|slot| slot.expect("missing result"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1323,9 +1180,14 @@ mod tests {
         Scale::mini()
     }
 
+    const SEQ: RunOpts = RunOpts {
+        engine: Engine::Sequential,
+        sample: SampleMode::Off,
+    };
+
     #[test]
     fn baseline_run_is_consistent() {
-        let run = simulate_structure(WorkloadKind::Cg, &scale(), &Structure::ThreeLevel);
+        let run = simulate_structure(WorkloadKind::Cg, &scale(), &Structure::ThreeLevel, SEQ);
         assert_eq!(run.caches.len(), 3);
         assert!(run.total_refs > 100_000);
         // L1 sees every demand reference (after line splitting)
@@ -1345,7 +1207,7 @@ mod tests {
             capacity_bytes: 1 << 20,
             page_bytes: 1024,
         };
-        let run = simulate_structure(WorkloadKind::Cg, &scale(), &st);
+        let run = simulate_structure(WorkloadKind::Cg, &scale(), &st, SEQ);
         assert_eq!(run.caches.len(), 4);
         assert_eq!(run.caches[3].name, "L4");
         // the L4 must filter some traffic: memory loads < L3 load misses
@@ -1363,14 +1225,11 @@ mod tests {
                 page_bytes: 1024,
             },
         ] {
-            let seq = simulate_structure(WorkloadKind::Cg, &scale(), &st);
+            let seq = simulate_structure(WorkloadKind::Cg, &scale(), &st, SEQ);
             for shards in [2usize, 7] {
-                let sh = simulate_structure_engine(
-                    WorkloadKind::Cg,
-                    &scale(),
-                    &st,
-                    Engine::Sharded(shards),
-                );
+                let engine = Engine::Sharded(shards);
+                let opts = RunOpts { engine, ..SEQ };
+                let sh = simulate_structure(WorkloadKind::Cg, &scale(), &st, opts);
                 assert_eq!(sh.caches, seq.caches, "{st:?} shards={shards}");
                 assert_eq!(sh.mem, seq.mem, "{st:?} shards={shards}");
                 assert_eq!(sh.per_region, seq.per_region, "{st:?} shards={shards}");
@@ -1392,8 +1251,8 @@ mod tests {
     #[test]
     fn sim_cache_memoizes() {
         let cache = SimCache::new();
-        let a = cache.get(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel);
-        let b = cache.get(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel);
+        let a = cache.get(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel, SEQ);
+        let b = cache.get(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel, SEQ);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
     }
@@ -1421,15 +1280,7 @@ mod tests {
         let barrier = std::sync::Barrier::new(2);
         let fetch = |sts: &[Structure]| {
             barrier.wait();
-            let off = SampleMode::Off;
-            cache.fetch(
-                WorkloadKind::Hash,
-                &scale(),
-                sts,
-                Engine::Sequential,
-                off,
-                1,
-            )
+            cache.fetch(WorkloadKind::Hash, &scale(), sts, SEQ, 1)
         };
         let (ra, rb) = std::thread::scope(|s| {
             let ha = s.spawn(|| fetch(&a));
@@ -1459,42 +1310,31 @@ mod tests {
             WorkloadKind::Hash,
             &scale(),
             &[Structure::ThreeLevel, bad],
-            Engine::Sequential,
-            SampleMode::Off,
+            SEQ,
             1,
         );
         let good = fetched(&runs, Structure::ThreeLevel);
-        let serial = simulate_structure(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel);
+        let serial = simulate_structure(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel, SEQ);
         assert_eq!(good.caches, serial.caches);
         let err = runs[1].run.as_ref().unwrap_err();
         assert!(err.contains("power of two"), "{err}");
         // the failed claim left the memo, so a later request claims and
         // walks it again instead of blocking on a dead cell
         assert_eq!(cache.len(), 1);
-        let again = cache.fetch(
-            WorkloadKind::Hash,
-            &scale(),
-            &[bad],
-            Engine::Sequential,
-            SampleMode::Off,
-            1,
-        );
+        let again = cache.fetch(WorkloadKind::Hash, &scale(), &[bad], SEQ, 1);
         assert!(again[0].run.is_err());
         assert_eq!(cache.len(), 1);
 
         // A request already waiting on the claim when it fails is woken
         // by the release and retries the walk itself, rather than
         // blocking forever on the dead cell.
-        let (hash, off) = (WorkloadKind::Hash, SampleMode::Off);
-        let owner = cache.claim(hash, &scale(), off, &[bad]);
-        let waiter = cache.claim(hash, &scale(), off, &[bad]);
+        let hash = WorkloadKind::Hash;
+        let owner = cache.claim(hash, &scale(), SEQ, &[bad]);
+        let waiter = cache.claim(hash, &scale(), SEQ, &[bad]);
         assert!(waiter.owned().next().is_none(), "the second request waits");
         std::thread::scope(|s| {
-            let waiting =
-                s.spawn(|| cache.collect(&waiter, Vec::new(), Engine::Sequential, 1, false));
-            assert!(cache.walk_claim(&owner, Engine::Sequential, 1)[0]
-                .run
-                .is_err());
+            let waiting = s.spawn(|| cache.collect(&waiter, Vec::new(), 1, false));
+            assert!(cache.walk_claim(&owner, 1)[0].run.is_err());
             let retried = waiting.join().unwrap();
             let err = retried[0].run.as_ref().unwrap_err();
             assert!(err.contains("power of two"), "{err}");
@@ -1506,18 +1346,17 @@ mod tests {
         // the one walk — a memo miss, never also a hit — and a later
         // request is served the run.
         let st = l4(512);
-        let owner = cache.claim(hash, &scale(), off, &[st]);
-        let waiter = cache.claim(hash, &scale(), off, &[st]);
+        let owner = cache.claim(hash, &scale(), SEQ, &[st]);
+        let waiter = cache.claim(hash, &scale(), SEQ, &[st]);
         let retried = std::thread::scope(|s| {
-            let waiting =
-                s.spawn(|| cache.collect(&waiter, Vec::new(), Engine::Sequential, 1, false));
+            let waiting = s.spawn(|| cache.collect(&waiter, Vec::new(), 1, false));
             cache.release(&owner);
             waiting.join().unwrap()
         });
         assert_eq!(retried.len(), 1);
         assert!(retried[0].walked, "the retrying request walked it");
         let run = Arc::clone(retried[0].run.as_ref().expect("walked"));
-        let later = cache.fetch(hash, &scale(), &[st], Engine::Sequential, off, 1);
+        let later = cache.fetch(hash, &scale(), &[st], SEQ, 1);
         assert!(!later[0].walked, "served, not walked again");
         assert!(Arc::ptr_eq(&run, later[0].run.as_ref().unwrap()));
         assert_eq!(cache.len(), 2);
@@ -1538,13 +1377,14 @@ mod tests {
                 },
             ),
         ];
-        let ctx = crate::journal::SweepCtx::fresh(&scale(), &journal).unwrap();
-        let fresh = evaluate_grid_sweep(&points, &scale(), &SimCache::new(), Some(2), Some(&ctx));
+        let ctx = crate::journal::SweepCtx::fresh(&scale(), &journal, SEQ).unwrap();
+        let cache = SimCache::new();
+        let fresh = evaluate_grid_sweep(&points, &scale(), &cache, Some(2), Some(&ctx), SEQ);
         assert_eq!(fresh.completed().len(), 2);
 
-        let (ctx, _) = crate::journal::SweepCtx::resume(&scale(), &journal).unwrap();
+        let (ctx, _) = crate::journal::SweepCtx::resume(&scale(), &journal, SEQ).unwrap();
         let cache = SimCache::new();
-        let resumed = evaluate_grid_sweep(&points, &scale(), &cache, Some(2), Some(&ctx));
+        let resumed = evaluate_grid_sweep(&points, &scale(), &cache, Some(2), Some(&ctx), SEQ);
         assert_eq!(resumed.skipped, 2);
         assert!(cache.is_empty(), "a journaled point claimed a walk");
         std::fs::remove_dir_all(&dir).ok();
@@ -1553,7 +1393,7 @@ mod tests {
     #[test]
     fn evaluate_baseline_and_nmm() {
         let cache = SimCache::new();
-        let base = evaluate_cached(WorkloadKind::Cg, &scale(), &Design::Baseline, &cache);
+        let base = evaluate_cached(WorkloadKind::Cg, &scale(), &Design::Baseline, &cache, SEQ);
         let nmm = evaluate_cached(
             WorkloadKind::Cg,
             &scale(),
@@ -1562,6 +1402,7 @@ mod tests {
                 config: n_configs()[2],
             },
             &cache,
+            SEQ,
         );
         let norm = nmm.metrics.normalized_to(&base.metrics);
         // PCM behind a DRAM cache costs some time but is in a sane band
@@ -1589,6 +1430,7 @@ mod tests {
                 config: eh,
             },
             &cache,
+            SEQ,
         );
         let b = evaluate_cached(
             WorkloadKind::Hash,
@@ -1599,12 +1441,66 @@ mod tests {
                 config: eh,
             },
             &cache,
+            SEQ,
         );
         assert!(
             Arc::ptr_eq(&a.run, &b.run),
             "same structure must share the simulation"
         );
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn a_live_sampled_grid_with_an_exact_plan_matches_full_fidelity() {
+        let n6 = crate::configs::n_by_name("N6").unwrap();
+        let points = [
+            (WorkloadKind::Hash, Design::Baseline),
+            (
+                WorkloadKind::Hash,
+                Design::Nmm {
+                    nvm: Technology::Pcm,
+                    config: n6,
+                },
+            ),
+        ];
+        // Hash at mini is ~8.5M events: nine intervals, each its own
+        // cluster, so nothing is extrapolated
+        let spec = crate::sampling::SampleSpec {
+            interval: 1_000_000,
+            clusters: 16,
+            warmup: crate::sampling::Warmup::Functional,
+        };
+        let sampled = RunOpts {
+            sample: SampleMode::On(spec),
+            ..SEQ
+        };
+        let grid = |opts| {
+            evaluate_grid_sweep(&points, &scale(), &SimCache::new(), Some(2), None, opts)
+                .into_result()
+                .unwrap()
+        };
+        let full = grid(SEQ);
+        let first = grid(sampled);
+
+        let store = crate::sampling::trace_store().unwrap();
+        let trace = store.ensure(WorkloadKind::Hash, &scale()).unwrap();
+        let plan = crate::sampling::plan_for(&trace, spec).unwrap();
+        assert_eq!(plan.clusters.len() as u64, plan.intervals);
+        let recorded = std::fs::metadata(&trace).unwrap().modified().unwrap();
+        let second = grid(sampled);
+        let after = std::fs::metadata(&trace).unwrap().modified().unwrap();
+        assert_eq!(after, recorded, "the second grid recorded the trace again");
+
+        for ((f, a), b) in full.iter().zip(&first).zip(&second) {
+            for s in [a, b] {
+                let what = f.design.label();
+                assert_eq!(s.run.caches, f.run.caches, "{what}");
+                assert_eq!(s.run.mem, f.run.mem, "{what}");
+                assert_eq!(s.run.per_region, f.run.per_region, "{what}");
+                assert!(s.sample_ci.is_some(), "{what}");
+            }
+        }
+        std::fs::remove_file(&trace).ok();
     }
 
     #[test]
@@ -1625,16 +1521,16 @@ mod tests {
         // each (and three replicas per structure).
         for (threads, engine) in [(3, Engine::Sequential), (6, Engine::Sharded(3))] {
             let cache = SimCache::new();
-            let grid =
-                evaluate_grid_sweep_engine(&points, &scale(), &cache, Some(threads), None, engine)
-                    .into_result()
-                    .expect("every point completes");
+            let opts = RunOpts { engine, ..SEQ };
+            let grid = evaluate_grid_sweep(&points, &scale(), &cache, Some(threads), None, opts)
+                .into_result()
+                .expect("every point completes");
             assert_eq!(grid.len(), 3);
             assert_eq!(cache.len(), 3);
             for (r, (k, d)) in grid.iter().zip(&points) {
                 assert_eq!(r.workload, *k);
                 assert_eq!(r.design, *d);
-                let serial = evaluate(*k, &scale(), d);
+                let serial = evaluate_cached(*k, &scale(), d, &SimCache::new(), SEQ);
                 assert_eq!(r.run.caches, serial.run.caches, "{k:?} {d:?} {threads}");
                 assert_eq!(r.run.mem, serial.run.mem, "{k:?} {d:?} {threads}");
                 assert_eq!(r.run.per_region, serial.run.per_region);

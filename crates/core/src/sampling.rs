@@ -29,8 +29,9 @@
 //!   the default.
 //!
 //! The sampled path is trace-backed: live entry points record the
-//! workload's stream once (per process, shared across all structures)
-//! and replay windows of it. The interval plan is itself built with a
+//! workload's stream once into a [`TraceStore`] keyed by workload, scale
+//! and build (shared across all structures and processes) and replay
+//! windows of it. The interval plan is itself built with a
 //! cheap pass that decodes only a strided subset of chunks for the
 //! signatures and *skips* the rest without decoding
 //! ([`memsim_tracefile::TraceReader::next_chunk_where`]) — the plan
@@ -40,12 +41,12 @@ use crate::design::{Structure, MEM_NAME};
 use crate::model::{LevelCost, Metrics};
 use crate::runner::{build_caches, RawRun};
 use crate::scale::Scale;
+use crate::store::TraceStore;
 use memsim_cache::{Hierarchy, LevelStats};
 use memsim_memory::{PartitionedMemory, RegionTraffic};
 use memsim_tech::Technology;
 use memsim_trace::{SignatureBuilder, TraceSink, SIGNATURE_DIMS};
 use memsim_tracefile::{ChunkStep, TraceError, TraceReader, TRACE_CHUNK_EVENTS};
-use memsim_workloads::{Class, WorkloadKind};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -955,12 +956,11 @@ pub fn replay_structure_sampled(
 // process-wide caches: recorded traces and interval plans
 // ---------------------------------------------------------------------------
 
-/// The directory holding auto-recorded sample traces, shared across
-/// processes: the crate version in the name keeps a stale trace from an
-/// older build from poisoning a newer run, and within a version the
-/// one-time recording cost of each workload amortizes over every
-/// sampled run on the machine (a cold `--sample` sweep records; every
-/// later one goes straight to the window replays).
+/// The directory holding the process-wide [`TraceStore`] of live sampled
+/// grids and the interval-plan sidecars, shared across processes: the
+/// one-time recording cost of each workload (per scale and build)
+/// amortizes over every sampled run on the machine (a cold `--sample`
+/// sweep records; every later one goes straight to the window replays).
 pub fn sample_trace_dir() -> PathBuf {
     std::env::temp_dir().join(format!(
         "memsim-sample-traces-v{}",
@@ -968,29 +968,17 @@ pub fn sample_trace_dir() -> PathBuf {
     ))
 }
 
-/// Record `kind` at `class` once per machine (per crate version) and
-/// return the trace path; concurrent and repeated callers share the
-/// first recording. The recording lands by atomic rename from a
-/// pid-suffixed temp file, so a reader can never observe a torn trace
-/// and racing processes at worst record twice, never corrupt.
-pub fn cached_trace(kind: WorkloadKind, class: Class) -> Result<PathBuf, String> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    let dir = sample_trace_dir();
-    let path = dir.join(format!("{}-{}.trace", kind.name(), class.name()));
-    let _g = LOCK.lock().expect("trace cache poisoned");
-    if path.exists() {
-        return Ok(path);
-    }
-    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
-    let tmp = dir.join(format!(
-        "{}-{}-{}.tmp",
-        kind.name(),
-        class.name(),
-        std::process::id()
-    ));
-    crate::replay::record_workload(kind, class, &tmp)?;
-    std::fs::rename(&tmp, &path).map_err(|e| format!("cannot finalize {}: {e}", path.display()))?;
-    Ok(path)
+/// The process-wide trace store rooted at [`sample_trace_dir`], which a
+/// live sampled walk asks for its workload's recorded stream.
+pub(crate) fn trace_store() -> Result<&'static TraceStore, String> {
+    static STORE: OnceLock<Result<TraceStore, String>> = OnceLock::new();
+    STORE
+        .get_or_init(|| {
+            let dir = sample_trace_dir();
+            TraceStore::open(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))
+        })
+        .as_ref()
+        .map_err(Clone::clone)
 }
 
 type PlanCell = Arc<OnceLock<Result<Arc<SamplePlan>, String>>>;
@@ -1037,7 +1025,7 @@ fn trace_identity(path: &Path) -> Option<(u64, u64)> {
 
 /// Sidecar file for one `(trace, identity, spec)` triple. DefaultHasher
 /// is keyed with process-independent constants, so the name is stable
-/// across processes; the version-keyed directory guards across builds.
+/// across processes; a store trace's path carries its build identity.
 fn plan_sidecar_path(path: &Path, spec: SampleSpec, identity: (u64, u64)) -> PathBuf {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();

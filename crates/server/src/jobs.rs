@@ -29,10 +29,10 @@
 //! `sim.memo.hits` counter observes this), and one [`TraceStore`], so a
 //! workload+scale trace is recorded at most once.
 
-use crate::store::{digest, TraceStore};
 use memsim_core::experiments::ExperimentCtx;
+use memsim_core::store::{digest, TraceStore};
 use memsim_core::{
-    build_artifact, parse_design_list, replay_grid_robust_sampled, Design, Engine, EvalResult,
+    build_artifact, parse_design_list, replay_grid_robust, Design, Engine, EvalResult, RunOpts,
     SampleMode, Scale, SimCache, SweepCtx, SweepError, JOURNAL_FILE,
 };
 use memsim_obs::json;
@@ -112,9 +112,13 @@ impl JobSpec {
         parse_scale(&self.scale_name).expect("spec validated at parse")
     }
 
-    /// The engine this spec names. Valid by construction.
-    pub fn engine(&self) -> Engine {
-        parse_engine(&self.engine_spec).expect("spec validated at parse")
+    /// The engine and sampling mode this spec names. Valid by
+    /// construction.
+    pub fn opts(&self) -> RunOpts {
+        RunOpts {
+            engine: parse_engine(&self.engine_spec).expect("spec validated at parse"),
+            sample: self.sample,
+        }
     }
 
     /// Canonical JSON — byte-stable across parse/serialize round trips.
@@ -790,27 +794,23 @@ enum RunOutcome {
 
 fn run_inner(reg: &Arc<Registry>, job: &Arc<Job>) -> Result<RunOutcome, String> {
     let scale = job.spec.scale();
-    let engine = job.spec.engine();
+    let opts = job.spec.opts();
     match &job.spec.kind {
         JobKind::Artifact(name) => {
             let journal = job.dir.join(JOURNAL_FILE);
-            let sample = job.spec.sample;
             let mut sweep = if journal.exists() {
-                let (ctx, _recovery) = SweepCtx::resume_sampled(&scale, &journal, sample)?;
-                ctx
+                SweepCtx::resume(&scale, &journal, opts)?.0
             } else {
-                SweepCtx::fresh_sampled(&scale, &journal, sample)?
+                SweepCtx::fresh(&scale, &journal, opts)?
             };
             sweep.set_interrupt(Arc::clone(&job.cancel));
-            sweep.set_shards(engine.journal_shards());
             let sweep = Arc::new(sweep);
             lock(&job.progress).points_done = sweep.persisted_points();
             *lock(&job.sweep) = Some(Arc::clone(&sweep));
             let ctx = ExperimentCtx::new(scale, &reg.cache)
                 .with_workloads(&job.spec.workloads)
                 .with_sweep(&sweep)
-                .with_engine(engine)
-                .with_sample(sample);
+                .with_opts(opts);
             let built = build_artifact(&ctx, name);
             lock(&job.progress).points_done = sweep.persisted_points();
             match built {
@@ -830,14 +830,9 @@ fn run_inner(reg: &Arc<Registry>, job: &Arc<Job>) -> Result<RunOutcome, String> 
             // Baseline anchors normalization even when not requested.
             let mut grid = vec![Design::Baseline];
             grid.extend(wanted.iter().filter(|d| **d != Design::Baseline).copied());
-            let outcome =
-                replay_grid_robust_sampled(&trace, &grid, &scale, None, engine, job.spec.sample)?;
-            let stranded: Vec<Design> = outcome
-                .failures
-                .iter()
-                .flat_map(|f| f.designs.iter().copied())
-                .collect();
-            if !stranded.is_empty() {
+            let outcome = replay_grid_robust(&trace, &grid, &scale, None, opts)?;
+            // every failure strands at least one design
+            if !outcome.failures.is_empty() {
                 let list: Vec<String> = outcome.failures.iter().map(|f| f.to_string()).collect();
                 return Err(format!("replay shard failure: {}", list.join("; ")));
             }
@@ -974,7 +969,7 @@ mod tests {
     #[test]
     fn numeric_shards_accepted() {
         let s = spec(r#"{"artifact":"fig1","shards":2}"#).unwrap();
-        assert_eq!(s.engine(), Engine::Sharded(2));
+        assert_eq!(s.opts().engine, Engine::Sharded(2));
     }
 
     #[test]

@@ -30,7 +30,6 @@
 pub mod client;
 pub mod http;
 pub mod jobs;
-pub mod store;
 
 use http::{read_request, Method, Request, Response};
 use jobs::{CancelOutcome, JobState, Registry, SubmitError};

@@ -12,8 +12,8 @@
 use memsim_core::partition::{
     cost_placement, merge_into_ranges, ndm_dram_budget, oracle, Placement,
 };
-use memsim_core::runner::evaluate;
-use memsim_core::{simulate_structure, Design, Scale, Structure};
+use memsim_core::runner::evaluate_cached;
+use memsim_core::{Design, RunOpts, Scale, SimCache, Structure};
 use memsim_examples::{human_bytes, pct};
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -27,7 +27,9 @@ fn main() {
         "profiling {} main-memory traffic per data region ...\n",
         workload.name()
     );
-    let run = simulate_structure(workload, &scale, &Structure::ThreeLevel);
+    // the baseline shares this structure, so its costing below reuses the walk
+    let (cache, opts) = (SimCache::new(), RunOpts::default());
+    let run = cache.get(workload, &scale, &Structure::ThreeLevel, opts);
 
     println!(
         "{:<12} {:>10} {:>12} {:>12} {:>10}",
@@ -107,7 +109,7 @@ fn main() {
     }
 
     let choice = oracle(&run, nvm, &scale);
-    let base = evaluate(workload, &scale, &Design::Baseline);
+    let base = evaluate_cached(workload, &scale, &Design::Baseline, &cache, opts);
     let norm = choice.metrics.normalized_to(&base.metrics);
     println!(
         "\noracle choice: {} in DRAM, {} in {} — runtime {}, energy {} vs baseline",

@@ -10,7 +10,7 @@
 //! ```
 
 use memsim_core::configs::{eh_by_name, n_by_name};
-use memsim_core::runner::{evaluate_cached, SimCache};
+use memsim_core::runner::{evaluate_cached, RunOpts, SimCache};
 use memsim_core::{Design, Scale};
 use memsim_examples::pct;
 use memsim_tech::{TechParams, Technology};
@@ -18,7 +18,7 @@ use memsim_workloads::WorkloadKind;
 
 fn main() {
     let scale = Scale::mini();
-    let cache = SimCache::new();
+    let (cache, opts) = (SimCache::new(), RunOpts::default());
     let workload = WorkloadKind::Hash;
 
     println!("Table 1 asymmetry of the NVM candidates:\n");
@@ -34,7 +34,7 @@ fn main() {
         );
     }
 
-    let base = evaluate_cached(workload, &scale, &Design::Baseline, &cache);
+    let base = evaluate_cached(workload, &scale, &Design::Baseline, &cache, opts);
     let n6 = n_by_name("N6").unwrap();
     let eh1 = eh_by_name("EH1").unwrap();
 
@@ -53,7 +53,7 @@ fn main() {
             },
             Design::Ndm { nvm },
         ] {
-            let r = evaluate_cached(workload, &scale, &design, &cache);
+            let r = evaluate_cached(workload, &scale, &design, &cache, opts);
             let norm = r.metrics.normalized_to(&base.metrics);
             println!(
                 "{:<28} {:>9} {:>9} {:>9.4}",

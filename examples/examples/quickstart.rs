@@ -10,7 +10,8 @@
 //! ```
 
 use memsim_core::configs::n_by_name;
-use memsim_core::{evaluate, Design, Scale};
+use memsim_core::runner::evaluate_cached;
+use memsim_core::{Design, RunOpts, Scale, SimCache};
 use memsim_examples::{human_bytes, pct};
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -25,8 +26,9 @@ fn main() {
     };
 
     println!("simulating CG through {} ...", design.label());
-    let result = evaluate(WorkloadKind::Cg, &scale, &design);
-    let base = evaluate(WorkloadKind::Cg, &scale, &Design::Baseline);
+    let (cache, opts) = (SimCache::new(), RunOpts::default());
+    let result = evaluate_cached(WorkloadKind::Cg, &scale, &design, &cache, opts);
+    let base = evaluate_cached(WorkloadKind::Cg, &scale, &Design::Baseline, &cache, opts);
 
     println!(
         "\nworkload footprint: {}",

@@ -1,19 +1,19 @@
 //! Record once, replay everywhere: the trace-file workflow.
 //!
 //! Records Graph500's address stream to a trace file, then evaluates the
-//! full Table 3 NMM configuration grid two ways — live (re-simulating the
-//! workload at every distinct hierarchy structure) and by sharded replay
-//! of the recording — verifying the results agree and reporting the
-//! wall-clock for each.
+//! full Table 3 NMM configuration grid two ways — live (one run of the
+//! workload streamed into every distinct hierarchy structure) and by
+//! sharded replay of the recording — verifying the results agree and
+//! reporting the wall-clock for each.
 //!
 //! ```text
 //! cargo run --release -p memsim-examples --example trace_replay
 //! ```
 
 use memsim_core::configs::n_configs;
-use memsim_core::replay::{record_workload, replay_grid};
-use memsim_core::runner::evaluate_grid;
-use memsim_core::{Design, Scale, SimCache};
+use memsim_core::replay::{record_workload, replay_grid_robust};
+use memsim_core::runner::evaluate_grid_sweep;
+use memsim_core::{Design, ReplayOutcome, RunOpts, Scale, SimCache};
 use memsim_examples::human_bytes;
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
@@ -48,12 +48,17 @@ fn main() {
         .collect();
     let points: Vec<(WorkloadKind, Design)> = designs.iter().map(|d| (workload, *d)).collect();
 
+    let opts = RunOpts::default();
     let t = Instant::now();
-    let live = evaluate_grid(&points, &scale, &SimCache::new(), None);
+    let live = evaluate_grid_sweep(&points, &scale, &SimCache::new(), None, None, opts)
+        .into_result()
+        .expect("live grid");
     let live_s = t.elapsed().as_secs_f64();
 
     let t = Instant::now();
-    let replayed = replay_grid(&path, &designs, &scale, None).expect("replay");
+    let replayed = replay_grid_robust(&path, &designs, &scale, None, opts)
+        .and_then(ReplayOutcome::into_result)
+        .expect("replay");
     let replay_s = t.elapsed().as_secs_f64();
 
     println!("| design | live time× | replayed time× |");

@@ -1,7 +1,7 @@
 //! Determinism and parallel/serial equivalence.
 
 use memsim_core::configs::n_configs;
-use memsim_core::runner::{evaluate_cached, evaluate_grid, SimCache};
+use memsim_core::runner::{evaluate_cached, evaluate_grid_sweep, RunOpts, SimCache};
 use memsim_core::Design;
 use memsim_integration_tests::test_scale;
 use memsim_tech::Technology;
@@ -16,8 +16,10 @@ fn independent_evaluations_are_identical() {
         nvm: Technology::FeRam,
         config: n_configs()[4],
     };
-    let a = evaluate_cached(WorkloadKind::Velvet, &scale, &design, &SimCache::new());
-    let b = evaluate_cached(WorkloadKind::Velvet, &scale, &design, &SimCache::new());
+    let opts = RunOpts::default();
+    let (a_cache, b_cache) = (SimCache::new(), SimCache::new());
+    let a = evaluate_cached(WorkloadKind::Velvet, &scale, &design, &a_cache, opts);
+    let b = evaluate_cached(WorkloadKind::Velvet, &scale, &design, &b_cache, opts);
     assert_eq!(a.run.total_refs, b.run.total_refs);
     assert_eq!(a.run.mem, b.run.mem);
     for (x, y) in a.run.caches.iter().zip(&b.run.caches) {
@@ -46,15 +48,17 @@ fn parallel_grid_equals_serial() {
         points.push((WorkloadKind::Lu, *d));
     }
 
-    let serial_cache = SimCache::new();
+    let (cache, opts) = (SimCache::new(), RunOpts::default());
     let serial: Vec<f64> = points
         .iter()
-        .map(|(k, d)| evaluate_cached(*k, &scale, d, &serial_cache).metrics.time_s)
+        .map(|(k, d)| evaluate_cached(*k, &scale, d, &cache, opts).metrics.time_s)
         .collect();
 
     for threads in [1, 2, 8] {
         let cache = SimCache::new();
-        let grid = evaluate_grid(&points, &scale, &cache, Some(threads));
+        let grid = evaluate_grid_sweep(&points, &scale, &cache, Some(threads), None, opts)
+            .into_result()
+            .expect("every point completes");
         for (r, expect) in grid.iter().zip(&serial) {
             assert_eq!(
                 r.metrics.time_s.to_bits(),

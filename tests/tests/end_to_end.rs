@@ -1,7 +1,7 @@
 //! Full-pipeline integration: every workload through every design.
 
 use memsim_core::configs::{eh_configs, n_configs};
-use memsim_core::runner::{evaluate_cached, SimCache};
+use memsim_core::runner::{evaluate_cached, RunOpts, SimCache};
 use memsim_core::Design;
 use memsim_integration_tests::test_scale;
 use memsim_tech::Technology;
@@ -41,11 +41,11 @@ fn every_workload_through_every_design() {
         },
     ];
     for kind in WorkloadKind::ALL {
-        let base = evaluate_cached(kind, &scale, &Design::Baseline, &cache);
+        let base = evaluate_cached(kind, &scale, &Design::Baseline, &cache, RunOpts::default());
         assert!(base.metrics.time_s > 0.0);
         assert!(base.metrics.energy_j() > 0.0);
         for design in &designs {
-            let r = evaluate_cached(kind, &scale, design, &cache);
+            let r = evaluate_cached(kind, &scale, design, &cache, RunOpts::default());
             let norm = r.metrics.normalized_to(&base.metrics);
             assert!(
                 norm.time > 0.5 && norm.time < 5.0,
@@ -97,7 +97,7 @@ fn simulation_reuse_across_designs() {
             config: n3,
         },
     ] {
-        evaluate_cached(kind, &scale, &design, &cache);
+        evaluate_cached(kind, &scale, &design, &cache, RunOpts::default());
     }
     assert_eq!(cache.len(), 2, "expected exactly two simulated structures");
 }
@@ -110,7 +110,7 @@ fn random_access_workloads_have_higher_amat() {
     let scale = test_scale();
     let cache = SimCache::new();
     let amat = |k: WorkloadKind| {
-        evaluate_cached(k, &scale, &Design::Baseline, &cache)
+        evaluate_cached(k, &scale, &Design::Baseline, &cache, RunOpts::default())
             .metrics
             .amat_ns
     };

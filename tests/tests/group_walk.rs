@@ -9,8 +9,8 @@
 
 use memsim_cache::{Hierarchy, LevelStats};
 use memsim_core::configs::{eh_by_name, n_by_name};
-use memsim_core::runner::{build_caches, evaluate_grid_sweep_engine};
-use memsim_core::{Design, Engine, Scale, SimCache, Structure};
+use memsim_core::runner::{build_caches, evaluate_grid_sweep};
+use memsim_core::{Design, Engine, RunOpts, SampleMode, Scale, SimCache, Structure};
 use memsim_integration_tests::test_scale;
 use memsim_memory::{PartitionedMemory, RegionTraffic};
 use memsim_tech::Technology;
@@ -78,14 +78,12 @@ fn group_walk_matches_dedicated_sequential_walks() {
             memsim_obs::set_enabled(true);
             // six structures of one workload and at most three threads:
             // the grid walks the whole set as one group over `lanes` lanes
-            let outcome = evaluate_grid_sweep_engine(
-                &points,
-                &scale,
-                &SimCache::new(),
-                Some(lanes),
-                None,
+            let opts = RunOpts {
                 engine,
-            );
+                sample: SampleMode::Off,
+            };
+            let outcome =
+                evaluate_grid_sweep(&points, &scale, &SimCache::new(), Some(lanes), None, opts);
             memsim_obs::set_enabled(false);
             let runs = memsim_obs::global().counter_value("sim.workload_runs");
             assert_eq!(runs, Some(1), "{engine} lanes={lanes}: one kernel run");

@@ -9,7 +9,8 @@
 //! tree are process-global, so obs tests must not interleave.
 
 use memsim_core::experiments::{fig_nmm, ExperimentCtx, Metric};
-use memsim_core::{evaluate, Design, Scale, SimCache, Structure};
+use memsim_core::runner::evaluate_cached;
+use memsim_core::{Design, Engine, RunOpts, Scale, SimCache, Structure};
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::PathBuf;
 
@@ -53,7 +54,14 @@ fn live_run_registry_counters_match_final_level_stats() {
     let _lock = memsim_obs::test_lock();
     memsim_obs::reset();
     memsim_obs::set_enabled(true);
-    let res = evaluate(WorkloadKind::Hash, &Scale::mini(), &Design::Baseline);
+    let (cache, opts) = (SimCache::new(), RunOpts::default());
+    let res = evaluate_cached(
+        WorkloadKind::Hash,
+        &Scale::mini(),
+        &Design::Baseline,
+        &cache,
+        opts,
+    );
     memsim_obs::set_enabled(false);
 
     let prefix = format!("sim.{}.3L", WorkloadKind::Hash.name());
@@ -72,7 +80,8 @@ fn replay_export_json_is_bit_identical_to_level_stats() {
 
     memsim_obs::reset();
     memsim_obs::set_enabled(true);
-    let run = memsim_core::replay_structure(&path, &scale, &Structure::ThreeLevel).unwrap();
+    let st = Structure::ThreeLevel;
+    let run = memsim_core::replay_structure(&path, &scale, &st, Engine::Sequential).unwrap();
     memsim_obs::set_enabled(false);
 
     // the acceptance criterion: the values in the exported JSON document
@@ -114,7 +123,8 @@ fn deterministic_export_is_byte_stable_across_identical_runs() {
         memsim_obs::reset();
         memsim_obs::set_enabled(true);
         memsim_obs::set_deterministic(true);
-        let _ = evaluate(WorkloadKind::Cg, &scale, &Design::Baseline);
+        let (cache, opts) = (SimCache::new(), RunOpts::default());
+        let _ = evaluate_cached(WorkloadKind::Cg, &scale, &Design::Baseline, &cache, opts);
         memsim_obs::set_enabled(false);
         docs.push(memsim_obs::export_json(&manifest, memsim_obs::global()));
     }

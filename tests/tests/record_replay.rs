@@ -8,7 +8,7 @@
 
 use memsim_core::configs::{eh_by_name, n_by_name};
 use memsim_core::replay::{record_workload, replay_structure};
-use memsim_core::{simulate_structure, Design, RawRun, Scale};
+use memsim_core::{simulate_structure, Design, Engine, RawRun, RunOpts, Scale};
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::PathBuf;
@@ -51,8 +51,8 @@ fn golden_roundtrip(kind: WorkloadKind) {
 
     for design in designs_under_test() {
         let structure = design.structure(&scale);
-        let live = simulate_structure(kind, &scale, &structure);
-        let replayed = replay_structure(&path, &scale, &structure).unwrap();
+        let live = simulate_structure(kind, &scale, &structure, RunOpts::default());
+        let replayed = replay_structure(&path, &scale, &structure, Engine::Sequential).unwrap();
         assert_bit_identical(
             &live,
             &replayed,

@@ -9,9 +9,10 @@
 
 use memsim_core::configs::{eh_by_name, n_by_name};
 use memsim_core::replay::{record_workload, replay_structure};
+use memsim_core::runner::evaluate_cached;
 use memsim_core::runner::evaluate_run;
 use memsim_core::sampling::{build_plan, replay_structure_sampled, SampleSpec, Warmup};
-use memsim_core::{Design, SampleMode, Scale, SweepCtx, JOURNAL_FILE};
+use memsim_core::{Design, Engine, RunOpts, SampleMode, Scale, SimCache, SweepCtx, JOURNAL_FILE};
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::PathBuf;
@@ -67,7 +68,7 @@ fn golden_accuracy(kind: WorkloadKind) {
 
     for design in paper_designs() {
         let structure = design.structure(&scale);
-        let full = replay_structure(&path, &scale, &structure).unwrap();
+        let full = replay_structure(&path, &scale, &structure, Engine::Sequential).unwrap();
         let sampled = replay_structure_sampled(&path, &scale, &structure, &plan).unwrap();
         let what = format!("{} × {}", kind.name(), design.label());
 
@@ -141,7 +142,7 @@ fn clusters_at_least_intervals_is_bit_identical_to_full_run() {
 
     for design in paper_designs() {
         let structure = design.structure(&scale);
-        let full = replay_structure(&path, &scale, &structure).unwrap();
+        let full = replay_structure(&path, &scale, &structure, Engine::Sequential).unwrap();
         let sampled = replay_structure_sampled(&path, &scale, &structure, &plan).unwrap();
         let what = design.label();
         assert_eq!(full.caches, sampled.caches, "{what}: cache LevelStats");
@@ -160,18 +161,23 @@ fn clusters_at_least_intervals_is_bit_identical_to_full_run() {
 #[test]
 fn journal_refuses_cross_fidelity_resume_in_both_directions() {
     let scale = Scale::mini();
-    let on = SampleMode::parse("interval=65536,clusters=4").unwrap();
+    let full = RunOpts::default();
+    let on = RunOpts {
+        sample: SampleMode::parse("interval=65536,clusters=4").unwrap(),
+        ..full
+    };
     // one real point to journal in each mode — refusal is per recorded
     // line, so an empty journal legitimately resumes either way
-    let point = memsim_core::evaluate(WorkloadKind::Hash, &scale, &Design::Baseline);
+    let cache = SimCache::new();
+    let point = evaluate_cached(WorkloadKind::Hash, &scale, &Design::Baseline, &cache, full);
 
     // sampled journal → full-fidelity resume must refuse
     let dir = tmp_dir("xres-a");
     let journal = dir.join(JOURNAL_FILE);
-    let ctx = SweepCtx::fresh_sampled(&scale, &journal, on).unwrap();
+    let ctx = SweepCtx::fresh(&scale, &journal, on).unwrap();
     ctx.record(&point);
     drop(ctx);
-    let err = match SweepCtx::resume(&scale, &journal) {
+    let err = match SweepCtx::resume(&scale, &journal, full) {
         Err(e) => e,
         Ok(_) => panic!("resuming a sampled journal at full fidelity must be refused"),
     };
@@ -184,10 +190,10 @@ fn journal_refuses_cross_fidelity_resume_in_both_directions() {
     // full-fidelity journal → sampled resume must refuse
     let dir = tmp_dir("xres-b");
     let journal = dir.join(JOURNAL_FILE);
-    let ctx = SweepCtx::fresh(&scale, &journal).unwrap();
+    let ctx = SweepCtx::fresh(&scale, &journal, full).unwrap();
     ctx.record(&point);
     drop(ctx);
-    let err = match SweepCtx::resume_sampled(&scale, &journal, on) {
+    let err = match SweepCtx::resume(&scale, &journal, on) {
         Err(e) => e,
         Ok(_) => panic!("resuming a full-fidelity journal with sampling on must be refused"),
     };
@@ -196,6 +202,6 @@ fn journal_refuses_cross_fidelity_resume_in_both_directions() {
         "refusal must name the fidelity mismatch: {err}"
     );
     // and the matching mode still resumes fine
-    assert!(SweepCtx::resume(&scale, &journal).is_ok());
+    assert!(SweepCtx::resume(&scale, &journal, full).is_ok());
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,7 +8,9 @@
 use memsim_core::configs::n_by_name;
 use memsim_core::journal::load_journal;
 use memsim_core::runner::evaluate_grid_sweep;
-use memsim_core::{sweep_fingerprint, Design, Scale, SimCache, SweepCtx, JOURNAL_FILE};
+use memsim_core::{
+    sweep_fingerprint, Design, RunOpts, SampleMode, Scale, SimCache, SweepCtx, JOURNAL_FILE,
+};
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
 use proptest::prelude::*;
@@ -54,7 +56,8 @@ fn poisoned_grid_completes_every_other_point() {
     let mut points = good_grid();
     points.insert(2, (WorkloadKind::Cg, poison()));
 
-    let outcome = evaluate_grid_sweep(&points, &scale, &cache, Some(2), None);
+    let opts = RunOpts::default();
+    let outcome = evaluate_grid_sweep(&points, &scale, &cache, Some(2), None, opts);
     assert!(!outcome.interrupted);
     assert_eq!(outcome.failures.len(), 1, "exactly the poison point fails");
     let f = &outcome.failures[0];
@@ -85,24 +88,26 @@ fn poisoned_sweep_journals_survivors_and_resume_skips_them() {
     let mut points = good_grid();
     points.push((WorkloadKind::Hash, poison()));
 
-    let ctx = SweepCtx::fresh(&scale, &journal).unwrap();
-    let outcome = evaluate_grid_sweep(&points, &scale, &cache, Some(2), Some(&ctx));
+    let opts = RunOpts::default();
+    let ctx = SweepCtx::fresh(&scale, &journal, opts).unwrap();
+    let outcome = evaluate_grid_sweep(&points, &scale, &cache, Some(2), Some(&ctx), opts);
     assert_eq!(outcome.failures.len(), 1);
     assert_eq!(ctx.persisted_points(), 4);
 
     // the journal holds the four survivors plus one failure entry; the
     // failure is recorded but never trusted as a completed point
-    let rec = load_journal(&journal, &sweep_fingerprint(&scale)).unwrap();
+    let off = SampleMode::Off;
+    let rec = load_journal(&journal, &sweep_fingerprint(&scale, off), off).unwrap();
     assert_eq!(rec.points.len(), 4);
     assert_eq!(rec.failed_entries, 1);
     assert_eq!(rec.corrupt_lines, 0);
 
     // resuming serves all four survivors from disk and re-attempts (and
     // re-fails) only the poison point
-    let (ctx2, rec2) = SweepCtx::resume(&scale, &journal).unwrap();
+    let (ctx2, rec2) = SweepCtx::resume(&scale, &journal, opts).unwrap();
     assert_eq!(rec2.points.len(), 4);
     let cache2 = SimCache::new();
-    let outcome2 = evaluate_grid_sweep(&points, &scale, &cache2, Some(2), Some(&ctx2));
+    let outcome2 = evaluate_grid_sweep(&points, &scale, &cache2, Some(2), Some(&ctx2), opts);
     assert_eq!(outcome2.skipped, 4, "all survivors served from the journal");
     assert_eq!(outcome2.failures.len(), 1);
     assert_eq!(outcome2.completed().len(), 4);
@@ -118,13 +123,13 @@ fn resumed_points_are_bit_identical() {
     let scale = Scale::mini();
     let points = good_grid();
 
-    let cache = SimCache::new();
-    let ctx = SweepCtx::fresh(&scale, &journal).unwrap();
-    let fresh = evaluate_grid_sweep(&points, &scale, &cache, Some(2), Some(&ctx)).completed();
+    let (cache, opts) = (SimCache::new(), RunOpts::default());
+    let ctx = SweepCtx::fresh(&scale, &journal, opts).unwrap();
+    let fresh = evaluate_grid_sweep(&points, &scale, &cache, Some(2), Some(&ctx), opts).completed();
 
     let cache2 = SimCache::new();
-    let (ctx2, _) = SweepCtx::resume(&scale, &journal).unwrap();
-    let outcome = evaluate_grid_sweep(&points, &scale, &cache2, Some(2), Some(&ctx2));
+    let (ctx2, _) = SweepCtx::resume(&scale, &journal, opts).unwrap();
+    let outcome = evaluate_grid_sweep(&points, &scale, &cache2, Some(2), Some(&ctx2), opts);
     assert_eq!(outcome.skipped, points.len(), "nothing re-simulated");
     let resumed = outcome.completed();
 
@@ -158,8 +163,8 @@ fn pristine_journal() -> &'static Pristine {
         let journal = dir.join(JOURNAL_FILE);
         std::fs::remove_file(&journal).ok();
         let scale = Scale::mini();
-        let cache = SimCache::new();
-        let ctx = SweepCtx::fresh(&scale, &journal).unwrap();
+        let (cache, opts) = (SimCache::new(), RunOpts::default());
+        let ctx = SweepCtx::fresh(&scale, &journal, opts).unwrap();
         let points = [
             (WorkloadKind::Cg, Design::Baseline),
             (
@@ -170,7 +175,8 @@ fn pristine_journal() -> &'static Pristine {
                 },
             ),
         ];
-        let results = evaluate_grid_sweep(&points, &scale, &cache, Some(1), Some(&ctx)).completed();
+        let results =
+            evaluate_grid_sweep(&points, &scale, &cache, Some(1), Some(&ctx), opts).completed();
         let expected = results
             .iter()
             .map(|r| {
@@ -182,7 +188,7 @@ fn pristine_journal() -> &'static Pristine {
             .collect();
         let bytes = std::fs::read(&journal).unwrap();
         std::fs::remove_dir_all(&dir).ok();
-        (bytes, sweep_fingerprint(&scale), expected)
+        (bytes, sweep_fingerprint(&scale, SampleMode::Off), expected)
     })
 }
 
@@ -207,7 +213,7 @@ proptest! {
         let dir = tmp_dir("corrupt");
         let path = dir.join("mutated.journal.jsonl");
         std::fs::write(&path, &mutated).unwrap();
-        let rec = load_journal(&path, fp).unwrap();
+        let rec = load_journal(&path, fp, SampleMode::Off).unwrap();
 
         prop_assert!(rec.points.len() <= expected.len());
         for (key, point) in &rec.points {
