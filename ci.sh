@@ -214,14 +214,15 @@ else
 fi
 
 echo "== obs-trace: flight-recorder timeline export, byte stability, golden diff"
-# Sharded full-fidelity replay: one lane per engine shard with per-chunk
-# spans and queue-depth / Mev/s counter tracks. ~2 MB, so it is pinned
-# by double-run byte identity plus the structural validation below
-# rather than a committed golden.
+# Sharded full-fidelity replay: one decode fans out to both structures
+# over a budget of two lanes, each structure walked by two replicas, with
+# per-chunk walk spans and queue-depth / Mev/s counter tracks on every
+# lane. ~2 MB, so it is pinned by double-run byte identity plus the
+# structural validation below rather than a committed golden.
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-    --shards 2 --threads 1 --quiet --trace-out "$smoke_dir/trace-sharded-a.json"
+    --shards 2 --threads 2 --quiet --trace-out "$smoke_dir/trace-sharded-a.json"
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-    --shards 2 --threads 1 --quiet --trace-out "$smoke_dir/trace-sharded-b.json"
+    --shards 2 --threads 2 --quiet --trace-out "$smoke_dir/trace-sharded-b.json"
 cmp "$smoke_dir/trace-sharded-a.json" "$smoke_dir/trace-sharded-b.json"
 # Sampled replay: warm-vs-measure phase spans and CI-halfwidth counter
 # tracks. The first run pays the one-time interval-plan build (an extra
@@ -264,21 +265,29 @@ for doc in (sharded, sampled):
     assert doc["displayTimeUnit"] == "ms", doc.keys()
     check_balanced(doc)
 
-shard_lanes = lanes(sharded)
-assert "memsim-shard0" in shard_lanes and "memsim-shard1" in shard_lanes, shard_lanes
-names = {e["name"] for e in sharded["traceEvents"]}
-for want in ("shard.chunk", "shard.queue_depth", "shard.mev_s"):
-    assert want in names, (want, sorted(names))
+def names_on(doc, lane):
+    tid = lanes(doc)[lane]
+    return {e["name"] for e in doc["traceEvents"] if e["tid"] == tid and e["ph"] != "M"}
+
+walk_lanes = [k for k in lanes(sharded) if k.startswith("memsim-walk-")]
+assert walk_lanes == ["memsim-walk-Hash-0", "memsim-walk-Hash-1"], lanes(sharded)
+for lane in walk_lanes:
+    on_lane = names_on(sharded, lane)
+    for want in ("walk.3L", "walk.4L-c8388608-p512", "shard.queue_depth", "shard.mev_s"):
+        assert want in on_lane, (lane, want, sorted(on_lane))
 counters = [e for e in sharded["traceEvents"] if e["ph"] == "C"]
 assert counters and all("value" in e["args"] for e in counters)
 
 snames = {e["name"] for e in sampled["traceEvents"]}
 for want in ("sample.warm", "sample.measure", "sample.ci_halfwidth.amat"):
     assert want in snames, (want, sorted(snames))
-assert "memsim-replay0" in lanes(sampled), lanes(sampled)
-print("obs-trace: shard lanes {}, {} sharded events; sampled timeline has warm/measure phases".format(
-    sorted(k for k in shard_lanes if k.startswith("memsim-shard")),
-    len(sharded["traceEvents"])))
+# one lane walks both sampled structures in turn (the calling thread, at
+# --threads 1), and a grid worker costs the points
+for want in ("grid.walk.Hash", "sample.warm", "sample.measure"):
+    assert want in names_on(sampled, "main"), (want, lanes(sampled))
+assert "grid.point.Hash.Baseline" in names_on(sampled, "memsim-sweep0"), lanes(sampled)
+print("obs-trace: walk lanes {}, {} sharded events; sampled timeline has warm/measure phases".format(
+    walk_lanes, len(sharded["traceEvents"])))
 PY
 else
     echo "python3 not found; skipping trace structural validation"

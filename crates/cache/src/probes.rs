@@ -78,9 +78,7 @@ impl LevelProbes {
 ///
 /// Built by [`HierarchyProbes::register`] and attached with
 /// [`crate::Hierarchy::set_probes`]. The shared `progress.events` /
-/// `progress.chunks` counters are registered automatically; replay shards
-/// append their per-shard counter via
-/// [`HierarchyProbes::add_events_counter`].
+/// `progress.chunks` counters are registered automatically.
 #[derive(Debug, Clone)]
 pub struct HierarchyProbes {
     pub(crate) events: Vec<Arc<Counter>>,
@@ -105,17 +103,6 @@ impl HierarchyProbes {
                 .map(|name| LevelProbes::register(reg, &format!("{prefix}.{name}")))
                 .collect(),
         }
-    }
-
-    /// Also advance `counter` by the per-epoch event delta (e.g. a replay
-    /// shard's `progress.shard{i}.events`).
-    pub fn add_events_counter(&mut self, counter: Arc<Counter>) {
-        self.events.push(counter);
-    }
-
-    /// Also bump `counter` once per consumed chunk.
-    pub fn add_chunks_counter(&mut self, counter: Arc<Counter>) {
-        self.chunks.push(counter);
     }
 
     /// Number of per-level probe sets.

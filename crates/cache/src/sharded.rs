@@ -41,13 +41,12 @@
 //! Cache statistics depend only on the stream and the geometry, so one
 //! stream can feed many hierarchies at once. A worker is a *lane*: a
 //! thread carrying one or more walkers, each a (hierarchy replica, class
-//! filter) pair. [`ShardedHierarchy::new`] gives every replica of one
-//! hierarchy its own lane; [`ShardedHierarchy::group`] deals the replicas
-//! of several hierarchies round-robin over a fixed lane count, and each
-//! lane walks every chunk through all of its walkers in turn. The chunk
-//! broadcast and queues are the same either way. A walker that panics is
-//! dropped with its payload kept for [`ShardedHierarchy::finish_all`];
-//! its lane-mates finish the stream.
+//! filter) pair. [`ShardedHierarchy::group`] deals the replicas of one or
+//! more hierarchies round-robin over a fixed lane count, and each lane
+//! walks every chunk through all of its walkers in turn; one hierarchy
+//! with one lane per replica is the plain set-sharded engine. A walker
+//! that panics is dropped with its payload kept for
+//! [`ShardedHierarchy::finish_all`]; its lane-mates finish the stream.
 //!
 //! # Work stealing — deliberately absent
 //!
@@ -57,7 +56,7 @@
 //!
 //! # Determinism
 //!
-//! [`ShardedHierarchy::finish`] joins the lanes and merges each
+//! [`ShardedHierarchy::finish_all`] joins the lanes and merges each
 //! hierarchy's replicas in replica order with the saturating
 //! [`LevelStats::merge`], so the merged totals are independent of thread
 //! scheduling. Only telemetry that depends on
@@ -70,7 +69,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
-use memsim_obs::{Counter, Gauge};
+use memsim_obs::Counter;
 use memsim_trace::{TraceEvent, TraceSink};
 
 use crate::cache::Cache;
@@ -98,8 +97,8 @@ const MAX_CLASS_BITS: u32 = 16;
 /// fields (which are identical across replicas, as every shard is cloned
 /// from one prototype) are kept. Shard replicas start from the same freshly
 /// constructed state, so any non-zero initial counts would be double
-/// counted — callers hand [`ShardedHierarchy::new`] a new memory, exactly
-/// as they would a sequential [`Hierarchy`].
+/// counted — callers hand every [`Walk`] a new memory, exactly as they
+/// would a sequential [`Hierarchy`].
 pub trait ShardMerge {
     /// Fold `other`'s counters into `self`.
     fn merge_shard(&mut self, other: &Self);
@@ -217,11 +216,10 @@ struct ShardQueue {
     inner: Mutex<QueueInner>,
     not_empty: Condvar,
     not_full: Condvar,
-    depth: Option<Arc<Gauge>>,
 }
 
 impl ShardQueue {
-    fn new(depth: Option<Arc<Gauge>>) -> Self {
+    fn new() -> Self {
         Self {
             inner: Mutex::new(QueueInner {
                 buf: VecDeque::with_capacity(QUEUE_BOUND + 1),
@@ -229,7 +227,6 @@ impl ShardQueue {
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            depth,
         }
     }
 
@@ -245,9 +242,6 @@ impl ShardQueue {
             return;
         }
         inner.buf.push_back(msg);
-        if let Some(g) = &self.depth {
-            g.set(inner.buf.len() as u64);
-        }
         drop(inner);
         self.not_empty.notify_one();
     }
@@ -270,12 +264,15 @@ impl ShardQueue {
             inner = self.not_empty.wait(inner).unwrap();
         }
         let msg = inner.buf.pop_front().unwrap();
-        if let Some(g) = &self.depth {
-            g.set(inner.buf.len() as u64);
-        }
         drop(inner);
         self.not_full.notify_one();
         msg
+    }
+
+    /// Messages waiting in the queue.
+    fn len(&self) -> usize {
+        let inner = self.inner.lock().expect("shard queue lock poisoned");
+        inner.buf.len()
     }
 
     /// Mark the queue dead after a worker panic: wake and unblock everyone.
@@ -447,8 +444,7 @@ fn run_lane<M: MainMemory>(mut walkers: Vec<Walker<M>>, queue: &ShardQueue) -> L
             .map(|w| w.step(&events, &mut slice, recording))
             .sum();
         if recording {
-            let depth = queue.depth.as_ref().map_or(0, |g| g.get());
-            memsim_obs::recorder::counter("shard.queue_depth", depth as f64);
+            memsim_obs::recorder::counter("shard.queue_depth", queue.len() as f64);
             // always emitted so the event stream stays deterministic;
             // the value is zeroed in deterministic mode anyway
             let secs = t0.map_or(0.0, |t| t.elapsed().as_secs_f64());
@@ -468,10 +464,9 @@ fn run_lane<M: MainMemory>(mut walkers: Vec<Walker<M>>, queue: &ShardQueue) -> L
 /// merges each hierarchy's replicas into a [`ShardedRun`] whose
 /// `LevelStats` are bit-identical to the sequential engine's.
 ///
-/// [`Self::new`] walks one hierarchy with one replica per lane;
-/// [`Self::group`] walks several hierarchies from the same stream, dealing
-/// their replicas out over a fixed number of lanes. A replica count is
-/// capped at the number of address classes its levels support
+/// [`Self::group`] walks one or more hierarchies from the same stream,
+/// dealing their replicas out over a fixed number of lanes. A replica
+/// count is capped at the number of address classes its levels support
 /// ([`shard_class_bits`]); with one replica the walker runs the unmodified
 /// sequential engine, so degenerate configurations (cache-less
 /// hierarchies, single-set levels) stay correct.
@@ -485,36 +480,17 @@ pub struct ShardedHierarchy<M> {
 }
 
 impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
-    /// Build a sharded engine over up to `shards` workers (at least one;
-    /// capped at the configuration's class count), cloning one hierarchy
-    /// replica per shard from `levels` and a freshly constructed `memory`.
-    /// Workers are named `memsim-shard{i}`.
-    ///
-    /// With `obs_prefix` set and the global registry enabled, several
-    /// shards register per-shard telemetry under `{prefix}.shard{i}.`
-    /// (`queue_depth`, `claims`) plus `progress.shard{i}.events`,
-    /// `progress.events`, and `progress.chunks`; a single shard publishes
-    /// the sequential engine's probes instead.
-    pub fn new(levels: Vec<Cache>, memory: M, shards: usize, obs_prefix: Option<&str>) -> Self {
-        let walk = Walk {
-            levels,
-            memory,
-            shards,
-            obs_prefix: obs_prefix.map(str::to_string),
-            span: "shard.chunk".to_string(),
-        };
-        Self::spawn(vec![walk], shards, "memsim-shard", obs_prefix)
-    }
-
     /// Walk every hierarchy in `walks` from one stream: all replicas of
     /// all walks are dealt round-robin (walk-major) over at most `lanes`
     /// lane threads named `{lane_name}{i}`, and every lane receives the
     /// same broadcast chunks. Finish with [`Self::finish_all`].
+    ///
+    /// With a walk's `obs_prefix` set and the global registry enabled,
+    /// several replicas register per-replica `{prefix}.shard{i}.claims`
+    /// plus `progress.shard{i}.events`, `progress.events`, and
+    /// `progress.chunks`; a single replica publishes the sequential
+    /// engine's probes instead.
     pub fn group(walks: Vec<Walk<M>>, lanes: usize, lane_name: &str) -> Self {
-        Self::spawn(walks, lanes, lane_name, None)
-    }
-
-    fn spawn(walks: Vec<Walk<M>>, lanes: usize, lane_name: &str, depth: Option<&str>) -> Self {
         let reg = memsim_obs::global();
         let nwalks = walks.len();
         let mut chunks = None;
@@ -572,12 +548,10 @@ impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
         for (j, walker) in walkers.into_iter().enumerate() {
             dealt[j % lanes].push(walker);
         }
-        let depth = depth.filter(|_| memsim_obs::enabled());
         let mut queues = Vec::with_capacity(lanes);
         let mut workers = Vec::with_capacity(lanes);
         for (i, lane) in dealt.into_iter().enumerate() {
-            let gauge = depth.map(|p| reg.gauge(&format!("{p}.shard{i}.queue_depth")));
-            let queue = Arc::new(ShardQueue::new(gauge));
+            let queue = Arc::new(ShardQueue::new());
             let worker_queue = Arc::clone(&queue);
             let handle = std::thread::Builder::new()
                 .name(format!("{lane_name}{i}"))
@@ -608,8 +582,8 @@ impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
         }
     }
 
-    /// The lane (worker thread) count: for [`Self::new`], the effective
-    /// shard count after class capping.
+    /// The lane (worker thread) count: for one hierarchy with a lane per
+    /// replica, the effective shard count after class capping.
     pub fn shards(&self) -> usize {
         self.queues.len()
     }
@@ -677,21 +651,10 @@ impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
         self.result = Some(merged.collect());
     }
 
-    /// Consume a one-hierarchy engine and return the merged run. Drives
-    /// the flush handshake if [`TraceSink::flush`] was not already called;
-    /// a replica's panic is re-raised here with its original payload.
-    pub fn finish(self) -> ShardedRun<M> {
-        let mut runs = self.finish_all();
-        debug_assert_eq!(runs.len(), 1, "finish() walks one hierarchy");
-        match runs.swap_remove(0) {
-            Ok(run) => run,
-            Err(payload) => panic::resume_unwind(payload),
-        }
-    }
-
     /// Consume the engine and return every walk's merged run, in walk
-    /// order. A walk whose replica panicked yields that panic's payload;
-    /// the other walks on its lane are unaffected.
+    /// order. Drives the flush handshake if [`TraceSink::flush`] was not
+    /// already called. A walk whose replica panicked yields that panic's
+    /// payload; the other walks on its lane are unaffected.
     pub fn finish_all(mut self) -> Vec<Result<ShardedRun<M>, WalkPanic>> {
         self.finish_inner();
         self.result
@@ -731,7 +694,7 @@ impl<M> Drop for ShardedHierarchy<M> {
         if self.workers.is_empty() {
             return;
         }
-        // Abandoned without finish(): stop the workers without blocking on
+        // Abandoned without finish_all(): stop the workers without blocking on
         // full queues, and swallow join results — a worker panic must not
         // double-panic during unwinding.
         for q in &self.queues {
@@ -776,6 +739,25 @@ mod tests {
         evs
     }
 
+    /// One hierarchy walked by `shards` replicas, one lane each.
+    fn sharded(levels: Vec<Cache>, shards: usize) -> ShardedHierarchy<CountingMemory> {
+        let walk = Walk {
+            levels,
+            memory: CountingMemory::default(),
+            shards,
+            obs_prefix: None,
+            span: "walk.test".to_string(),
+        };
+        ShardedHierarchy::group(vec![walk], shards, "memsim-shard")
+    }
+
+    fn finish_one(sh: ShardedHierarchy<CountingMemory>) -> ShardedRun<CountingMemory> {
+        let mut runs = sh.finish_all();
+        assert_eq!(runs.len(), 1);
+        let run = runs.pop().expect("one walk");
+        run.unwrap_or_else(|payload| panic::resume_unwind(payload))
+    }
+
     fn sequential(events: &[TraceEvent]) -> (Vec<LevelStats>, CountingMemory, u64, u64) {
         let mut h = Hierarchy::new(small_levels(), CountingMemory::default());
         for chunk in events.chunks(64) {
@@ -805,13 +787,12 @@ mod tests {
         let events = stream();
         let (seq_levels, seq_mem, seq_refs, seq_bytes) = sequential(&events);
         for shards in [1usize, 2, 3, 8, 64] {
-            let mut sh =
-                ShardedHierarchy::new(small_levels(), CountingMemory::default(), shards, None);
+            let mut sh = sharded(small_levels(), shards);
             assert!(sh.shards() >= 1 && sh.shards() <= 8); // 3 class bits
             for chunk in events.chunks(100) {
                 sh.access_chunk(chunk);
             }
-            let run = sh.finish();
+            let run = finish_one(sh);
             assert_eq!(run.levels, seq_levels, "shards={shards}");
             assert_eq!(run.memory, seq_mem, "shards={shards}");
             assert_eq!(run.total_refs, seq_refs, "shards={shards}");
@@ -825,27 +806,27 @@ mod tests {
         let mut seq = Hierarchy::new(Vec::new(), CountingMemory::default());
         seq.access_chunk(&events);
         seq.drain();
-        let mut sh = ShardedHierarchy::new(Vec::new(), CountingMemory::default(), 4, None);
+        let mut sh = sharded(Vec::new(), 4);
         assert_eq!(sh.shards(), 1);
         sh.access_chunk(&events);
-        let run = sh.finish();
+        let run = finish_one(sh);
         assert_eq!(run.memory, *seq.memory());
         assert_eq!(run.total_refs, seq.total_refs());
     }
 
     #[test]
     fn drop_without_finish_joins_workers() {
-        let sh = ShardedHierarchy::new(small_levels(), CountingMemory::default(), 2, None);
+        let sh = sharded(small_levels(), 2);
         drop(sh); // must not hang or panic
     }
 
     #[test]
     fn flush_then_finish_is_idempotent() {
         let events = stream();
-        let mut sh = ShardedHierarchy::new(small_levels(), CountingMemory::default(), 2, None);
+        let mut sh = sharded(small_levels(), 2);
         sh.access_chunk(&events);
         sh.flush();
-        let run = sh.finish();
+        let run = finish_one(sh);
         let (seq_levels, ..) = sequential(&events);
         assert_eq!(run.levels, seq_levels);
     }

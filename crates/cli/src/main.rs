@@ -26,7 +26,7 @@ use memsim_core::experiments::{self, ExperimentCtx, Metric};
 use memsim_core::report::{heatmap_to_csv, heatmap_to_markdown};
 use memsim_core::runner::evaluate_grid_sweep;
 use memsim_core::{
-    Design, Engine, EvalResult, RunOpts, SampleMode, Scale, SimCache, SweepCtx, SweepError,
+    Design, Engine, EvalResult, RunOpts, SampleMode, Scale, SimCache, Source, SweepCtx, SweepError,
     JOURNAL_FILE,
 };
 use memsim_obs::json;
@@ -87,7 +87,7 @@ impl From<&str> for CliError {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  memsim list\n  memsim table <tech|eh-configs|nmm-configs|table4> [options]\n  memsim figure <fig1..fig10> [options]\n  memsim run --workload <W> --design <baseline|4lc|nmm|4lcnvm|ndm> [--llc T] [--nvm T] [--config C] [options]\n  memsim heatmap <latency|energy> [options]\n  memsim reproduce [--out DIR] [--resume] [options]\n  memsim analyze --workload <W> [options]\n  memsim record <W> -o FILE [options]      record W's address stream to a trace file\n  memsim replay <FILE> [--designs a,b,c]   evaluate designs against a recorded trace\n  memsim trace-info <FILE>                 inspect a trace file\n  memsim serve [--port P|auto] [--state DIR] [--threads N] [--queue N]\n                                           run the simulation-as-a-service daemon\n  memsim submit --addr H:P --artifact A | --replay W [--designs a,b] [options]\n                                           submit a job, wait, print/fetch the result\n  memsim status <JOB-ID> --addr H:P        query one job's status\noptions:\n  --scale mini|demo|paper   capacity scale (default demo)\n  --workloads a,b,c         benchmark subset (default: the Table 4 set)\n  --threads N               worker threads\n  --shards N|auto|seq       simulation engine: N set shards, auto-detected cores,\n                            or the sequential walk (reproduce/figure/heatmap/replay)\n  --sample MODE             interval sampling: off (default), on, or\n                            interval=N,clusters=K[,warmup=functional|cold] —\n                            simulate one representative interval per cluster and\n                            extrapolate with confidence intervals\n  --out DIR                 journal completed sweep points to DIR/sweep.journal.jsonl\n                            (table4/figure/heatmap; reproduce always journals)\n  --resume                  skip points already journaled in --out DIR\n  --csv                     CSV instead of markdown\n  --json                    one JSON object instead of human text (run/replay/record/trace-info)\n  --quiet                   suppress stdout (run/replay/record/trace-info)\n  --progress                live progress line + end-of-run phase timings (run/replay/record/reproduce)\n  --metrics-out FILE        write the metrics/span dump as deterministic JSON (run/replay/record/reproduce)\n  --trace-out FILE          record a flight-recorder timeline and write it as Chrome\n                            trace-event JSON for ui.perfetto.dev / chrome://tracing\n                            (run/replay/reproduce/figure/heatmap)"
+    "usage:\n  memsim list\n  memsim table <tech|eh-configs|nmm-configs|table4> [options]\n  memsim figure <fig1..fig10> [options]\n  memsim run --workload <W> --design <baseline|4lc|nmm|4lcnvm|ndm> [--llc T] [--nvm T] [--config C] [options]\n  memsim heatmap <latency|energy> [options]\n  memsim reproduce [--out DIR] [--resume] [options]\n  memsim analyze --workload <W> [options]\n  memsim record <W> -o FILE [options]      record W's address stream to a trace file\n  memsim replay <FILE> [--designs a,b,c]   evaluate designs against a recorded trace\n  memsim trace-info <FILE>                 inspect a trace file\n  memsim serve [--port P|auto] [--state DIR] [--threads N] [--queue N]\n                                           run the simulation-as-a-service daemon\n  memsim submit --addr H:P --artifact A | --replay W [--designs a,b] [options]\n                                           submit a job, wait, print/fetch the result\n  memsim status <JOB-ID> --addr H:P        query one job's status\noptions:\n  --scale mini|demo|paper   capacity scale (default demo)\n  --workloads a,b,c         benchmark subset (default: the Table 4 set)\n  --threads N               lane budget: threads that walk structures and cost points\n  --shards N|auto|seq       simulation engine: N set shards, auto-detected cores,\n                            or the sequential walk (reproduce/figure/heatmap/replay)\n  --sample MODE             interval sampling: off (default), on, or\n                            interval=N,clusters=K[,warmup=functional|cold] —\n                            simulate one representative interval per cluster and\n                            extrapolate with confidence intervals\n  --out DIR                 journal completed sweep points to DIR/sweep.journal.jsonl\n                            (table4/figure/heatmap; reproduce always journals)\n  --resume                  skip points already journaled in --out DIR\n  --csv                     CSV instead of markdown\n  --json                    one JSON object instead of human text (run/replay/record/trace-info)\n  --quiet                   suppress stdout (run/replay/record/trace-info)\n  --progress                live progress line + end-of-run phase timings (run/replay/record/reproduce)\n  --metrics-out FILE        write the metrics/span dump as deterministic JSON (run/replay/record/reproduce)\n  --trace-out FILE          record a flight-recorder timeline and write it as Chrome\n                            trace-event JSON for ui.perfetto.dev / chrome://tracing\n                            (run/replay/reproduce/figure/heatmap)"
 }
 
 /// Minimal flag parser: `--key value` pairs after the positional arguments.
@@ -794,7 +794,10 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
 
     // one grid: the kernel runs once for both points, and a design that
     // shares the baseline's structure (NDM) walks it once
-    let points = [(workload, Design::Baseline), (workload, design)];
+    let points = [
+        (workload.into(), Design::Baseline),
+        (workload.into(), design),
+    ];
     let cache = SimCache::new();
     let grid = evaluate_grid_sweep(&points, &scale, &cache, None, None, RunOpts::default());
     let [base, result]: [EvalResult; 2] = grid
@@ -1243,32 +1246,32 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
         grid.iter().map(|d| d.label()).collect::<Vec<_>>().join(","),
     );
 
-    // Fault-isolated: a shard that fails to decode (corrupt chunk,
-    // truncation mid-walk) or panics strands only its own designs; the
-    // surviving rows still print, and the exit is non-zero.
-    let outcome = memsim_core::replay_grid_robust(path, &grid, &scale, opts.threads()?, run)?;
-    let stranded: Vec<Design> = outcome
-        .failures
-        .iter()
-        .flat_map(|f| f.designs.iter().copied())
-        .collect();
-    if stranded.contains(&Design::Baseline) {
-        // nothing can be normalized without the baseline shard
-        let list: Vec<String> = outcome.failures.iter().map(|f| f.to_string()).collect();
+    // One grid over the trace: one decode feeds every structure at full
+    // fidelity. Fault-isolated: a point whose walk fails (corrupt chunk,
+    // truncation mid-walk) or panics fails alone; the surviving rows still
+    // print, and the exit is non-zero.
+    let source = Source::trace(path)?;
+    let points: Vec<(Source, Design)> = grid.iter().map(|d| (source.clone(), *d)).collect();
+    let outcome = {
+        let _span = memsim_obs::span!("replay");
+        let cache = SimCache::new();
+        evaluate_grid_sweep(&points, &scale, &cache, opts.threads()?, None, run)
+    };
+    let failures: Vec<String> = outcome.failures.iter().map(|f| f.to_string()).collect();
+    let Some(base) = outcome.results[0].as_ref() else {
+        // nothing can be normalized without the baseline
         obs.finish()?;
         return Err(CliError::runtime(format!(
-            "baseline shard failed, cannot normalize: {}",
-            list.join("; ")
+            "baseline failed, cannot normalize:\n  {}",
+            failures.join("\n  ")
         )));
-    }
-    // surviving results are in grid order; pair them back up with designs
-    let mut survivors = outcome.results.iter();
+    };
+    // surviving results are in grid order
     let results: Vec<(Design, &EvalResult)> = grid
         .iter()
-        .filter(|d| !stranded.contains(d))
-        .map(|d| (*d, survivors.next().expect("one result per survivor")))
+        .zip(&outcome.results)
+        .filter_map(|(d, r)| r.as_ref().map(|r| (*d, r)))
         .collect();
-    let base = results[0].1;
 
     rep.text(format!(
         "# replay of {} ({} events, {} scale{})",
@@ -1337,13 +1340,12 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
     rep.str_field("sample", &sample.canon());
     rep.u64_field("events", base.run.total_refs);
     rep.raw("results", json::array(&rows));
-    if !outcome.failures.is_empty() {
-        let failure_rows: Vec<String> = outcome
-            .failures
+    if !failures.is_empty() {
+        let failure_rows: Vec<String> = failures
             .iter()
             .map(|f| {
                 let mut o = json::Obj::new();
-                o.str("failure", &f.to_string());
+                o.str("failure", f);
                 o.finish()
             })
             .collect();
@@ -1351,14 +1353,14 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
     }
     rep.finish();
     obs.finish()?;
-    if !outcome.failures.is_empty() {
-        eprintln!("{} replay shard(s) failed:", outcome.failures.len());
-        for f in &outcome.failures {
+    if !failures.is_empty() {
+        eprintln!("{} replay point(s) failed:", failures.len());
+        for f in &failures {
             eprintln!("  {f}");
         }
         return Err(CliError::runtime(format!(
-            "{} replay shard(s) failed",
-            outcome.failures.len()
+            "{} replay point(s) failed",
+            failures.len()
         )));
     }
     Ok(())
@@ -1934,6 +1936,9 @@ mod tests {
 
     #[test]
     fn record_then_replay_and_trace_info_succeed() {
+        // a replay grid counts memo hits and misses into the global
+        // registry whenever a concurrent test has observability on
+        let _lock = memsim_obs::test_lock();
         let dir = std::env::temp_dir().join(format!("memsim-cli-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("hash.trace").display().to_string();
@@ -2043,6 +2048,7 @@ mod tests {
 
     #[test]
     fn replay_of_a_corrupt_trace_fails_without_a_baseline() {
+        let _lock = memsim_obs::test_lock();
         let dir = std::env::temp_dir().join(format!("memsim-cli-corrupt-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let trace = dir.join("hash.trace");
@@ -2059,9 +2065,21 @@ mod tests {
         let argv = ["replay", &path, "--designs", "baseline,nmm", "--quiet"];
         let err = run(&args(&argv)).unwrap_err();
         assert!(!err.show_usage);
-        let want = "baseline shard failed, cannot normalize: structure 3L (designs Baseline): \
-                    CRC mismatch in chunk";
-        assert!(err.message.starts_with(want), "{}", err.message);
+        // one line per point, each failing exactly once with the reader's
+        // message: the one decode feeds both structures
+        let lines: Vec<&str> = err.message.lines().collect();
+        assert_eq!(lines.len(), 3, "{}", err.message);
+        assert_eq!(lines[0], "baseline failed, cannot normalize:");
+        assert!(
+            lines[1].starts_with("  Hash × Baseline: CRC mismatch in chunk"),
+            "{}",
+            err.message
+        );
+        assert!(
+            lines[2].starts_with("  Hash × NMM(PCM)@N6: CRC mismatch in chunk"),
+            "{}",
+            err.message
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -10,7 +10,7 @@ use crate::heatmap::{default_multipliers, heatmap, Axis, HeatmapData};
 use crate::journal::SweepCtx;
 use crate::model::NormMetrics;
 use crate::report::{FigureData, Series};
-use crate::runner::{evaluate_grid_sweep, EvalResult, RunOpts, SimCache, SweepError};
+use crate::runner::{evaluate_grid_sweep, EvalResult, RunOpts, SimCache, Source, SweepError};
 use crate::scale::Scale;
 use memsim_tech::{TechParams, Technology};
 use memsim_workloads::WorkloadKind;
@@ -73,8 +73,9 @@ impl<'a> ExperimentCtx<'a> {
         &self,
         points: &[(WorkloadKind, Design)],
     ) -> Result<Vec<EvalResult>, SweepError> {
+        let points: Vec<(Source, Design)> = points.iter().map(|&(k, d)| (k.into(), d)).collect();
         evaluate_grid_sweep(
-            points,
+            &points,
             &self.scale,
             self.cache,
             self.threads,

@@ -13,8 +13,10 @@
 //!   (pJ/bit × bits moved), capacity-proportional static energy, EDP.
 //! * [`runner`] — simulates a workload through a hierarchy *structure* once
 //!   and costs any number of technology assignments analytically (cache
-//!   statistics do not depend on latency/energy parameters); one
+//!   statistics do not depend on latency/energy parameters); a [`Source`]
+//!   names a live kernel run or a recorded trace of one, and one
 //!   [`RunOpts`] picks the engine and the sampling mode of every walk.
+//! * [`replay`] — records a workload's stream to a trace file.
 //! * [`sampling`] — interval-sampled simulation: cluster the stream's
 //!   intervals by locality signature, simulate one representative per
 //!   cluster, extrapolate with per-metric confidence intervals.
@@ -68,13 +70,10 @@ pub use artifacts::{build_artifact, named_designs, parse_design_list, ARTIFACT_N
 pub use design::{Design, Structure};
 pub use journal::{sweep_fingerprint, JournalRecovery, SweepCtx, SweepJournal, JOURNAL_FILE};
 pub use model::{breakdown, LevelBreakdown, LevelCost, Metrics, NormMetrics};
-pub use replay::{
-    record_workload, replay_grid_robust, replay_structure, RecordSummary, ReplayFailure,
-    ReplayOutcome,
-};
+pub use replay::{record_workload, RecordSummary};
 pub use runner::{
     simulate_structure, Engine, EvalResult, FailedPoint, GridOutcome, RawRun, RunOpts, SimCache,
-    SweepError,
+    Source, SweepError,
 };
 pub use sampling::{SampleCi, SampleMode, SamplePlan, SampleSpec, Warmup};
 pub use scale::Scale;

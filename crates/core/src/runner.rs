@@ -6,14 +6,19 @@
 //! [`Structure`] serves every technology assignment that shares it. The
 //! paper's grid (9 N-configs × 3 NVMs, 8 EH-configs × 2 LLCs × 3 NVMs, NDM
 //! × 3 NVMs, heat maps) needs 18 structures per workload, and a grid walks
-//! all of a workload's structures from **one** run of its kernel: the
-//! stream is fanned out, chunk by chunk, to every hierarchy it needs
+//! all of a source's structures from **one** stream: the stream is fanned
+//! out, chunk by chunk, to every hierarchy it needs
 //! ([`memsim_cache::ShardedHierarchy::group`]).
+//!
+//! A grid point's stream comes from a [`Source`]: a live run of the
+//! workload's kernel, or one decode of a trace recorded from it. Both
+//! front-ends feed the same walk, so a trace point is bit-identical to the
+//! live point it was recorded from.
 //!
 //! A grid evaluation runs in two phases:
 //!
 //! 1. **Walk.** The structures needed by unjournaled, valid points are
-//!    grouped by workload and claimed in the [`SimCache`] (one lock per
+//!    grouped by source and claimed in the [`SimCache`] (one lock per
 //!    group). A group owning at least `threads` structures takes all
 //!    `threads` lanes, one group at a time; smaller groups run side by
 //!    side and split the lanes evenly (one each once there are at least
@@ -25,9 +30,11 @@
 //!
 //! An interrupt stops phase 1 from starting further groups; the groups in
 //! flight finish and all their points are costed and journaled, so a
-//! resume never walks finished work again.
+//! resume never walks finished work again. Only live points are journaled:
+//! a trace point is never looked up in or recorded to a sweep journal.
 
 use crate::design::{Design, Structure, MEM_NAME};
+use crate::journal::SweepCtx;
 use crate::model::Metrics;
 use crate::partition::{self, Placement};
 use crate::sampling::SampleMode;
@@ -36,9 +43,11 @@ use memsim_cache::{Cache, CacheConfig, LevelStats, ShardedHierarchy, Walk};
 use memsim_memory::{PartitionedMemory, RegionTraffic};
 use memsim_tech::Technology;
 use memsim_trace::{Region, TraceSink};
+use memsim_tracefile::{footer_total, replay_into, TraceReader};
 use memsim_workloads::WorkloadKind;
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
@@ -142,6 +151,55 @@ pub struct RunOpts {
     /// representative interval per cluster and extrapolates (results
     /// carry confidence intervals). A sampled walk is always sequential.
     pub sample: SampleMode,
+}
+
+/// Where a grid point's reference stream comes from. Both sources feed
+/// the same group walk, so their counters are bit-identical.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum Source {
+    /// A run of the workload's kernel at the scale's class.
+    Live(WorkloadKind),
+    /// A decode of the trace at `path`, recorded from `kind`. The memo
+    /// keys a trace run by path, so the file must not change while a
+    /// [`SimCache`] holding its runs is alive.
+    Trace {
+        /// The workload the trace records.
+        kind: WorkloadKind,
+        /// The trace file.
+        path: Arc<Path>,
+    },
+}
+
+impl Source {
+    /// The trace at `path`, with the workload its header records.
+    pub fn trace(path: &Path) -> Result<Source, String> {
+        let reader = TraceReader::open(path).map_err(|e| e.to_string())?;
+        let name = &reader.header().workload;
+        let kind = WorkloadKind::parse(name).ok_or_else(|| {
+            if name.is_empty() {
+                "trace has no recorded workload name (anonymous stream)".to_string()
+            } else {
+                format!("trace records unknown workload '{name}'")
+            }
+        })?;
+        Ok(Source::Trace {
+            kind,
+            path: Arc::from(path),
+        })
+    }
+
+    /// The workload whose stream this is.
+    pub fn kind(&self) -> WorkloadKind {
+        match self {
+            Source::Live(kind) | Source::Trace { kind, .. } => *kind,
+        }
+    }
+}
+
+impl From<WorkloadKind> for Source {
+    fn from(kind: WorkloadKind) -> Self {
+        Source::Live(kind)
+    }
 }
 
 /// Build the cache stack of a `structure` at `scale` (L1/L2/L3, plus the
@@ -258,32 +316,34 @@ pub(crate) fn raw_run_from_parts(
     }
 }
 
-/// Walk one reference stream, named `name`, through every structure in
+/// Walk one reference stream of `source` through every structure in
 /// `structures` at once: each structure's hierarchy is built (a structure
 /// whose caches cannot be built fails alone), `stream` feeds them all
 /// through one [`ShardedHierarchy::group`] over at most `lanes` lane
-/// threads (`memsim-walk-{name}-{i}`), and each hierarchy is drained into
-/// a [`RawRun`] published under `sim.{name}.{structure}`. Results are in
-/// `structures` order.
+/// threads (`memsim-walk-{W}-{i}`), and each hierarchy is drained into a
+/// [`RawRun`] published under `sim.{W}.{structure}` (a live source) or
+/// `replay.{structure}` (a trace). Results are in `structures` order.
 ///
 /// Each structure gets the engine's replica count, capped at `lanes`:
 /// replicas beyond the lane count would share a lane, which then filters
 /// every chunk once per replica for no parallelism.
-///
-/// The stream is a closure over the sink so any source — a live kernel
-/// today — can drive the same walk.
 fn walk_stream(
     scale: &Scale,
     structures: &[Structure],
     regions: &[Region],
     engine: Engine,
     lanes: usize,
-    name: &str,
+    source: &Source,
     stream: impl FnOnce(&mut dyn TraceSink),
 ) -> Vec<Result<RawRun, String>> {
+    let name = source.kind().name();
+    let base = match source {
+        Source::Live(_) => format!("sim.{name}"),
+        Source::Trace { .. } => "replay".to_string(),
+    };
     let prefixes: Vec<Option<String>> = structures
         .iter()
-        .map(|st| memsim_obs::enabled().then(|| format!("sim.{name}.{}", st.obs_label())))
+        .map(|st| memsim_obs::enabled().then(|| format!("{base}.{}", st.obs_label())))
         .collect();
     let mut errors: Vec<Option<String>> = Vec::with_capacity(structures.len());
     let mut walks: Vec<Walk<PartitionedMemory>> = Vec::with_capacity(structures.len());
@@ -336,89 +396,145 @@ fn walk_stream(
         .collect()
 }
 
-/// Walk every structure in `structures` from a single run of `kind`: one
-/// build, one run streamed into every hierarchy, one verify. A panic in
-/// the kernel or a failed verification fails every structure of the run.
+/// Walk every structure in `structures` from a single run of `kind`, the
+/// live `source`: one build, one run streamed into every hierarchy, one
+/// verify. A failed verification fails every structure of the run.
 fn walk_live(
+    source: &Source,
     kind: WorkloadKind,
     scale: &Scale,
     structures: &[Structure],
     engine: Engine,
     lanes: usize,
 ) -> Vec<Result<RawRun, String>> {
-    let walked = panic::catch_unwind(AssertUnwindSafe(|| {
-        let mut workload = {
-            let _s = memsim_obs::span!("generate");
-            kind.build(scale.class)
-        };
-        if memsim_obs::enabled() {
-            memsim_obs::global().counter("sim.workload_runs").inc();
-        }
-        let regions = workload.space().regions().to_vec();
-        let mut runs = walk_stream(
-            scale,
-            structures,
-            &regions,
-            engine,
-            lanes,
-            kind.name(),
-            |sink| workload.run(sink),
-        );
-        if runs.iter().all(Result::is_err) {
-            // nothing was walked (no hierarchy could be built), so there
-            // is no run to verify
-            return runs;
-        }
-        let verified = {
-            let _s = memsim_obs::span!("verify");
-            workload.verify()
-        };
-        if let Err(e) = verified {
-            let message = format!("{} failed self-verification: {e}", workload.name());
-            runs.iter_mut().for_each(|r| *r = Err(message.clone()));
-        }
-        runs
-    }));
-    walked.unwrap_or_else(|payload| {
-        let message = panic_message(payload);
-        structures.iter().map(|_| Err(message.clone())).collect()
-    })
+    let mut workload = {
+        let _s = memsim_obs::span!("generate");
+        kind.build(scale.class)
+    };
+    if memsim_obs::enabled() {
+        memsim_obs::global().counter("sim.workload_runs").inc();
+    }
+    let regions = workload.space().regions().to_vec();
+    let mut runs = walk_stream(scale, structures, &regions, engine, lanes, source, |sink| {
+        workload.run(sink)
+    });
+    if runs.iter().all(Result::is_err) {
+        // nothing was walked (no hierarchy could be built), so there is
+        // no run to verify
+        return runs;
+    }
+    let verified = {
+        let _s = memsim_obs::span!("verify");
+        workload.verify()
+    };
+    if let Err(e) = verified {
+        let message = format!("{} failed self-verification: {e}", workload.name());
+        runs.iter_mut().for_each(|r| *r = Err(message.clone()));
+    }
+    runs
 }
 
-/// One structure's interval-sampled replay: the workload's stream is
-/// recorded once into the process-wide trace store (keyed by scale and
-/// build), an interval plan is built and memoized, and only
-/// representative windows are replayed — see [`crate::sampling`].
+/// Walk every structure in `structures` from one decode of the trace at
+/// `path`, the trace `source`. A decode error (CRC mismatch, truncation)
+/// fails every structure with the reader's message. With observability
+/// on, each walked structure's `replay.{structure}.reader.*` counters
+/// carry the reader's totals for the whole file.
+fn walk_trace(
+    source: &Source,
+    path: &Path,
+    scale: &Scale,
+    structures: &[Structure],
+    engine: Engine,
+    lanes: usize,
+) -> Vec<Result<RawRun, String>> {
+    let total = memsim_obs::enabled()
+        .then(|| std::fs::File::open(path).ok())
+        .flatten()
+        .and_then(|mut f| footer_total(&mut f));
+    if let Some(total) = total {
+        // every hierarchy counts each event into `progress.events`, so the
+        // footer's total gives `--progress` an ETA although the group's
+        // structures all finish at once
+        let reg = memsim_obs::global();
+        let counted = reg.counter("progress.events").get();
+        reg.gauge("progress.total")
+            .set(counted + total * structures.len() as u64);
+    }
+    let decoded = TraceReader::open(path).and_then(|mut reader| {
+        let regions = reader.header().regions.clone();
+        let mut delivered = Ok(0);
+        let runs = walk_stream(scale, structures, &regions, engine, lanes, source, |sink| {
+            delivered = replay_into(&mut reader, sink);
+        });
+        delivered.map(|_| (runs, reader))
+    });
+    let (runs, reader) = match decoded {
+        Ok(walked) => walked,
+        Err(e) => return structures.iter().map(|_| Err(e.to_string())).collect(),
+    };
+    if memsim_obs::enabled() {
+        // trace-health counters: every chunk that reached the sinks
+        // passed its CRC check
+        let reg = memsim_obs::global();
+        for (st, _) in structures.iter().zip(&runs).filter(|(_, r)| r.is_ok()) {
+            let prefix = format!("replay.{}.reader", st.obs_label());
+            let store = |field: &str, v: u64| reg.counter(&format!("{prefix}.{field}")).store(v);
+            store("chunks", reader.chunks_read());
+            store("crc_verified_chunks", reader.crc_verified_chunks());
+            store("payload_bytes", reader.payload_bytes());
+        }
+    }
+    runs
+}
+
+/// One structure's interval-sampled replay of `source`'s trace: a trace
+/// source replays its own file, and a live source's stream is recorded
+/// once into the process-wide trace store (keyed by scale and build). An
+/// interval plan is built and memoized, and only representative windows
+/// are replayed — see [`crate::sampling`].
 fn replay_sampled(
-    kind: WorkloadKind,
+    source: &Source,
     scale: &Scale,
     structure: &Structure,
     spec: crate::sampling::SampleSpec,
 ) -> Result<RawRun, String> {
-    let path = crate::sampling::trace_store()?.ensure(kind, scale)?;
+    let path = match source {
+        Source::Live(kind) => crate::sampling::trace_store()?.ensure(*kind, scale)?,
+        Source::Trace { path, .. } => path.to_path_buf(),
+    };
     let plan = crate::sampling::plan_for(&path, spec)?;
     crate::sampling::replay_structure_sampled(&path, scale, structure, &plan)
         .map_err(|e| format!("sampled replay of {}: {e}", path.display()))
 }
 
-/// Walk `kind` through `structures` at full fidelity (one kernel run for
+/// Walk `source` through `structures` at full fidelity (one stream for
 /// all of them, over at most `lanes` lanes) or interval-sampled (one
 /// sequential sampled replay per structure). Results are in `structures`
-/// order; a failure is the message of whatever stopped that structure.
+/// order; a failure is the message of whatever stopped that structure,
+/// and a panic in the kernel fails every structure of its run.
 fn walk(
-    kind: WorkloadKind,
+    source: &Source,
     scale: &Scale,
     structures: &[Structure],
     opts: RunOpts,
     lanes: usize,
 ) -> Vec<Result<RawRun, String>> {
-    let mut span = memsim_obs::span!("grid.walk.{}", kind.name());
+    let mut span = memsim_obs::span!("grid.walk.{}", source.kind().name());
     let runs = match opts.sample {
-        SampleMode::Off => walk_live(kind, scale, structures, opts.engine, lanes),
+        SampleMode::Off => panic::catch_unwind(AssertUnwindSafe(|| match source {
+            Source::Live(kind) => walk_live(source, *kind, scale, structures, opts.engine, lanes),
+            Source::Trace { path, .. } => {
+                walk_trace(source, path, scale, structures, opts.engine, lanes)
+            }
+        }))
+        .unwrap_or_else(|payload| {
+            let message = panic_message(payload);
+            structures.iter().map(|_| Err(message.clone())).collect()
+        }),
         SampleMode::On(spec) => structures
             .iter()
             .map(|st| {
-                panic::catch_unwind(|| replay_sampled(kind, scale, st, spec))
+                panic::catch_unwind(|| replay_sampled(source, scale, st, spec))
                     .unwrap_or_else(|payload| Err(panic_message(payload)))
             })
             .collect(),
@@ -429,9 +545,9 @@ fn walk(
     runs
 }
 
-/// Simulate `kind` (at `scale.class`) through `structure`. This is the
-/// expensive step: every memory reference of the workload walks the
-/// hierarchy.
+/// Simulate `source` (a workload at `scale.class`, or a trace of one)
+/// through `structure`. This is the expensive step: every memory
+/// reference of the workload walks the hierarchy.
 ///
 /// At full fidelity the chosen engine walks every reference; both engines
 /// yield bit-identical [`RawRun`] counters (the sharded engine trades the
@@ -441,22 +557,23 @@ fn walk(
 /// the snapshot deltas need one hierarchy in event order. This is a
 /// one-structure group walk, with one lane per replica.
 ///
-/// Panics on a failed walk (a failed workload, an unreadable trace) —
-/// grid workers turn those into [`FailedPoint`]s.
+/// Panics on a failed walk (a failed workload, an unreadable or corrupt
+/// trace) — grid workers turn those into [`FailedPoint`]s.
 pub fn simulate_structure(
-    kind: WorkloadKind,
+    source: impl Into<Source>,
     scale: &Scale,
     structure: &Structure,
     opts: RunOpts,
 ) -> RawRun {
     let structures = std::slice::from_ref(structure);
-    let mut runs = walk(kind, scale, structures, opts, opts.engine.replicas());
+    let lanes = opts.engine.replicas();
+    let mut runs = walk(&source.into(), scale, structures, opts, lanes);
     runs.pop()
         .expect("one run per structure")
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-type SimKey = (WorkloadKind, Scale, Structure, SampleMode);
+type SimKey = (Source, Scale, Structure, SampleMode);
 
 /// One memo entry: in flight while its claimant walks, then the run — or
 /// released, after a failed or abandoned walk, so that waiters retry.
@@ -497,11 +614,11 @@ impl Cell {
     }
 }
 
-/// A memo request for some of one workload's structures, made under one
+/// A memo request for some of one source's structures, made under one
 /// lock: every requested structure with its cell, and whether this
 /// request owns (must walk) it.
 struct Claim {
-    kind: WorkloadKind,
+    source: Source,
     scale: Scale,
     opts: RunOpts,
     entries: Vec<(Structure, Arc<Cell>, bool)>,
@@ -509,7 +626,7 @@ struct Claim {
 
 impl Claim {
     fn key(&self, structure: Structure) -> SimKey {
-        (self.kind, self.scale, structure, self.opts.sample)
+        (self.source.clone(), self.scale, structure, self.opts.sample)
     }
 
     /// The structures this request must walk, with their cells.
@@ -545,8 +662,8 @@ fn count_memo(walked: bool) {
 ///
 /// A request claims, under the map lock, every absent key of its group by
 /// inserting an in-flight cell, then walks all its claims from one
-/// workload run; keys already present are served, or awaited while their
-/// claimant walks. Concurrent requesters therefore walk each distinct
+/// stream of their source; keys already present are served, or awaited
+/// while their claimant walks. Concurrent requesters therefore walk each distinct
 /// structure exactly once, and the map lock is never held across a walk.
 /// A failed walk releases its cells (they leave the map and their waiters
 /// wake), so a later request retries instead of blocking.
@@ -557,7 +674,10 @@ fn count_memo(walked: bool) {
 /// another request walked, or is walking, is a hit because the overlap
 /// was walked once — the property the server's job coalescing asserts.
 ///
-/// The key deliberately excludes the engine — both engines produce
+/// The key names the [`Source`]: a trace run is keyed by its path, which
+/// assumes the file does not change while the memo lives (the trace
+/// store's files are content-addressed, so this holds for them). It
+/// deliberately excludes the engine — both engines produce
 /// bit-identical runs, so whichever requester claims first fills the cell
 /// for everyone — but it *includes* the sampling mode, because a sampled
 /// run's extrapolated counters are not the full run's counters and must
@@ -573,9 +693,9 @@ impl SimCache {
         Self::default()
     }
 
-    /// Fetch or simulate one structure: a one-structure group, walked
-    /// with one lane per replica. Panics when the walk fails; otherwise
-    /// counts one memo hit or miss.
+    /// Fetch or simulate one structure of a live run of `kind`: a
+    /// one-structure group, walked with one lane per replica. Panics when
+    /// the walk fails; otherwise counts one memo hit or miss.
     pub fn get(
         &self,
         kind: WorkloadKind,
@@ -584,7 +704,8 @@ impl SimCache {
         opts: RunOpts,
     ) -> Arc<RawRun> {
         let structures = std::slice::from_ref(structure);
-        let mut runs = self.fetch(kind, scale, structures, opts, opts.engine.replicas());
+        let source = Source::Live(kind);
+        let mut runs = self.fetch(&source, scale, structures, opts, opts.engine.replicas());
         let fetched = runs.pop().expect("a fetch yields every structure");
         let run = fetched.run.unwrap_or_else(|e| panic!("{e}"));
         count_memo(fetched.walked);
@@ -592,18 +713,18 @@ impl SimCache {
     }
 
     /// Fetch or walk every structure in `structures`: the absent ones are
-    /// claimed under one lock and walked from one run of `kind` over at
-    /// most `lanes` lanes, the others served or awaited. Results are in
+    /// claimed under one lock and walked from one stream of `source` over
+    /// at most `lanes` lanes, the others served or awaited. Results are in
     /// `structures` order.
     fn fetch(
         &self,
-        kind: WorkloadKind,
+        source: &Source,
         scale: &Scale,
         structures: &[Structure],
         opts: RunOpts,
         lanes: usize,
     ) -> Vec<Fetched> {
-        let claim = self.claim(kind, scale, opts, structures);
+        let claim = self.claim(source, scale, opts, structures);
         let walked = self.walk_claim(&claim, lanes);
         self.collect(&claim, walked, lanes, false)
     }
@@ -611,13 +732,13 @@ impl SimCache {
     /// Claim every absent key among `structures` under one lock.
     fn claim(
         &self,
-        kind: WorkloadKind,
+        source: &Source,
         scale: &Scale,
         opts: RunOpts,
         structures: &[Structure],
     ) -> Claim {
         let mut claim = Claim {
-            kind,
+            source: source.clone(),
             scale: *scale,
             opts,
             entries: Vec::with_capacity(structures.len()),
@@ -637,7 +758,7 @@ impl SimCache {
         claim
     }
 
-    /// Walk the structures `claim` owns from one workload run and settle
+    /// Walk the structures `claim` owns from one stream and settle
     /// their cells: a walked run fills its cell, a failed walk releases it.
     /// Returns the owned structures' outcomes.
     fn walk_claim(&self, claim: &Claim, lanes: usize) -> Vec<Fetched> {
@@ -645,7 +766,7 @@ impl SimCache {
         if owned.is_empty() {
             return Vec::new();
         }
-        let runs = walk(claim.kind, &claim.scale, &owned, claim.opts, lanes);
+        let runs = walk(&claim.source, &claim.scale, &owned, claim.opts, lanes);
         claim
             .owned()
             .zip(runs)
@@ -716,7 +837,7 @@ impl SimCache {
             out.push(fetched);
         }
         if !released.is_empty() {
-            for fetched in self.fetch(claim.kind, &claim.scale, &released, claim.opts, lanes) {
+            for fetched in self.fetch(&claim.source, &claim.scale, &released, claim.opts, lanes) {
                 let i = claim
                     .entries
                     .iter()
@@ -922,24 +1043,24 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// with `opts` choosing each structure walk's engine and sampling mode.
 ///
 /// Two phases (see the module docs): every structure the grid's
-/// unjournaled, valid points need is walked first, one kernel run per
-/// workload, over `threads` lanes; then every point is costed from those
-/// runs.
+/// unjournaled, valid points need is walked first, one stream per source
+/// (a kernel run, or one decode of a trace), over `threads` lanes; then
+/// every point is costed from those runs.
 ///
 /// Fault-isolated: a point whose walk or costing fails is recorded as a
-/// [`FailedPoint`] (and journaled, when a sweep context is given), and the
-/// remaining points still run to completion. With a sweep context,
-/// journaled points are served from the journal and fresh completions are
-/// appended as they land; an armed interrupt flag stops new groups from
-/// starting while the groups in flight finish and journal their points.
-/// Callers that treat a failed point as a bug lift the outcome with
-/// [`GridOutcome::into_result`].
+/// [`FailedPoint`] (and journaled, when a sweep context is given and the
+/// point is live), and the remaining points still run to completion. With
+/// a sweep context, journaled live points are served from the journal and
+/// fresh completions are appended as they land; an armed interrupt flag
+/// stops new groups from starting while the groups in flight finish and
+/// journal their points. Callers that treat a failed point as a bug lift
+/// the outcome with [`GridOutcome::into_result`].
 pub fn evaluate_grid_sweep(
-    points: &[(WorkloadKind, Design)],
+    points: &[(Source, Design)],
     scale: &Scale,
     cache: &SimCache,
     threads: Option<usize>,
-    sweep: Option<&crate::journal::SweepCtx>,
+    sweep: Option<&SweepCtx>,
     opts: RunOpts,
 ) -> GridOutcome {
     let threads = threads
@@ -951,28 +1072,32 @@ pub fn evaluate_grid_sweep(
         .max(1);
     let runs = walk_grid(points, scale, cache, threads, sweep, opts);
 
-    let next = AtomicUsize::new(0);
-    // Each point gets its own result slot: workers claim disjoint indices
-    // from the `next` counter, so publishing a result is a lock-free
+    // Each point gets its own result slot, and worker `w` costs every
+    // `workers`-th point from `w`: publishing a result is a lock-free
     // single-writer `OnceLock::set` instead of a contended mutex around
-    // the whole vector. A point whose structure was never walked (an
+    // the whole vector, and the fixed assignment puts each point on the
+    // same timeline lane in every run (costing is cheap next to the
+    // walks, so a shared work counter would balance nothing worth its
+    // nondeterminism). A point whose structure was never walked (an
     // interrupt) keeps an empty slot.
     let slots: Vec<OnceLock<Result<EvalResult, FailedPoint>>> =
         (0..points.len()).map(|_| OnceLock::new()).collect();
+    let workers = threads.min(points.len());
     std::thread::scope(|s| {
-        for w in 0..threads.min(points.len()) {
-            let worker = || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= points.len() {
-                    break;
-                }
-                let (kind, design) = points[i];
-                // One recorder span per sweep point so the timeline shows
-                // which worker costed which (workload, design) pair, when.
-                let _point_span =
-                    memsim_obs::span!("grid.point.{}.{}", kind.name(), design.label());
-                if let Some(outcome) = cost_point(kind, &design, scale, sweep, &runs) {
-                    slots[i].set(outcome).expect("result slot written twice");
+        for w in 0..workers {
+            let (slots, runs) = (&slots, &runs);
+            let worker = move || {
+                for i in (w..points.len()).step_by(workers) {
+                    let (source, design) = &points[i];
+                    // One recorder span per sweep point so the timeline
+                    // shows which worker costed which (workload, design)
+                    // pair, when.
+                    let _point_span =
+                        memsim_obs::span!("grid.point.{}.{}", source.kind().name(), design.label());
+                    let journal = journal_of(source, sweep);
+                    if let Some(outcome) = cost_point(source, design, scale, journal, runs) {
+                        slots[i].set(outcome).expect("result slot written twice");
+                    }
                 }
             };
             // Named so each worker gets a stable flight-recorder lane
@@ -987,14 +1112,16 @@ pub fn evaluate_grid_sweep(
     let mut failures = Vec::new();
     let mut unclaimed = 0usize;
     let mut skipped = 0usize;
-    for slot in slots {
+    for (slot, (source, _)) in slots.into_iter().zip(points) {
         match slot.into_inner() {
             None => {
                 unclaimed += 1;
                 results.push(None);
             }
             Some(Ok(r)) => {
-                if sweep.is_some_and(|ctx| ctx.was_skipped(r.workload, &r.design)) {
+                if journal_of(source, sweep)
+                    .is_some_and(|ctx| ctx.was_skipped(r.workload, &r.design))
+                {
                     skipped += 1;
                 }
                 results.push(Some(r));
@@ -1019,6 +1146,13 @@ pub fn evaluate_grid_sweep(
     }
 }
 
+/// The sweep journal a point uses: the grid's, for a live point. A trace
+/// point is never looked up in or recorded to a journal, whose lines name
+/// only workloads.
+fn journal_of<'a>(source: &Source, sweep: Option<&'a SweepCtx>) -> Option<&'a SweepCtx> {
+    sweep.filter(|_| matches!(source, Source::Live(_)))
+}
+
 /// A structure's outcome from phase 1, as phase 2 costs it.
 struct Walked {
     run: Result<Arc<RawRun>, String>,
@@ -1028,10 +1162,10 @@ struct Walked {
     miss: AtomicBool,
 }
 
-type WalkedRuns = HashMap<(WorkloadKind, Structure), Walked>;
+type WalkedRuns = HashMap<(Source, Structure), Walked>;
 
 /// Phase 1 of a grid: walk every structure the unjournaled, valid points
-/// need, grouped by workload, over a budget of `threads` lanes, and return
+/// need, grouped by source, over a budget of `threads` lanes, and return
 /// each structure's run (or why it has none).
 ///
 /// A group owning at least `threads` structures takes every lane, one
@@ -1041,47 +1175,64 @@ type WalkedRuns = HashMap<(WorkloadKind, Structure), Walked>;
 /// far as `threads` allows, and a grid of a few small groups still gets
 /// every lane. Once interrupted, no further group starts; structures left
 /// unwalked are absent from the map.
+///
+/// With observability on, `progress.shards_done` counts the structures
+/// walked, and `progress.shards_total` is that count plus the structures
+/// this grid has still to walk (the counter accumulates over a process's
+/// grids).
 fn walk_grid(
-    points: &[(WorkloadKind, Design)],
+    points: &[(Source, Design)],
     scale: &Scale,
     cache: &SimCache,
     threads: usize,
-    sweep: Option<&crate::journal::SweepCtx>,
+    sweep: Option<&SweepCtx>,
     opts: RunOpts,
 ) -> WalkedRuns {
     let interrupted = || sweep.is_some_and(|ctx| ctx.interrupted());
-    let mut groups: Vec<(WorkloadKind, Vec<Structure>)> = Vec::new();
-    for (kind, design) in points {
+    let mut groups: Vec<(&Source, Vec<Structure>)> = Vec::new();
+    for (source, design) in points {
+        let journal = journal_of(source, sweep);
         if design.validate().is_err()
-            || sweep.is_some_and(|ctx| ctx.lookup(*kind, design).is_some())
+            || journal.is_some_and(|ctx| ctx.lookup(source.kind(), design).is_some())
         {
             continue;
         }
         let st = design.structure(scale);
-        match groups.iter_mut().find(|(k, _)| k == kind) {
+        match groups.iter_mut().find(|(s, _)| *s == source) {
             Some((_, sts)) if sts.contains(&st) => {}
             Some((_, sts)) => sts.push(st),
-            None => groups.push((*kind, vec![st])),
+            None => groups.push((source, vec![st])),
         }
     }
     if opts.sample.is_on() {
         // A sampled walk replays a recorded trace per structure: there is
-        // no kernel run to share, so every structure is its own group.
+        // no stream to share, so every structure is its own group.
         groups = groups
             .into_iter()
-            .flat_map(|(k, sts)| sts.into_iter().map(move |st| (k, vec![st])))
+            .flat_map(|(source, sts)| sts.into_iter().map(move |st| (source, vec![st])))
             .collect();
     }
     let claims: Vec<Claim> = groups
         .iter()
-        .map(|(kind, sts)| cache.claim(*kind, scale, opts, sts))
+        .map(|(source, sts)| cache.claim(source, scale, opts, sts))
         .collect();
+    let progress = memsim_obs::enabled().then(|| {
+        let reg = memsim_obs::global();
+        let done = reg.counter("progress.shards_done");
+        let owned = claims.iter().map(|c| c.owned().count()).sum::<usize>();
+        reg.gauge("progress.shards_total")
+            .set(done.get() + owned as u64);
+        done
+    });
     let walked: Vec<OnceLock<Vec<Fetched>>> = claims.iter().map(|_| OnceLock::new()).collect();
     let walk_one = |i: usize, lanes: usize| {
         if interrupted() {
             cache.release(&claims[i]);
         } else {
             let runs = cache.walk_claim(&claims[i], lanes);
+            if let Some(done) = &progress {
+                done.add(runs.len() as u64);
+            }
             walked[i].set(runs).expect("group walked twice");
         }
     };
@@ -1117,7 +1268,7 @@ fn walk_grid(
                 run: f.run,
                 miss: AtomicBool::new(f.walked),
             };
-            runs.insert((claim.kind, f.structure), run);
+            runs.insert((claim.source.clone(), f.structure), run);
         }
     }
     runs
@@ -1128,19 +1279,20 @@ fn walk_grid(
 /// never walked (an interrupt). A point whose walk or costing failed is
 /// journaled as failed and returned as a [`FailedPoint`].
 fn cost_point(
-    kind: WorkloadKind,
+    source: &Source,
     design: &Design,
     scale: &Scale,
-    sweep: Option<&crate::journal::SweepCtx>,
+    journal: Option<&SweepCtx>,
     runs: &WalkedRuns,
 ) -> Option<Result<EvalResult, FailedPoint>> {
-    if let Some(hit) = sweep.and_then(|ctx| ctx.lookup(kind, design)) {
+    let kind = source.kind();
+    if let Some(hit) = journal.and_then(|ctx| ctx.lookup(kind, design)) {
         return Some(Ok(hit));
     }
     let costed = match design.validate() {
         Err(e) => Err(format!("invalid design: {e:?}")),
         Ok(()) => {
-            let walked = runs.get(&(kind, design.structure(scale)))?;
+            let walked = runs.get(&(source.clone(), design.structure(scale)))?;
             walked.run.clone().and_then(|run| {
                 count_memo(walked.miss.swap(false, Ordering::Relaxed));
                 // Catch the panic *inside* the worker: letting it unwind
@@ -1153,13 +1305,13 @@ fn cost_point(
     };
     Some(match costed {
         Ok(r) => {
-            if let Some(ctx) = sweep {
+            if let Some(ctx) = journal {
                 ctx.record(&r);
             }
             Ok(r)
         }
         Err(message) => {
-            if let Some(ctx) = sweep {
+            if let Some(ctx) = journal {
                 ctx.record_failure(kind, design, &message);
             }
             Err(FailedPoint {
@@ -1184,6 +1336,8 @@ mod tests {
         engine: Engine::Sequential,
         sample: SampleMode::Off,
     };
+
+    const HASH: Source = Source::Live(WorkloadKind::Hash);
 
     #[test]
     fn baseline_run_is_consistent() {
@@ -1280,7 +1434,7 @@ mod tests {
         let barrier = std::sync::Barrier::new(2);
         let fetch = |sts: &[Structure]| {
             barrier.wait();
-            cache.fetch(WorkloadKind::Hash, &scale(), sts, SEQ, 1)
+            cache.fetch(&HASH, &scale(), sts, SEQ, 1)
         };
         let (ra, rb) = std::thread::scope(|s| {
             let ha = s.spawn(|| fetch(&a));
@@ -1306,13 +1460,7 @@ mod tests {
         let cache = SimCache::new();
         // 3000-byte pages fail `CacheConfig::validate` (not a power of two)
         let bad = l4(3000);
-        let runs = cache.fetch(
-            WorkloadKind::Hash,
-            &scale(),
-            &[Structure::ThreeLevel, bad],
-            SEQ,
-            1,
-        );
+        let runs = cache.fetch(&HASH, &scale(), &[Structure::ThreeLevel, bad], SEQ, 1);
         let good = fetched(&runs, Structure::ThreeLevel);
         let serial = simulate_structure(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel, SEQ);
         assert_eq!(good.caches, serial.caches);
@@ -1321,16 +1469,15 @@ mod tests {
         // the failed claim left the memo, so a later request claims and
         // walks it again instead of blocking on a dead cell
         assert_eq!(cache.len(), 1);
-        let again = cache.fetch(WorkloadKind::Hash, &scale(), &[bad], SEQ, 1);
+        let again = cache.fetch(&HASH, &scale(), &[bad], SEQ, 1);
         assert!(again[0].run.is_err());
         assert_eq!(cache.len(), 1);
 
         // A request already waiting on the claim when it fails is woken
         // by the release and retries the walk itself, rather than
         // blocking forever on the dead cell.
-        let hash = WorkloadKind::Hash;
-        let owner = cache.claim(hash, &scale(), SEQ, &[bad]);
-        let waiter = cache.claim(hash, &scale(), SEQ, &[bad]);
+        let owner = cache.claim(&HASH, &scale(), SEQ, &[bad]);
+        let waiter = cache.claim(&HASH, &scale(), SEQ, &[bad]);
         assert!(waiter.owned().next().is_none(), "the second request waits");
         std::thread::scope(|s| {
             let waiting = s.spawn(|| cache.collect(&waiter, Vec::new(), 1, false));
@@ -1346,8 +1493,8 @@ mod tests {
         // the one walk — a memo miss, never also a hit — and a later
         // request is served the run.
         let st = l4(512);
-        let owner = cache.claim(hash, &scale(), SEQ, &[st]);
-        let waiter = cache.claim(hash, &scale(), SEQ, &[st]);
+        let owner = cache.claim(&HASH, &scale(), SEQ, &[st]);
+        let waiter = cache.claim(&HASH, &scale(), SEQ, &[st]);
         let retried = std::thread::scope(|s| {
             let waiting = s.spawn(|| cache.collect(&waiter, Vec::new(), 1, false));
             cache.release(&owner);
@@ -1356,7 +1503,7 @@ mod tests {
         assert_eq!(retried.len(), 1);
         assert!(retried[0].walked, "the retrying request walked it");
         let run = Arc::clone(retried[0].run.as_ref().expect("walked"));
-        let later = cache.fetch(hash, &scale(), &[st], SEQ, 1);
+        let later = cache.fetch(&HASH, &scale(), &[st], SEQ, 1);
         assert!(!later[0].walked, "served, not walked again");
         assert!(Arc::ptr_eq(&run, later[0].run.as_ref().unwrap()));
         assert_eq!(cache.len(), 2);
@@ -1368,9 +1515,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let journal = dir.join(crate::journal::JOURNAL_FILE);
         let points = [
-            (WorkloadKind::Hash, Design::Baseline),
+            (HASH, Design::Baseline),
             (
-                WorkloadKind::Hash,
+                HASH,
                 Design::Nmm {
                     nvm: Technology::Pcm,
                     config: n_configs()[5],
@@ -1454,9 +1601,9 @@ mod tests {
     fn a_live_sampled_grid_with_an_exact_plan_matches_full_fidelity() {
         let n6 = crate::configs::n_by_name("N6").unwrap();
         let points = [
-            (WorkloadKind::Hash, Design::Baseline),
+            (HASH, Design::Baseline),
             (
-                WorkloadKind::Hash,
+                HASH,
                 Design::Nmm {
                     nvm: Technology::Pcm,
                     config: n6,
@@ -1505,16 +1652,17 @@ mod tests {
 
     #[test]
     fn grid_matches_serial() {
+        let cg = Source::Live(WorkloadKind::Cg);
         let points = vec![
-            (WorkloadKind::Cg, Design::Baseline),
+            (cg.clone(), Design::Baseline),
             (
-                WorkloadKind::Cg,
+                cg,
                 Design::Nmm {
                     nvm: Technology::Pcm,
                     config: n_configs()[0],
                 },
             ),
-            (WorkloadKind::Hash, Design::Baseline),
+            (HASH, Design::Baseline),
         ];
         // Both groups are smaller than the lane budget, so they run side
         // by side: at 3 threads with one lane each, at 6 with three lanes
@@ -1527,10 +1675,11 @@ mod tests {
                 .expect("every point completes");
             assert_eq!(grid.len(), 3);
             assert_eq!(cache.len(), 3);
-            for (r, (k, d)) in grid.iter().zip(&points) {
-                assert_eq!(r.workload, *k);
+            for (r, (source, d)) in grid.iter().zip(&points) {
+                let k = source.kind();
+                assert_eq!(r.workload, k);
                 assert_eq!(r.design, *d);
-                let serial = evaluate_cached(*k, &scale(), d, &SimCache::new(), SEQ);
+                let serial = evaluate_cached(k, &scale(), d, &SimCache::new(), SEQ);
                 assert_eq!(r.run.caches, serial.run.caches, "{k:?} {d:?} {threads}");
                 assert_eq!(r.run.mem, serial.run.mem, "{k:?} {d:?} {threads}");
                 assert_eq!(r.run.per_region, serial.run.per_region);

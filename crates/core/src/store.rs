@@ -179,7 +179,7 @@ mod tests {
         let p1 = current.ensure(WorkloadKind::Hash, &Scale::mini()).unwrap();
         assert_ne!(p1, planted);
         assert_eq!(
-            crate::replay::trace_workload(&p1).unwrap(),
+            crate::runner::Source::trace(&p1).unwrap().kind(),
             WorkloadKind::Hash
         );
         let recorded = std::fs::metadata(&p1).unwrap();

@@ -9,12 +9,14 @@
 //! Counter conventions (all under the global registry):
 //! * `progress.events` — cumulative demand events processed, all workers.
 //! * `progress.chunks` — cumulative trace chunks consumed/produced.
-//! * `progress.shard<i>.events` — per-shard cumulative events (replay and
-//!   the set-sharded engine).
+//! * `progress.shard<i>.events` — per-replica cumulative events of the
+//!   set-sharded engine.
 //! * `progress.shards_total` / `progress.shards_done` — gauge/counter pair
-//!   used for the ETA extrapolation and the `shards a/b` display.
-//! * `<prefix>.shard<i>.queue_depth` — set-sharded engine ingress queue
-//!   occupancy gauges; the line shows the deepest queue.
+//!   of a grid's structures to walk and walked, used for the ETA
+//!   extrapolation and the `shards a/b` display.
+//! * `progress.total` — gauge of the `progress.events` count at which the
+//!   work in flight is done, when known (a trace walk reads it from the
+//!   trace's footer); the ETA falls back to it while no shard is done.
 
 use crate::registry::MetricValue;
 use std::io::IsTerminal;
@@ -150,12 +152,8 @@ fn render_line(
     }
     line.push_str(&format!(" | {:.1} Mev/s", rate / 1e6));
 
-    // Per-shard lag: spread between slowest and fastest shard. The same
-    // pass picks up the set-sharded engine's ingress queue-depth gauges
-    // (`*.shard<i>.queue_depth`): a queue pinned at its bound means the
-    // producer outruns that shard and back-pressure is throttling the walk.
+    // Per-shard lag: spread between slowest and fastest shard.
     let mut shard_events: Vec<u64> = Vec::new();
-    let mut queue_depth_max: Option<u64> = None;
     for (name, value) in reg.snapshot() {
         match value {
             MetricValue::Counter(v)
@@ -163,14 +161,8 @@ fn render_line(
             {
                 shard_events.push(v);
             }
-            MetricValue::Gauge(v) if name.ends_with(".queue_depth") => {
-                queue_depth_max = Some(queue_depth_max.map_or(v, |m| m.max(v)));
-            }
             _ => {}
         }
-    }
-    if let Some(depth) = queue_depth_max {
-        line.push_str(&format!(" | q max {depth}"));
     }
     let shards_total = reg.gauge_value("progress.shards_total").unwrap_or(0);
     let shards_done = reg.counter_value("progress.shards_done").unwrap_or(0);
@@ -181,16 +173,17 @@ fn render_line(
                 line.push_str(&format!(" (lag {})", human(max - min)));
             }
         }
-        // ETA by extrapolating completed-shard cost over remaining shards.
-        if shards_done > 0 && shards_done < shards_total && avg_rate > 0.0 {
+    }
+    // ETA by extrapolating completed-shard cost over remaining shards, or
+    // from the event total when one is known (shards that finish together
+    // give no partial completion to extrapolate).
+    let total = reg.gauge_value("progress.total").unwrap_or(0);
+    if avg_rate > 0.0 {
+        if shards_done > 0 && shards_done < shards_total {
             let per_shard = events as f64 / shards_done as f64;
             let remaining = per_shard * (shards_total - shards_done) as f64;
             line.push_str(&format!(" | eta {:.0}s", remaining / avg_rate));
-        }
-    } else if avg_rate > 0.0 {
-        // Single-phase ETA if a total is known.
-        let total = reg.gauge_value("progress.total").unwrap_or(0);
-        if total > events {
+        } else if total > events {
             line.push_str(&format!(
                 " | eta {:.0}s",
                 (total - events) as f64 / avg_rate
@@ -266,6 +259,13 @@ mod tests {
         assert!(line.contains("| 0.0 Mev/s"), "{line}");
         // the ETA does not whipsaw to infinity with it: 10M left at 1 Mev/s
         assert!(line.contains("eta 10s"), "{line}");
+
+        // structures walked together finish together: until one is done
+        // the known total still gives the ETA
+        reg.gauge("progress.shards_total").set(3);
+        reg.counter("progress.shards_done");
+        let line = render_line("replay", start, now, &mut last_events, &mut last_t);
+        assert!(line.contains("shards 0/3 | eta 10s"), "{line}");
         crate::reset();
     }
 
@@ -292,27 +292,6 @@ mod tests {
             "{line}"
         );
         crate::reset();
-    }
-
-    #[test]
-    fn render_line_shows_deepest_shard_queue() {
-        let _lock = crate::test_lock();
-        crate::reset();
-        let reg = crate::global();
-        reg.counter("progress.events").add(1_000);
-        reg.gauge("run.sim.shard0.queue_depth").set(2);
-        reg.gauge("run.sim.shard1.queue_depth").set(7);
-        reg.gauge("run.sim.shard2.queue_depth").set(0);
-        let t0 = Instant::now();
-        let mut last_events = 0;
-        let mut last_t = t0;
-        let line = render_line("figure", t0, Instant::now(), &mut last_events, &mut last_t);
-        assert!(line.contains("q max 7"), "{line}");
-        crate::reset();
-
-        // without any queue gauges the segment stays off the line
-        let line = render_line("figure", t0, Instant::now(), &mut last_events, &mut last_t);
-        assert!(!line.contains("q max"), "{line}");
     }
 
     #[test]

@@ -30,10 +30,11 @@
 //! workload+scale trace is recorded at most once.
 
 use memsim_core::experiments::ExperimentCtx;
+use memsim_core::runner::evaluate_grid_sweep;
 use memsim_core::store::{digest, TraceStore};
 use memsim_core::{
-    build_artifact, parse_design_list, replay_grid_robust, Design, Engine, EvalResult, RunOpts,
-    SampleMode, Scale, SimCache, SweepCtx, SweepError, JOURNAL_FILE,
+    build_artifact, parse_design_list, Design, Engine, EvalResult, RunOpts, SampleMode, Scale,
+    SimCache, Source, SweepCtx, SweepError, JOURNAL_FILE,
 };
 use memsim_obs::json;
 use memsim_workloads::WorkloadKind;
@@ -825,22 +826,22 @@ fn run_inner(reg: &Arc<Registry>, job: &Arc<Job>) -> Result<RunOutcome, String> 
             if job.cancel.load(Ordering::SeqCst) {
                 return Ok(RunOutcome::Interrupted);
             }
-            let trace = reg.store.ensure(*workload, &scale)?;
+            // the store's files are content-addressed, so the shared memo
+            // may key this trace's runs by path
+            let source = Source::Trace {
+                kind: *workload,
+                path: reg.store.ensure(*workload, &scale)?.into(),
+            };
             let wanted = parse_design_list(designs)?;
             // Baseline anchors normalization even when not requested.
             let mut grid = vec![Design::Baseline];
             grid.extend(wanted.iter().filter(|d| **d != Design::Baseline).copied());
-            let outcome = replay_grid_robust(&trace, &grid, &scale, None, opts)?;
-            // every failure strands at least one design
-            if !outcome.failures.is_empty() {
-                let list: Vec<String> = outcome.failures.iter().map(|f| f.to_string()).collect();
-                return Err(format!("replay shard failure: {}", list.join("; ")));
-            }
-            let results: Vec<(Design, &EvalResult)> = grid
-                .iter()
-                .zip(outcome.results.iter())
-                .map(|(d, r)| (*d, r))
-                .collect();
+            let points: Vec<(Source, Design)> = grid.iter().map(|d| (source.clone(), *d)).collect();
+            let evaluated = evaluate_grid_sweep(&points, &scale, &reg.cache, None, None, opts)
+                .into_result()
+                .map_err(|e| e.to_string())?;
+            let results: Vec<(Design, &EvalResult)> =
+                grid.iter().copied().zip(&evaluated).collect();
             Ok(RunOutcome::Finished(replay_result(
                 job, *workload, &wanted, &results,
             )))

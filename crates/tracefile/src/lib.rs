@@ -58,6 +58,6 @@ mod writer;
 
 pub use crc32::crc32;
 pub use format::{TraceError, TraceHeader, FORMAT_VERSION, MAGIC, TRACE_CHUNK_EVENTS};
-pub use reader::{ChunkStep, TraceReader};
-pub use replay::{encode_to_vec, replay_into, replay_into_all, summarize, TraceSummary};
+pub use reader::{footer_total, ChunkStep, TraceReader};
+pub use replay::{encode_to_vec, replay_into, summarize, TraceSummary};
 pub use writer::TraceWriter;

@@ -8,7 +8,7 @@ use crate::format::{
 use crate::varint;
 use memsim_trace::TraceEvent;
 use std::fs::File;
-use std::io::{BufReader, ErrorKind, Read, Seek};
+use std::io::{BufReader, ErrorKind, Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// One step of a skip-capable chunk walk
@@ -28,6 +28,18 @@ pub enum ChunkStep<'a> {
     },
     /// The footer was reached and validated.
     End,
+}
+
+/// The event total a finished trace's footer records, read from the last
+/// twelve bytes of `input` without decoding a chunk: a size hint for
+/// progress reporting. `None` when the input is shorter than that or the
+/// footer's CRC does not match; a full decode still checks the total
+/// against the events it reads.
+pub fn footer_total<R: Read + Seek>(input: &mut R) -> Option<u64> {
+    input.seek(SeekFrom::End(-12)).ok()?;
+    let total = read_u64(input).ok()?;
+    let crc = read_u32(input).ok()?;
+    (crc32(&total.to_le_bytes()) == crc).then_some(total)
 }
 
 /// Reads a trace file chunk by chunk, validating framing and CRCs.
@@ -503,6 +515,18 @@ mod tests {
         let mut r = TraceReader::new(bad.as_slice()).unwrap();
         r.next_chunk().unwrap();
         assert!(matches!(r.next_chunk(), Err(TraceError::CorruptFooter)));
+    }
+
+    #[test]
+    fn footer_total_reads_the_tail_without_decoding() {
+        let events: Vec<TraceEvent> = (0..10_000).map(|i| TraceEvent::load(i * 8, 8)).collect();
+        let buf = write_events(&events);
+        assert_eq!(footer_total(&mut std::io::Cursor::new(&buf)), Some(10_000));
+        let mut bad = buf.clone();
+        let n = bad.len();
+        bad[n - 12] ^= 0x01; // the CRC no longer matches the total
+        assert_eq!(footer_total(&mut std::io::Cursor::new(&bad)), None);
+        assert_eq!(footer_total(&mut std::io::Cursor::new(&buf[..8])), None);
     }
 
     #[test]

@@ -128,24 +128,6 @@ pub fn summarize<R: Read>(reader: &mut TraceReader<R>) -> Result<TraceSummary, T
     Ok(s)
 }
 
-/// Replay `reader` into several sinks at once (tee without nesting).
-pub fn replay_into_all<R: Read>(
-    reader: &mut TraceReader<R>,
-    sinks: &mut [&mut dyn TraceSink],
-) -> Result<u64, TraceError> {
-    let mut delivered = 0u64;
-    while let Some(chunk) = reader.next_chunk()? {
-        for sink in sinks.iter_mut() {
-            sink.access_chunk(chunk);
-        }
-        delivered += chunk.len() as u64;
-    }
-    for sink in sinks.iter_mut() {
-        sink.flush();
-    }
-    Ok(delivered)
-}
-
 /// Convenience: record `events` into an in-memory trace (tests, benches).
 pub fn encode_to_vec(
     header: &crate::format::TraceHeader,
@@ -160,7 +142,6 @@ pub fn encode_to_vec(
 mod tests {
     use super::*;
     use crate::format::TraceHeader;
-    use memsim_trace::CountingSink;
 
     fn events() -> Vec<TraceEvent> {
         (0..10_000u64)
@@ -218,19 +199,5 @@ mod tests {
         assert_eq!(s.crc_verified_chunks, 0);
         assert_eq!(s.chunk_payload_range, None);
         assert_eq!(s.chunk_events_range, None);
-    }
-
-    #[test]
-    fn replay_into_all_fans_out() {
-        let buf = encode_to_vec(&TraceHeader::anonymous(0x1000), &events()).unwrap();
-        let mut reader = TraceReader::new(buf.as_slice()).unwrap();
-        let mut a = CountingSink::new();
-        let mut b = CountingSink::new();
-        {
-            let mut sinks: Vec<&mut dyn TraceSink> = vec![&mut a, &mut b];
-            replay_into_all(&mut reader, &mut sinks).unwrap();
-        }
-        assert_eq!(a.total(), 10_000);
-        assert_eq!(a, b);
     }
 }

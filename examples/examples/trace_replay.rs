@@ -2,18 +2,18 @@
 //!
 //! Records Graph500's address stream to a trace file, then evaluates the
 //! full Table 3 NMM configuration grid two ways — live (one run of the
-//! workload streamed into every distinct hierarchy structure) and by
-//! sharded replay of the recording — verifying the results agree and
-//! reporting the wall-clock for each.
+//! workload streamed into every distinct hierarchy structure) and from
+//! the recording (one decode of the file streamed the same way) —
+//! verifying the results agree and reporting the wall-clock for each.
 //!
 //! ```text
 //! cargo run --release -p memsim-examples --example trace_replay
 //! ```
 
 use memsim_core::configs::n_configs;
-use memsim_core::replay::{record_workload, replay_grid_robust};
+use memsim_core::replay::record_workload;
 use memsim_core::runner::evaluate_grid_sweep;
-use memsim_core::{Design, ReplayOutcome, RunOpts, Scale, SimCache};
+use memsim_core::{Design, EvalResult, RunOpts, Scale, SimCache, Source};
 use memsim_examples::human_bytes;
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
@@ -46,20 +46,18 @@ fn main() {
             config,
         }))
         .collect();
-    let points: Vec<(WorkloadKind, Design)> = designs.iter().map(|d| (workload, *d)).collect();
-
-    let opts = RunOpts::default();
-    let t = Instant::now();
-    let live = evaluate_grid_sweep(&points, &scale, &SimCache::new(), None, None, opts)
-        .into_result()
-        .expect("live grid");
-    let live_s = t.elapsed().as_secs_f64();
-
-    let t = Instant::now();
-    let replayed = replay_grid_robust(&path, &designs, &scale, None, opts)
-        .and_then(ReplayOutcome::into_result)
-        .expect("replay");
-    let replay_s = t.elapsed().as_secs_f64();
+    // the same grid over either source, timed
+    let grid = |source: Source| -> (Vec<EvalResult>, f64) {
+        let points: Vec<(Source, Design)> = designs.iter().map(|d| (source.clone(), *d)).collect();
+        let (cache, opts) = (SimCache::new(), RunOpts::default());
+        let t = Instant::now();
+        let results = evaluate_grid_sweep(&points, &scale, &cache, None, None, opts)
+            .into_result()
+            .expect("grid");
+        (results, t.elapsed().as_secs_f64())
+    };
+    let (live, live_s) = grid(workload.into());
+    let (replayed, replay_s) = grid(Source::trace(&path).expect("trace"));
 
     println!("| design | live time× | replayed time× |");
     println!("|---|---|---|");
@@ -75,7 +73,7 @@ fn main() {
 
     println!();
     println!(
-        "{}-point grid: live regeneration {:.2} s, sharded replay {:.2} s ({:.2}x)",
+        "{}-point grid: live regeneration {:.2} s, replay {:.2} s ({:.2}x)",
         designs.len(),
         live_s,
         replay_s,

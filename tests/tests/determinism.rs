@@ -2,7 +2,7 @@
 
 use memsim_core::configs::n_configs;
 use memsim_core::runner::{evaluate_cached, evaluate_grid_sweep, RunOpts, SimCache};
-use memsim_core::Design;
+use memsim_core::{Design, Source};
 use memsim_integration_tests::test_scale;
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -54,6 +54,7 @@ fn parallel_grid_equals_serial() {
         .map(|(k, d)| evaluate_cached(*k, &scale, d, &cache, opts).metrics.time_s)
         .collect();
 
+    let points: Vec<(Source, Design)> = points.iter().map(|&(k, d)| (k.into(), d)).collect();
     for threads in [1, 2, 8] {
         let cache = SimCache::new();
         let grid = evaluate_grid_sweep(&points, &scale, &cache, Some(threads), None, opts)

@@ -10,7 +10,7 @@
 use memsim_cache::{Hierarchy, LevelStats};
 use memsim_core::configs::{eh_by_name, n_by_name};
 use memsim_core::runner::{build_caches, evaluate_grid_sweep};
-use memsim_core::{Design, Engine, RunOpts, SampleMode, Scale, SimCache, Structure};
+use memsim_core::{Design, Engine, RunOpts, SampleMode, Scale, SimCache, Source, Structure};
 use memsim_integration_tests::test_scale;
 use memsim_memory::{PartitionedMemory, RegionTraffic};
 use memsim_tech::Technology;
@@ -70,7 +70,7 @@ fn group_walk_matches_dedicated_sequential_walks() {
         .iter()
         .map(|d| sequential(kind, &scale, &d.structure(&scale)))
         .collect();
-    let points: Vec<(WorkloadKind, Design)> = designs.iter().map(|d| (kind, *d)).collect();
+    let points: Vec<(Source, Design)> = designs.iter().map(|d| (kind.into(), *d)).collect();
 
     for engine in [Engine::Sequential, Engine::Sharded(2)] {
         for lanes in 1..=3 {

@@ -8,9 +8,12 @@
 //! Every test takes `memsim_obs::test_lock()` — the registry and span
 //! tree are process-global, so obs tests must not interleave.
 
+use memsim_core::configs::n_by_name;
 use memsim_core::experiments::{fig_nmm, ExperimentCtx, Metric};
-use memsim_core::runner::evaluate_cached;
-use memsim_core::{Design, Engine, RunOpts, Scale, SimCache, Structure};
+use memsim_core::jsontext::{get_u64, parse_json};
+use memsim_core::runner::{evaluate_cached, evaluate_grid_sweep};
+use memsim_core::{Design, RunOpts, Scale, SimCache, Source, Structure};
+use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::PathBuf;
 
@@ -81,7 +84,8 @@ fn replay_export_json_is_bit_identical_to_level_stats() {
     memsim_obs::reset();
     memsim_obs::set_enabled(true);
     let st = Structure::ThreeLevel;
-    let run = memsim_core::replay_structure(&path, &scale, &st, Engine::Sequential).unwrap();
+    let trace = memsim_core::Source::trace(&path).unwrap();
+    let run = memsim_core::simulate_structure(trace, &scale, &st, RunOpts::default());
     memsim_obs::set_enabled(false);
 
     // the acceptance criterion: the values in the exported JSON document
@@ -159,4 +163,61 @@ fn a_figure_grid_runs_each_kernel_once() {
     assert_eq!(counter("sim.memo.misses"), 20);
     assert_eq!(counter("sim.memo.hits"), 36);
     memsim_obs::reset();
+}
+
+#[test]
+fn a_trace_grid_decodes_the_file_once_per_group() {
+    let _lock = memsim_obs::test_lock();
+    let path = temp_trace("hash-grid.trace");
+    memsim_core::record_workload(WorkloadKind::Hash, Class::Mini, &path).unwrap();
+    let trace = Source::trace(&path).unwrap();
+    // three structures: 3L and the L4s of NMM@N1 and NMM@N6
+    let nmm = |config| Design::Nmm {
+        nvm: Technology::Pcm,
+        config: n_by_name(config).unwrap(),
+    };
+    let points: Vec<(Source, Design)> = [Design::Baseline, nmm("N1"), nmm("N6")]
+        .into_iter()
+        .map(|d| (trace.clone(), d))
+        .collect();
+    let structures: Vec<String> = points
+        .iter()
+        .map(|(_, d)| d.structure(&Scale::mini()).obs_label())
+        .collect();
+
+    memsim_obs::reset();
+    memsim_obs::set_enabled(true);
+    let cache = SimCache::new();
+    let opts = RunOpts::default();
+    let outcome = evaluate_grid_sweep(&points, &Scale::mini(), &cache, Some(2), None, opts);
+    memsim_obs::set_enabled(false);
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+
+    // one group, so one walk: the file is decoded once for all three
+    // (the export nests dotted span names, `grid` > `walk` > `Hash`)
+    let doc = memsim_obs::export_json(&[], memsim_obs::global());
+    let parsed = parse_json(doc.trim_end()).unwrap();
+    let spans = parsed.as_obj().unwrap()["spans"].as_obj().unwrap();
+    let grid = spans["grid"].as_obj().unwrap();
+    let walk = grid["children"].as_obj().unwrap()["walk"].as_obj().unwrap();
+    let hash = walk["children"].as_obj().unwrap()["Hash"].as_obj().unwrap();
+    assert_eq!(get_u64(hash, "calls"), Ok(1), "{doc}");
+    // the one reader read the whole file, and every structure reports it
+    let chunks = counter("replay.3L.reader.chunks");
+    assert!(chunks > 0);
+    for st in &structures {
+        assert_eq!(
+            counter(&format!("replay.{st}.reader.chunks")),
+            chunks,
+            "{st}"
+        );
+    }
+    assert_eq!(counter("sim.memo.misses"), 3);
+    assert_eq!(counter("progress.shards_done"), 3);
+    assert_eq!(
+        memsim_obs::global().counter_value("sim.workload_runs"),
+        None
+    );
+    memsim_obs::reset();
+    std::fs::remove_file(&path).ok();
 }

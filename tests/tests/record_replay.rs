@@ -7,8 +7,8 @@
 //! a lost tail chunk, or a replay-side delivery difference.
 
 use memsim_core::configs::{eh_by_name, n_by_name};
-use memsim_core::replay::{record_workload, replay_structure};
-use memsim_core::{simulate_structure, Design, Engine, RawRun, RunOpts, Scale};
+use memsim_core::replay::record_workload;
+use memsim_core::{simulate_structure, Design, RawRun, RunOpts, Scale, Source};
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::PathBuf;
@@ -49,10 +49,11 @@ fn golden_roundtrip(kind: WorkloadKind) {
     let summary = record_workload(kind, Class::Mini, &path).unwrap();
     assert!(summary.events > 0, "{}: empty recording", kind.name());
 
+    let trace = Source::trace(&path).unwrap();
     for design in designs_under_test() {
         let structure = design.structure(&scale);
         let live = simulate_structure(kind, &scale, &structure, RunOpts::default());
-        let replayed = replay_structure(&path, &scale, &structure, Engine::Sequential).unwrap();
+        let replayed = simulate_structure(trace.clone(), &scale, &structure, RunOpts::default());
         assert_bit_identical(
             &live,
             &replayed,

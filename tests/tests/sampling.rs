@@ -8,11 +8,14 @@
 //! fidelity mode must refuse to resume a sweep in the other.
 
 use memsim_core::configs::{eh_by_name, n_by_name};
-use memsim_core::replay::{record_workload, replay_structure};
+use memsim_core::replay::record_workload;
 use memsim_core::runner::evaluate_cached;
 use memsim_core::runner::evaluate_run;
 use memsim_core::sampling::{build_plan, replay_structure_sampled, SampleSpec, Warmup};
-use memsim_core::{Design, Engine, RunOpts, SampleMode, Scale, SimCache, SweepCtx, JOURNAL_FILE};
+use memsim_core::{
+    simulate_structure, Design, RunOpts, SampleMode, Scale, SimCache, Source, SweepCtx,
+    JOURNAL_FILE,
+};
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::PathBuf;
@@ -66,9 +69,10 @@ fn golden_accuracy(kind: WorkloadKind) {
         plan.intervals
     );
 
+    let trace = Source::trace(&path).unwrap();
     for design in paper_designs() {
         let structure = design.structure(&scale);
-        let full = replay_structure(&path, &scale, &structure, Engine::Sequential).unwrap();
+        let full = simulate_structure(trace.clone(), &scale, &structure, RunOpts::default());
         let sampled = replay_structure_sampled(&path, &scale, &structure, &plan).unwrap();
         let what = format!("{} × {}", kind.name(), design.label());
 
@@ -140,9 +144,10 @@ fn clusters_at_least_intervals_is_bit_identical_to_full_run() {
         "clusters ≥ intervals must degenerate to one cluster per interval"
     );
 
+    let trace = Source::trace(&path).unwrap();
     for design in paper_designs() {
         let structure = design.structure(&scale);
-        let full = replay_structure(&path, &scale, &structure, Engine::Sequential).unwrap();
+        let full = simulate_structure(trace.clone(), &scale, &structure, RunOpts::default());
         let sampled = replay_structure_sampled(&path, &scale, &structure, &plan).unwrap();
         let what = design.label();
         assert_eq!(full.caches, sampled.caches, "{what}: cache LevelStats");

@@ -300,6 +300,8 @@ fn cancel_drains_and_is_terminal_over_http() {
 #[test]
 fn replay_jobs_share_the_content_addressed_trace_store() {
     let _guard = memsim_obs::test_lock();
+    memsim_obs::reset();
+    memsim_obs::set_enabled(true);
     let dir = tmp_dir("replay");
     let server = start(&dir, 2, 8);
     let client = client_of(&server);
@@ -327,6 +329,18 @@ fn replay_jobs_share_the_content_addressed_trace_store() {
     assert!(get_str(obj, "markdown").unwrap().contains("Baseline"));
     assert!(get_u64(obj, "events").unwrap() > 0);
 
+    // Both jobs read the trace through the shared memo, keyed by the
+    // trace's content-addressed path: the two structures (3L and NMM's
+    // L4) are walked once, so the first job's two points miss and the
+    // second job's two points hit.
+    let metrics = client.metrics().unwrap();
+    let v = parse_json(metrics.trim_end()).unwrap();
+    let counters = v.as_obj().unwrap()["counters"].as_obj().unwrap();
+    assert_eq!(get_u64(counters, "sim.memo.misses").unwrap(), 2);
+    assert_eq!(get_u64(counters, "sim.memo.hits").unwrap(), 2);
+
     server.shutdown();
+    memsim_obs::set_enabled(false);
+    memsim_obs::reset();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -6,6 +6,7 @@
 
 use memsim_cache::{
     shard_class_bits, Cache, CacheConfig, CountingMemory, Hierarchy, LevelStats, ShardedHierarchy,
+    Walk,
 };
 use memsim_core::{simulate_structure, Engine, RunOpts, SampleMode, Scale, Structure};
 use memsim_integration_tests::test_scale;
@@ -129,16 +130,18 @@ proptest! {
         prop_assert!(hi >= lo);
 
         for shards in shard_counts() {
-            let mut sh = ShardedHierarchy::new(
-                levels.clone(),
-                CountingMemory::default(),
+            let walk = Walk {
+                levels: levels.clone(),
+                memory: CountingMemory::default(),
                 shards,
-                None,
-            );
+                obs_prefix: None,
+                span: "walk.parity".to_string(),
+            };
+            let mut sh = ShardedHierarchy::group(vec![walk], shards, "memsim-shard");
             for &ev in &events {
                 sh.access(ev);
             }
-            let run = sh.finish();
+            let run = sh.finish_all().remove(0).expect("the walk completes");
             prop_assert_eq!(
                 &run.levels, &seq_stats,
                 "stats diverged at {} shards (class bits [{}, {}))", shards, lo, hi
@@ -228,16 +231,18 @@ fn shards_claim_chunks_and_export_no_steal_counter() {
     ];
     let levels = build_levels(&specs);
     let shards = 4;
-    let mut sh = ShardedHierarchy::new(
+    let walk = Walk {
         levels,
-        CountingMemory::default(),
+        memory: CountingMemory::default(),
         shards,
-        Some("parity.sim"),
-    );
+        obs_prefix: Some("parity.sim".to_string()),
+        span: "walk.parity".to_string(),
+    };
+    let mut sh = ShardedHierarchy::group(vec![walk], shards, "memsim-shard");
     for i in 0..20_000u64 {
         sh.access(TraceEvent::load((i * 67) % (1 << 16), 8));
     }
-    let run = sh.finish();
+    let run = sh.finish_all().remove(0).expect("the walk completes");
     assert!(run.total_refs > 0);
 
     let reg = memsim_obs::global();

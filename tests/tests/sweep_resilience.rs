@@ -9,7 +9,7 @@ use memsim_core::configs::n_by_name;
 use memsim_core::journal::load_journal;
 use memsim_core::runner::evaluate_grid_sweep;
 use memsim_core::{
-    sweep_fingerprint, Design, RunOpts, SampleMode, Scale, SimCache, SweepCtx, JOURNAL_FILE,
+    sweep_fingerprint, Design, RunOpts, SampleMode, Scale, SimCache, Source, SweepCtx, JOURNAL_FILE,
 };
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -31,17 +31,17 @@ fn poison() -> Design {
     }
 }
 
-fn good_grid() -> Vec<(WorkloadKind, Design)> {
+fn good_grid() -> Vec<(Source, Design)> {
     let nmm = Design::Nmm {
         nvm: Technology::Pcm,
         config: n_by_name("N6").unwrap(),
     };
     vec![
-        (WorkloadKind::Cg, Design::Baseline),
-        (WorkloadKind::Cg, nmm),
-        (WorkloadKind::Hash, Design::Baseline),
+        (WorkloadKind::Cg.into(), Design::Baseline),
+        (WorkloadKind::Cg.into(), nmm),
+        (WorkloadKind::Hash.into(), Design::Baseline),
         (
-            WorkloadKind::Hash,
+            WorkloadKind::Hash.into(),
             Design::Ndm {
                 nvm: Technology::Pcm,
             },
@@ -54,7 +54,7 @@ fn poisoned_grid_completes_every_other_point() {
     let scale = Scale::mini();
     let cache = SimCache::new();
     let mut points = good_grid();
-    points.insert(2, (WorkloadKind::Cg, poison()));
+    points.insert(2, (WorkloadKind::Cg.into(), poison()));
 
     let opts = RunOpts::default();
     let outcome = evaluate_grid_sweep(&points, &scale, &cache, Some(2), None, opts);
@@ -86,7 +86,7 @@ fn poisoned_sweep_journals_survivors_and_resume_skips_them() {
     let scale = Scale::mini();
     let cache = SimCache::new();
     let mut points = good_grid();
-    points.push((WorkloadKind::Hash, poison()));
+    points.push((WorkloadKind::Hash.into(), poison()));
 
     let opts = RunOpts::default();
     let ctx = SweepCtx::fresh(&scale, &journal, opts).unwrap();
@@ -166,9 +166,9 @@ fn pristine_journal() -> &'static Pristine {
         let (cache, opts) = (SimCache::new(), RunOpts::default());
         let ctx = SweepCtx::fresh(&scale, &journal, opts).unwrap();
         let points = [
-            (WorkloadKind::Cg, Design::Baseline),
+            (WorkloadKind::Cg.into(), Design::Baseline),
             (
-                WorkloadKind::Cg,
+                WorkloadKind::Cg.into(),
                 Design::Nmm {
                     nvm: Technology::Pcm,
                     config: n_by_name("N6").unwrap(),
