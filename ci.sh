@@ -281,10 +281,15 @@ assert counters and all("value" in e["args"] for e in counters)
 snames = {e["name"] for e in sampled["traceEvents"]}
 for want in ("sample.warm", "sample.measure", "sample.ci_halfwidth.amat"):
     assert want in snames, (want, sorted(snames))
-# one lane walks both sampled structures in turn (the calling thread, at
-# --threads 1), and a grid worker costs the points
+# one decode of the windows feeds both sampled structures: the calling
+# thread (main, at --threads 1) reads the trace and marks the windows,
+# the group's one lane walks both structures, and a grid worker costs
+# the points
 for want in ("grid.walk.Hash", "sample.warm", "sample.measure"):
     assert want in names_on(sampled, "main"), (want, lanes(sampled))
+on_lane = names_on(sampled, "memsim-walk-Hash-0")
+for want in ("walk.3L", "walk.4L-c8388608-p512"):
+    assert want in on_lane, (want, sorted(on_lane))
 assert "grid.point.Hash.Baseline" in names_on(sampled, "memsim-sweep0"), lanes(sampled)
 print("obs-trace: walk lanes {}, {} sharded events; sampled timeline has warm/measure phases".format(
     walk_lanes, len(sharded["traceEvents"])))

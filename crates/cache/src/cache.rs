@@ -86,7 +86,6 @@ pub struct CounterValues {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: usize,
     ways: usize,
     block_shift: u32,
     /// `log2(sets)`, precomputed so the per-access path never recomputes it.
@@ -124,7 +123,6 @@ impl Cache {
             "cache must span at least 4 bytes across block × sets"
         );
         Self {
-            sets,
             ways,
             block_shift,
             set_shift,
@@ -576,33 +574,30 @@ impl Cache {
         self.lines.iter().filter(|w| **w & FLAG_VALID != 0).count() as u64
     }
 
-    /// Invalidate every line, returning `(addr, bytes)` writeback
-    /// transactions for all dirty data (one per dirty block; sectored
-    /// blocks carry only their dirty sectors' bytes), in set/way order.
-    /// Counts one `writebacks_out` per dirty block. Used by the
-    /// end-of-stream drain.
-    pub fn drain_dirty(&mut self) -> Vec<(u64, u32)> {
-        let mut dirty = Vec::new();
-        for set in 0..self.sets {
-            for way in 0..self.ways {
-                let idx = set * self.ways + way;
-                if self.lines[idx] & (FLAG_VALID | FLAG_DIRTY) == (FLAG_VALID | FLAG_DIRTY) {
-                    let base = self.resident_addr(set, way);
-                    let bytes = if self.sectored() {
-                        self.sector_masks[idx].count_ones() * self.sector_bytes
-                    } else {
-                        self.cfg.block_bytes
-                    };
-                    dirty.push((base, bytes));
-                    self.counters.writebacks_out += 1;
-                }
-                if self.sectored() {
-                    self.sector_masks[idx] = 0;
-                }
-                self.lines[idx] = 0;
+    /// Invalidate every line of `set`, appending `(addr, bytes)`
+    /// writeback transactions for its dirty data to `dirty` (one per dirty
+    /// block; sectored blocks carry only their dirty sectors' bytes), in
+    /// way order. Counts one `writebacks_out` per dirty block. The
+    /// end-of-stream drain goes set by set, so it holds one set's
+    /// writebacks at a time.
+    pub fn drain_dirty_set(&mut self, set: usize, dirty: &mut Vec<(u64, u32)>) {
+        for way in 0..self.ways {
+            let idx = set * self.ways + way;
+            if self.lines[idx] & (FLAG_VALID | FLAG_DIRTY) == (FLAG_VALID | FLAG_DIRTY) {
+                let base = self.resident_addr(set, way);
+                let bytes = if self.sectored() {
+                    self.sector_masks[idx].count_ones() * self.sector_bytes
+                } else {
+                    self.cfg.block_bytes
+                };
+                dirty.push((base, bytes));
+                self.counters.writebacks_out += 1;
             }
+            if self.sectored() {
+                self.sector_masks[idx] = 0;
+            }
+            self.lines[idx] = 0;
         }
-        dirty
     }
 }
 
@@ -612,6 +607,15 @@ mod tests {
     use crate::config::Associativity;
     use crate::policy::ReplacementPolicy;
     use proptest::prelude::*;
+
+    /// Every set's dirty writebacks, in set/way order.
+    fn drain_all(c: &mut Cache) -> Vec<(u64, u32)> {
+        let mut dirty = Vec::new();
+        for set in 0..c.config().sets() as usize {
+            c.drain_dirty_set(set, &mut dirty);
+        }
+        dirty
+    }
 
     fn small_cache(ways: u32) -> Cache {
         // 4 sets × `ways` ways × 64 B blocks
@@ -732,12 +736,12 @@ mod tests {
         c.access(0x000, AccessKind::Store, 8);
         c.access(0x040, AccessKind::Load, 8);
         c.access(0x080, AccessKind::Store, 8);
-        let mut dirty = c.drain_dirty();
+        let mut dirty = drain_all(&mut c);
         dirty.sort_unstable();
         assert_eq!(dirty, vec![(0x000, 64), (0x080, 64)]);
         assert_eq!(c.resident_blocks(), 0);
         // second drain is empty
-        assert!(c.drain_dirty().is_empty());
+        assert!(drain_all(&mut c).is_empty());
     }
 
     #[test]
@@ -830,7 +834,7 @@ mod tests {
         c.writeback(0x000, 64);
         c.writeback(0x040, 64);
         c.writeback(0x200, 64); // one sector of the set-1 page
-        let mut drained = c.drain_dirty();
+        let mut drained = drain_all(&mut c);
         drained.sort_unstable();
         assert_eq!(drained, vec![(0x000, 128), (0x200, 64)]);
     }
@@ -966,7 +970,7 @@ mod tests {
                 }
             }
             prop_assert_eq!(plain.stats(), sect.stats());
-            prop_assert_eq!(plain.drain_dirty(), sect.drain_dirty());
+            prop_assert_eq!(drain_all(&mut plain), drain_all(&mut sect));
         }
 
         /// Occupancy never exceeds capacity, for any policy.

@@ -380,9 +380,14 @@ impl<M: MainMemory> Hierarchy<M> {
         }
         self.drained = true;
         self.lb_block = u64::MAX;
+        let mut dirty = Vec::new();
         for level in 0..self.levels.len() {
-            for (addr, bytes) in self.levels[level].drain_dirty() {
-                self.writeback(level + 1, addr, bytes);
+            // set by set: a level's writebacks only reach the levels below
+            for set in 0..self.levels[level].config().sets() as usize {
+                self.levels[level].drain_dirty_set(set, &mut dirty);
+                for (addr, bytes) in dirty.drain(..) {
+                    self.writeback(level + 1, addr, bytes);
+                }
             }
         }
         // Authoritative final publication: after this, registry values are

@@ -48,6 +48,10 @@
 //! that panics is dropped with its payload kept for
 //! [`ShardedHierarchy::finish_all`]; its lane-mates finish the stream.
 //!
+//! A *mark* ([`ShardedHierarchy::mark`]) travels through the queues between
+//! chunks; every walker snapshots its counters there, and replicas'
+//! snapshots merge like finals ([`ShardedRun::marks`]).
+//!
 //! # Work stealing — deliberately absent
 //!
 //! A shard's cache state is bound to its address classes, so no other
@@ -81,7 +85,12 @@ use crate::stats::LevelStats;
 /// so replayed chunks forward without re-buffering.
 pub const CHUNK_EVENTS: usize = 4096;
 
-/// Chunks a shard queue may hold before the producer blocks.
+/// Chunks a shard queue may hold before the producer blocks; each is 64 KiB
+/// held until the slowest lane has walked it. Eight keeps the busiest lane
+/// fed while the producer waits for a core: with four, a Velvet mini replay
+/// of three structures on two lanes (2-vCPU host) left its two-structure
+/// lane waiting on an empty queue six times as often, and its wall time
+/// spread about three times as wide from run to run.
 const QUEUE_BOUND: usize = 8;
 
 /// Cap on class bits: 2^16 classes is already far beyond any useful shard
@@ -199,6 +208,8 @@ impl ShardFilter {
 enum Msg {
     /// A broadcast chunk; the worker filters it down to its own slice.
     Chunk(Arc<[TraceEvent]>),
+    /// Snapshot every walker's counters.
+    Mark,
     /// End of stream: drain, report, exit.
     Flush,
 }
@@ -334,10 +345,27 @@ pub struct ShardedRun<M> {
     /// the split between buffer re-hits and full probes depends on
     /// cross-class adjacency, so it legitimately differs from sequential.
     pub line_buffer_hits: u64,
+    /// The (undrained) counters at every [`ShardedHierarchy::mark`], in
+    /// the order sent.
+    pub marks: Vec<ShardedRun<M>>,
+}
+
+impl<M: MainMemory + Clone> ShardedRun<M> {
+    /// The counters of `hierarchy` as they stand.
+    fn of(hierarchy: &Hierarchy<M>) -> Self {
+        ShardedRun {
+            levels: hierarchy.levels().iter().map(|c| c.stats()).collect(),
+            memory: hierarchy.memory().clone(),
+            total_refs: hierarchy.total_refs(),
+            demand_bytes: hierarchy.demand_bytes(),
+            line_buffer_hits: hierarchy.line_buffer_hits(),
+            marks: Vec::new(),
+        }
+    }
 }
 
 impl<M: ShardMerge> ShardedRun<M> {
-    /// Fold a sibling replica's counters into this one.
+    /// Fold a sibling replica's counters into this one, mark by mark.
     fn merge(&mut self, other: &Self) {
         debug_assert_eq!(self.levels.len(), other.levels.len());
         for (acc, s) in self.levels.iter_mut().zip(&other.levels) {
@@ -347,6 +375,9 @@ impl<M: ShardMerge> ShardedRun<M> {
         self.total_refs = self.total_refs.saturating_add(other.total_refs);
         self.demand_bytes = self.demand_bytes.saturating_add(other.demand_bytes);
         self.line_buffer_hits = self.line_buffer_hits.saturating_add(other.line_buffer_hits);
+        for (acc, m) in self.marks.iter_mut().zip(&other.marks) {
+            acc.merge(m);
+        }
     }
 }
 
@@ -360,6 +391,8 @@ struct Walker<M: MainMemory> {
     filter: ShardFilter,
     obs: Option<ShardObs>,
     span: Arc<str>,
+    /// The replica's counters at every mark so far.
+    marks: Vec<ShardedRun<M>>,
 }
 
 /// One replica's (or one merged walk's) outcome.
@@ -368,7 +401,7 @@ type WalkResult<M> = Result<ShardedRun<M>, WalkPanic>;
 /// What a lane hands back at flush: `(walk, replica, run)` per walker.
 type LaneOut<M> = Vec<(usize, usize, WalkResult<M>)>;
 
-impl<M: MainMemory> Walker<M> {
+impl<M: MainMemory + Clone> Walker<M> {
     /// Walk this replica's slice of `events`; returns the events it kept.
     fn step(
         &mut self,
@@ -414,16 +447,14 @@ impl<M: MainMemory> Walker<M> {
 
     /// Drain the replica and harvest its counters.
     fn finish(self) -> (usize, usize, WalkResult<M>) {
+        let marks = self.marks;
         let run = self.state.and_then(|mut hierarchy| {
             panic::catch_unwind(AssertUnwindSafe(move || {
                 hierarchy.drain();
                 hierarchy.assert_consistent();
                 ShardedRun {
-                    levels: hierarchy.levels().iter().map(|c| c.stats()).collect(),
-                    total_refs: hierarchy.total_refs(),
-                    demand_bytes: hierarchy.demand_bytes(),
-                    line_buffer_hits: hierarchy.line_buffer_hits(),
-                    memory: hierarchy.into_memory(),
+                    marks,
+                    ..ShardedRun::of(&hierarchy)
                 }
             }))
         });
@@ -431,9 +462,21 @@ impl<M: MainMemory> Walker<M> {
     }
 }
 
-fn run_lane<M: MainMemory>(mut walkers: Vec<Walker<M>>, queue: &ShardQueue) -> LaneOut<M> {
+fn run_lane<M: MainMemory + Clone>(mut walkers: Vec<Walker<M>>, queue: &ShardQueue) -> LaneOut<M> {
     let mut slice: Vec<TraceEvent> = Vec::with_capacity(CHUNK_EVENTS);
-    while let Msg::Chunk(events) = queue.pop() {
+    loop {
+        let events = match queue.pop() {
+            Msg::Chunk(events) => events,
+            Msg::Mark => {
+                for w in &mut walkers {
+                    if let Ok(hierarchy) = &w.state {
+                        w.marks.push(ShardedRun::of(hierarchy));
+                    }
+                }
+                continue;
+            }
+            Msg::Flush => break,
+        };
         // Flight-recorder lane (the worker thread's name): one span per
         // walker per chunk plus queue-depth / throughput counter tracks.
         // One relaxed load when the recorder is disarmed.
@@ -540,6 +583,7 @@ impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
                     filter,
                     obs,
                     span: Arc::clone(&span),
+                    marks: Vec::new(),
                 });
             }
         }
@@ -586,6 +630,15 @@ impl<M: MainMemory + ShardMerge + Clone + Send + 'static> ShardedHierarchy<M> {
     /// replica, the effective shard count after class capping.
     pub fn shards(&self) -> usize {
         self.queues.len()
+    }
+
+    /// Snapshot every walker's counters after the events delivered so far
+    /// (see [`ShardedRun::marks`]).
+    pub fn mark(&mut self) {
+        self.broadcast_buf();
+        for q in &self.queues {
+            q.push(Msg::Mark);
+        }
     }
 
     fn send(&self, chunk: Arc<[TraceEvent]>) {
@@ -829,6 +882,39 @@ mod tests {
         let run = finish_one(sh);
         let (seq_levels, ..) = sequential(&events);
         assert_eq!(run.levels, seq_levels);
+    }
+
+    #[test]
+    fn marks_snapshot_the_sequential_counters_where_they_were_sent() {
+        let events = stream();
+        // marks at the start, mid-chunk, twice at one position, at the end
+        let cuts = [0usize, 1234, 1234, 3001, 5000];
+        let mut seq = Hierarchy::new(small_levels(), CountingMemory::default());
+        let mut want = Vec::new();
+        let mut at = 0;
+        for &cut in &cuts {
+            seq.access_chunk(&events[at..cut]);
+            at = cut;
+            let levels: Vec<LevelStats> = seq.levels().iter().map(|c| c.stats()).collect();
+            want.push((levels, *seq.memory(), seq.total_refs()));
+        }
+        for shards in [1usize, 2, 3] {
+            let mut sh = sharded(small_levels(), shards);
+            let mut at = 0;
+            for &cut in &cuts {
+                sh.access_chunk(&events[at..cut]);
+                at = cut;
+                sh.mark();
+            }
+            let run = finish_one(sh);
+            assert_eq!(run.marks.len(), cuts.len(), "shards={shards}");
+            for (i, (mark, (levels, mem, refs))) in run.marks.iter().zip(&want).enumerate() {
+                assert_eq!(&mark.levels, levels, "shards={shards} mark {i}");
+                assert_eq!(&mark.memory, mem, "shards={shards} mark {i}");
+                assert_eq!(mark.total_refs, *refs, "shards={shards} mark {i}");
+                assert!(mark.marks.is_empty());
+            }
+        }
     }
 
     /// A terminal that panics once it has served more than `fuse` loads.

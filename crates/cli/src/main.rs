@@ -87,7 +87,7 @@ impl From<&str> for CliError {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  memsim list\n  memsim table <tech|eh-configs|nmm-configs|table4> [options]\n  memsim figure <fig1..fig10> [options]\n  memsim run --workload <W> --design <baseline|4lc|nmm|4lcnvm|ndm> [--llc T] [--nvm T] [--config C] [options]\n  memsim heatmap <latency|energy> [options]\n  memsim reproduce [--out DIR] [--resume] [options]\n  memsim analyze --workload <W> [options]\n  memsim record <W> -o FILE [options]      record W's address stream to a trace file\n  memsim replay <FILE> [--designs a,b,c]   evaluate designs against a recorded trace\n  memsim trace-info <FILE>                 inspect a trace file\n  memsim serve [--port P|auto] [--state DIR] [--threads N] [--queue N]\n                                           run the simulation-as-a-service daemon\n  memsim submit --addr H:P --artifact A | --replay W [--designs a,b] [options]\n                                           submit a job, wait, print/fetch the result\n  memsim status <JOB-ID> --addr H:P        query one job's status\noptions:\n  --scale mini|demo|paper   capacity scale (default demo)\n  --workloads a,b,c         benchmark subset (default: the Table 4 set)\n  --threads N               lane budget: threads that walk structures and cost points\n  --shards N|auto|seq       simulation engine: N set shards, auto-detected cores,\n                            or the sequential walk (reproduce/figure/heatmap/replay)\n  --sample MODE             interval sampling: off (default), on, or\n                            interval=N,clusters=K[,warmup=functional|cold] —\n                            simulate one representative interval per cluster and\n                            extrapolate with confidence intervals\n  --out DIR                 journal completed sweep points to DIR/sweep.journal.jsonl\n                            (table4/figure/heatmap; reproduce always journals)\n  --resume                  skip points already journaled in --out DIR\n  --csv                     CSV instead of markdown\n  --json                    one JSON object instead of human text (run/replay/record/trace-info)\n  --quiet                   suppress stdout (run/replay/record/trace-info)\n  --progress                live progress line + end-of-run phase timings (run/replay/record/reproduce)\n  --metrics-out FILE        write the metrics/span dump as deterministic JSON (run/replay/record/reproduce)\n  --trace-out FILE          record a flight-recorder timeline and write it as Chrome\n                            trace-event JSON for ui.perfetto.dev / chrome://tracing\n                            (run/replay/reproduce/figure/heatmap)"
+    "usage:\n  memsim list\n  memsim table <tech|eh-configs|nmm-configs|table4> [options]\n  memsim figure <fig1..fig10> [options]\n  memsim run --workload <W> --design <baseline|4lc|nmm|4lcnvm|ndm> [--llc T] [--nvm T] [--config C] [options]\n  memsim heatmap <latency|energy> [options]\n  memsim reproduce [--out DIR] [--resume] [options]\n  memsim analyze --workload <W> [options]\n  memsim record <W> -o FILE [options]      record W's address stream to a trace file\n  memsim replay <FILE> [--designs a,b,c]   evaluate designs against a recorded trace\n  memsim trace-info <FILE>                 inspect a trace file\n  memsim serve [--port P|auto] [--state DIR] [--threads N] [--queue N]\n                                           run the simulation-as-a-service daemon\n  memsim submit --addr H:P --artifact A | --replay W [--designs a,b] [options]\n                                           submit a job, wait, print/fetch the result\n  memsim status <JOB-ID> --addr H:P        query one job's status\noptions:\n  --scale mini|demo|paper   capacity scale (default demo)\n  --workloads a,b,c         benchmark subset (default: the Table 4 set)\n  --threads N               lane budget: threads that walk structures and cost points\n  --shards N|auto|seq       simulation engine: N set shards, auto-detected cores,\n                            or the sequential walk (reproduce/figure/heatmap/replay)\n  --sample MODE             interval sampling: off (default), on, or\n                            interval=N,clusters=K — simulate one representative\n                            interval per cluster after a one-interval warm-up and\n                            extrapolate with confidence intervals\n  --out DIR                 journal completed sweep points to DIR/sweep.journal.jsonl\n                            (table4/figure/heatmap; reproduce always journals)\n  --resume                  skip points already journaled in --out DIR\n  --csv                     CSV instead of markdown\n  --json                    one JSON object instead of human text (run/replay/record/trace-info)\n  --quiet                   suppress stdout (run/replay/record/trace-info)\n  --progress                live progress line + end-of-run phase timings (run/replay/record/reproduce)\n  --metrics-out FILE        write the metrics/span dump as deterministic JSON (run/replay/record/reproduce)\n  --trace-out FILE          record a flight-recorder timeline and write it as Chrome\n                            trace-event JSON for ui.perfetto.dev / chrome://tracing\n                            (run/replay/reproduce/figure/heatmap)"
 }
 
 /// Minimal flag parser: `--key value` pairs after the positional arguments.
@@ -210,9 +210,9 @@ impl Opts {
     }
 
     /// `--sample`: "off" (the default) walks every event;
-    /// `interval=N,clusters=K[,warmup=functional|cold]` (or just "on" for
-    /// the defaults) simulates one representative interval per cluster
-    /// and extrapolates with confidence intervals.
+    /// `interval=N,clusters=K` (or just "on" for the defaults) simulates
+    /// one representative interval per cluster and extrapolates with
+    /// confidence intervals.
     fn sample(&self) -> Result<SampleMode, String> {
         match self.get("sample") {
             None => Ok(SampleMode::Off),

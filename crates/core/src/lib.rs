@@ -75,5 +75,5 @@ pub use runner::{
     simulate_structure, Engine, EvalResult, FailedPoint, GridOutcome, RawRun, RunOpts, SimCache,
     Source, SweepError,
 };
-pub use sampling::{SampleCi, SampleMode, SamplePlan, SampleSpec, Warmup};
+pub use sampling::{SampleCi, SampleMode, SamplePlan, SampleSpec};
 pub use scale::Scale;

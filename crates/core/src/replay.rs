@@ -204,6 +204,49 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_window_chunk_fails_every_structure_of_a_sampled_group() {
+        let path = temp_trace("hash-corrupt-window.trace");
+        let summary = record_workload(WorkloadKind::Hash, Class::Mini, &path).unwrap();
+        // every interval its own cluster, so the windows cover the file;
+        // the plan is built (and memoized) before the damage
+        let spec = crate::sampling::SampleSpec {
+            interval: summary.events / 3,
+            clusters: 8,
+        };
+        crate::sampling::plan_for(&path, spec, 1).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+
+        let trace = Source::trace(&path).unwrap();
+        let designs = [Design::Baseline, nmm(Technology::Pcm, "N6")];
+        let points: Vec<(Source, Design)> = designs.iter().map(|d| (trace.clone(), *d)).collect();
+        let opts = RunOpts {
+            engine: Engine::Sharded(2),
+            sample: crate::sampling::SampleMode::On(spec),
+        };
+        let outcome = evaluate_grid_sweep(
+            &points,
+            &Scale::mini(),
+            &SimCache::new(),
+            Some(2),
+            None,
+            opts,
+        );
+        let failed: Vec<Design> = outcome.failures.iter().map(|f| f.design).collect();
+        assert_eq!(failed, designs);
+        let want = format!(
+            "sampled replay of {}: CRC mismatch in chunk",
+            path.display()
+        );
+        for f in &outcome.failures {
+            assert!(f.message.starts_with(&want), "{f}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn replay_of_missing_file_errors() {
         let missing = Path::new("/nonexistent/never.trace");
         let err = Source::trace(missing).unwrap_err();

@@ -37,7 +37,7 @@ use crate::design::{Design, Structure, MEM_NAME};
 use crate::journal::SweepCtx;
 use crate::model::Metrics;
 use crate::partition::{self, Placement};
-use crate::sampling::SampleMode;
+use crate::sampling::{feed_windows, SampleMode, SamplePlan, SampleSpec, Window};
 use crate::scale::Scale;
 use memsim_cache::{Cache, CacheConfig, LevelStats, ShardedHierarchy, Walk};
 use memsim_memory::{PartitionedMemory, RegionTraffic};
@@ -77,6 +77,28 @@ pub struct RawRun {
 }
 
 impl RawRun {
+    /// A run of the workload whose address space `regions` lays out.
+    pub(crate) fn new(
+        caches: Vec<LevelStats>,
+        mem: LevelStats,
+        per_region: Vec<RegionTraffic>,
+        total_refs: u64,
+        regions: &[Region],
+        sample: Option<crate::sampling::SampleDetail>,
+    ) -> Self {
+        RawRun {
+            caches,
+            mem,
+            per_region,
+            region_names: regions.iter().map(|r| r.name.clone()).collect(),
+            region_sizes: regions.iter().map(|r| r.len).collect(),
+            region_starts: regions.iter().map(|r| r.start).collect(),
+            total_refs,
+            footprint_bytes: regions.iter().map(|r| r.len).sum(),
+            sample,
+        }
+    }
+
     /// Stats/cost alignment helper: caches followed by the terminal memory.
     pub fn all_levels(&self) -> Vec<&LevelStats> {
         self.caches
@@ -144,12 +166,12 @@ impl std::fmt::Display for Engine {
 /// default is the sequential engine at full fidelity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RunOpts {
-    /// Which engine walks a full-fidelity stream. Results are
+    /// Which engine walks the stream, full or sampled. Results are
     /// engine-independent; this is a throughput choice.
     pub engine: Engine,
     /// Interval sampling: `Off` walks every event; `On` simulates one
     /// representative interval per cluster and extrapolates (results
-    /// carry confidence intervals). A sampled walk is always sequential.
+    /// carry confidence intervals).
     pub sample: SampleMode,
 }
 
@@ -264,7 +286,7 @@ pub fn build_caches(scale: &Scale, structure: &Structure) -> Vec<Cache> {
 /// the terminal memory it is the only publication. The export's per-level
 /// counters are therefore bit-identical to the [`LevelStats`] in the
 /// final report.
-pub(crate) fn publish_final_stats(prefix: &str, stats: &LevelStats) {
+fn publish_final_stats(prefix: &str, stats: &LevelStats) {
     let reg = memsim_obs::global();
     let store = |field: &str, v: u64| {
         reg.counter(&format!("{prefix}.{}.{field}", stats.name))
@@ -282,236 +304,231 @@ pub(crate) fn publish_final_stats(prefix: &str, stats: &LevelStats) {
     store("bytes_stored", stats.bytes_stored);
 }
 
-/// Assemble a [`RawRun`] from a walk's harvested pieces — the common tail
-/// of the live and replay paths, with either engine, so all of them
-/// publish and report identically. When `obs_prefix` is set and
-/// observability is enabled, every level's final stats (caches and `MEM`)
-/// are published under it.
-pub(crate) fn raw_run_from_parts(
-    cache_stats: Vec<LevelStats>,
-    mem_part: PartitionedMemory,
-    regions: &[memsim_trace::Region],
-    total_refs: u64,
-    obs_prefix: Option<&str>,
-) -> RawRun {
-    let mut mem = mem_part.dram_stats().clone();
-    mem.name = MEM_NAME.to_string();
-
-    if let Some(prefix) = obs_prefix.filter(|_| memsim_obs::enabled()) {
-        for stats in cache_stats.iter().chain(std::iter::once(&mem)) {
-            publish_final_stats(prefix, stats);
-        }
-    }
-
-    RawRun {
-        caches: cache_stats,
-        mem,
-        per_region: mem_part.traffic().to_vec(),
-        region_names: regions.iter().map(|r| r.name.clone()).collect(),
-        region_sizes: regions.iter().map(|r| r.len).collect(),
-        region_starts: regions.iter().map(|r| r.start).collect(),
-        total_refs,
-        footprint_bytes: regions.iter().map(|r| r.len).sum(),
-        sample: None,
-    }
+/// Some structures of one source, walked together from one stream at one
+/// scale.
+pub(crate) struct Group<'a> {
+    pub(crate) source: &'a Source,
+    pub(crate) scale: &'a Scale,
+    pub(crate) structures: &'a [Structure],
+    pub(crate) engine: Engine,
+    /// At most this many lane threads walk the structures.
+    pub(crate) lanes: usize,
 }
 
-/// Walk one reference stream of `source` through every structure in
-/// `structures` at once: each structure's hierarchy is built (a structure
-/// whose caches cannot be built fails alone), `stream` feeds them all
-/// through one [`ShardedHierarchy::group`] over at most `lanes` lane
-/// threads (`memsim-walk-{W}-{i}`), and each hierarchy is drained into a
-/// [`RawRun`] published under `sim.{W}.{structure}` (a live source) or
-/// `replay.{structure}` (a trace). Results are in `structures` order.
-///
-/// Each structure gets the engine's replica count, capped at `lanes`:
-/// replicas beyond the lane count would share a lane, which then filters
-/// every chunk once per replica for no parallelism.
-fn walk_stream(
-    scale: &Scale,
-    structures: &[Structure],
-    regions: &[Region],
-    engine: Engine,
-    lanes: usize,
-    source: &Source,
-    stream: impl FnOnce(&mut dyn TraceSink),
-) -> Vec<Result<RawRun, String>> {
-    let name = source.kind().name();
-    let base = match source {
-        Source::Live(_) => format!("sim.{name}"),
-        Source::Trace { .. } => "replay".to_string(),
-    };
-    let prefixes: Vec<Option<String>> = structures
-        .iter()
-        .map(|st| memsim_obs::enabled().then(|| format!("{base}.{}", st.obs_label())))
-        .collect();
-    let mut errors: Vec<Option<String>> = Vec::with_capacity(structures.len());
-    let mut walks: Vec<Walk<PartitionedMemory>> = Vec::with_capacity(structures.len());
-    for (st, prefix) in structures.iter().zip(&prefixes) {
-        match panic::catch_unwind(|| build_caches(scale, st)) {
-            Ok(levels) => {
-                // the terminal collects per-region traffic for every
-                // structure; the aggregate equals a flat memory's counters
-                // because everything is placed on the DRAM side
-                walks.push(Walk {
-                    levels,
-                    memory: PartitionedMemory::new(regions, Technology::Pcm),
-                    shards: engine.replicas().min(lanes),
-                    obs_prefix: prefix.clone(),
-                    span: format!("walk.{}", st.obs_label()),
-                });
-                errors.push(None);
+impl Group<'_> {
+    /// Every structure failed with `message`.
+    fn fail(&self, message: String) -> Vec<Result<RawRun, String>> {
+        vec![Err(message); self.structures.len()]
+    }
+
+    /// Walk one reference stream through every structure at once: each
+    /// structure's hierarchy is built (a structure whose caches cannot be
+    /// built fails alone), `stream` feeds them all through one
+    /// [`ShardedHierarchy::group`] over at most `lanes` lane threads
+    /// (`memsim-walk-{W}-{i}`), and each hierarchy is drained into a
+    /// [`RawRun`]: its finals, published under `sim.{W}.{structure}` or
+    /// `replay.{structure}`, or with a `plan` the unpublished extrapolation
+    /// of its snapshots at the stream's marks, in `structures` order.
+    ///
+    /// Each structure gets the engine's replica count, capped at `lanes`:
+    /// replicas beyond the lane count would share a lane, which then
+    /// filters every chunk once per replica for no parallelism.
+    fn walk_stream(
+        &self,
+        regions: &[Region],
+        plan: Option<&SamplePlan>,
+        stream: impl FnOnce(&mut ShardedHierarchy<PartitionedMemory>),
+    ) -> Vec<Result<RawRun, String>> {
+        let name = self.source.kind().name();
+        let base = match self.source {
+            Source::Live(_) => format!("sim.{name}"),
+            Source::Trace { .. } => "replay".to_string(),
+        };
+        let publish = memsim_obs::enabled() && plan.is_none();
+        let prefixes: Vec<Option<String>> = self
+            .structures
+            .iter()
+            .map(|st| publish.then(|| format!("{base}.{}", st.obs_label())))
+            .collect();
+        let mut errors: Vec<Option<String>> = Vec::with_capacity(self.structures.len());
+        let mut walks: Vec<Walk<PartitionedMemory>> = Vec::with_capacity(self.structures.len());
+        for (st, prefix) in self.structures.iter().zip(&prefixes) {
+            match panic::catch_unwind(|| build_caches(self.scale, st)) {
+                Ok(levels) => {
+                    // the terminal collects per-region traffic for every
+                    // structure; the aggregate equals a flat memory's
+                    // counters because everything is placed on the DRAM side
+                    walks.push(Walk {
+                        levels,
+                        memory: PartitionedMemory::new(regions, Technology::Pcm),
+                        shards: self.engine.replicas().min(self.lanes),
+                        obs_prefix: prefix.clone(),
+                        span: format!("walk.{}", st.obs_label()),
+                    });
+                    errors.push(None);
+                }
+                Err(payload) => errors.push(Some(panic_message(payload))),
             }
-            Err(payload) => errors.push(Some(panic_message(payload))),
         }
-    }
-    let mut runs = if walks.is_empty() {
-        Vec::new().into_iter()
-    } else {
-        let mut sink = ShardedHierarchy::group(walks, lanes, &format!("memsim-walk-{name}-"));
-        {
-            let _s = memsim_obs::span!("simulate");
-            stream(&mut sink);
-        }
-        let _s = memsim_obs::span!("drain");
-        sink.finish_all().into_iter()
-    };
-    errors
-        .into_iter()
-        .zip(&prefixes)
-        .map(|(error, prefix)| {
-            if let Some(message) = error {
-                return Err(message);
+        let mut runs = if walks.is_empty() {
+            Vec::new().into_iter()
+        } else {
+            let lane_name = format!("memsim-walk-{name}-");
+            let mut sink = ShardedHierarchy::group(walks, self.lanes, &lane_name);
+            {
+                let _s = memsim_obs::span!("simulate");
+                stream(&mut sink);
             }
-            let run = runs.next().expect("one run per built hierarchy");
-            let run = run.map_err(panic_message)?;
-            Ok(raw_run_from_parts(
-                run.levels,
-                run.memory,
-                regions,
-                run.total_refs,
-                prefix.as_deref(),
-            ))
-        })
-        .collect()
-}
+            let _s = memsim_obs::span!("drain");
+            sink.finish_all().into_iter()
+        };
+        errors
+            .into_iter()
+            .zip(&prefixes)
+            .map(|(error, prefix)| {
+                if let Some(message) = error {
+                    return Err(message);
+                }
+                let run = runs.next().expect("one run per built hierarchy");
+                let run = run.map_err(panic_message)?;
+                if let Some(plan) = plan {
+                    return crate::sampling::extrapolate(plan, &run, regions);
+                }
+                let mut mem = run.memory.dram_stats().clone();
+                mem.name = MEM_NAME.to_string();
+                if let Some(prefix) = prefix {
+                    for stats in run.levels.iter().chain([&mem]) {
+                        publish_final_stats(prefix, stats);
+                    }
+                }
+                let per_region = run.memory.traffic().to_vec();
+                Ok(RawRun::new(
+                    run.levels,
+                    mem,
+                    per_region,
+                    run.total_refs,
+                    regions,
+                    None,
+                ))
+            })
+            .collect()
+    }
 
-/// Walk every structure in `structures` from a single run of `kind`, the
-/// live `source`: one build, one run streamed into every hierarchy, one
-/// verify. A failed verification fails every structure of the run.
-fn walk_live(
-    source: &Source,
-    kind: WorkloadKind,
-    scale: &Scale,
-    structures: &[Structure],
-    engine: Engine,
-    lanes: usize,
-) -> Vec<Result<RawRun, String>> {
-    let mut workload = {
-        let _s = memsim_obs::span!("generate");
-        kind.build(scale.class)
-    };
-    if memsim_obs::enabled() {
-        memsim_obs::global().counter("sim.workload_runs").inc();
+    /// Walk every structure from a single run of `kind`, the live source:
+    /// one build, one run streamed into every hierarchy, one verify. A
+    /// failed verification fails every structure of the run.
+    fn walk_live(&self, kind: WorkloadKind) -> Vec<Result<RawRun, String>> {
+        let mut workload = {
+            let _s = memsim_obs::span!("generate");
+            kind.build(self.scale.class)
+        };
+        if memsim_obs::enabled() {
+            memsim_obs::global().counter("sim.workload_runs").inc();
+        }
+        let regions = workload.space().regions().to_vec();
+        let mut runs = self.walk_stream(&regions, None, |sink| workload.run(sink));
+        if runs.iter().all(Result::is_err) {
+            // nothing was walked (no hierarchy could be built), so there is
+            // no run to verify
+            return runs;
+        }
+        let verified = {
+            let _s = memsim_obs::span!("verify");
+            workload.verify()
+        };
+        if let Err(e) = verified {
+            let message = format!("{} failed self-verification: {e}", workload.name());
+            runs.iter_mut().for_each(|r| *r = Err(message.clone()));
+        }
+        runs
     }
-    let regions = workload.space().regions().to_vec();
-    let mut runs = walk_stream(scale, structures, &regions, engine, lanes, source, |sink| {
-        workload.run(sink)
-    });
-    if runs.iter().all(Result::is_err) {
-        // nothing was walked (no hierarchy could be built), so there is
-        // no run to verify
-        return runs;
-    }
-    let verified = {
-        let _s = memsim_obs::span!("verify");
-        workload.verify()
-    };
-    if let Err(e) = verified {
-        let message = format!("{} failed self-verification: {e}", workload.name());
-        runs.iter_mut().for_each(|r| *r = Err(message.clone()));
-    }
-    runs
-}
 
-/// Walk every structure in `structures` from one decode of the trace at
-/// `path`, the trace `source`. A decode error (CRC mismatch, truncation)
-/// fails every structure with the reader's message. With observability
-/// on, each walked structure's `replay.{structure}.reader.*` counters
-/// carry the reader's totals for the whole file.
-fn walk_trace(
-    source: &Source,
-    path: &Path,
-    scale: &Scale,
-    structures: &[Structure],
-    engine: Engine,
-    lanes: usize,
-) -> Vec<Result<RawRun, String>> {
-    let total = memsim_obs::enabled()
-        .then(|| std::fs::File::open(path).ok())
-        .flatten()
-        .and_then(|mut f| footer_total(&mut f));
-    if let Some(total) = total {
-        // every hierarchy counts each event into `progress.events`, so the
-        // footer's total gives `--progress` an ETA although the group's
-        // structures all finish at once
-        let reg = memsim_obs::global();
-        let counted = reg.counter("progress.events").get();
-        reg.gauge("progress.total")
-            .set(counted + total * structures.len() as u64);
-    }
-    let decoded = TraceReader::open(path).and_then(|mut reader| {
-        let regions = reader.header().regions.clone();
-        let mut delivered = Ok(0);
-        let runs = walk_stream(scale, structures, &regions, engine, lanes, source, |sink| {
-            delivered = replay_into(&mut reader, sink);
+    /// Walk every structure from one decode of the trace at `path`: all of
+    /// it, or with a `plan` only its sampled windows. A decode error (CRC
+    /// mismatch, truncation) fails every structure with the reader's
+    /// message. With observability on, each structure a full decode walked
+    /// carries the reader's totals for the whole file in its
+    /// `replay.{structure}.reader.*` counters.
+    pub(crate) fn walk_trace(
+        &self,
+        path: &Path,
+        plan: Option<&SamplePlan>,
+    ) -> Vec<Result<RawRun, String>> {
+        let total = (memsim_obs::enabled() && plan.is_none())
+            .then(|| std::fs::File::open(path).ok())
+            .flatten()
+            .and_then(|mut f| footer_total(&mut f));
+        if let Some(total) = total {
+            // every hierarchy counts each event into `progress.events`, so
+            // the footer's total gives `--progress` an ETA although the
+            // group's structures all finish at once
+            let reg = memsim_obs::global();
+            let counted = reg.counter("progress.events").get();
+            reg.gauge("progress.total")
+                .set(counted + total * self.structures.len() as u64);
+        }
+        let decoded = TraceReader::open(path).and_then(|mut reader| {
+            let regions = reader.header().regions.clone();
+            let mut delivered = Ok(());
+            let runs = self.walk_stream(&regions, plan, |sink| {
+                delivered = match plan {
+                    None => replay_into(&mut reader, sink).map(drop),
+                    Some(plan) => feed_windows(&mut reader, plan, &mut |window| match window {
+                        Window::Events(events) => sink.access_chunk(events),
+                        Window::Mark => sink.mark(),
+                    }),
+                };
+            });
+            delivered.map(|()| (runs, reader))
         });
-        delivered.map(|_| (runs, reader))
-    });
-    let (runs, reader) = match decoded {
-        Ok(walked) => walked,
-        Err(e) => return structures.iter().map(|_| Err(e.to_string())).collect(),
-    };
-    if memsim_obs::enabled() {
-        // trace-health counters: every chunk that reached the sinks
-        // passed its CRC check
-        let reg = memsim_obs::global();
-        for (st, _) in structures.iter().zip(&runs).filter(|(_, r)| r.is_ok()) {
-            let prefix = format!("replay.{}.reader", st.obs_label());
-            let store = |field: &str, v: u64| reg.counter(&format!("{prefix}.{field}")).store(v);
-            store("chunks", reader.chunks_read());
-            store("crc_verified_chunks", reader.crc_verified_chunks());
-            store("payload_bytes", reader.payload_bytes());
+        let (runs, reader) = match decoded {
+            Ok(walked) => walked,
+            Err(e) if plan.is_some() => {
+                return self.fail(format!("sampled replay of {}: {e}", path.display()))
+            }
+            Err(e) => return self.fail(e.to_string()),
+        };
+        if memsim_obs::enabled() && plan.is_none() {
+            // trace-health counters: every chunk that reached the sinks
+            // passed its CRC check
+            let reg = memsim_obs::global();
+            for (st, _) in self.structures.iter().zip(&runs).filter(|(_, r)| r.is_ok()) {
+                let prefix = format!("replay.{}.reader", st.obs_label());
+                let store =
+                    |field: &str, v: u64| reg.counter(&format!("{prefix}.{field}")).store(v);
+                store("chunks", reader.chunks_read());
+                store("crc_verified_chunks", reader.crc_verified_chunks());
+                store("payload_bytes", reader.payload_bytes());
+            }
+        }
+        runs
+    }
+
+    /// Walk every structure interval-sampled from one decode of the
+    /// plan's windows (see [`crate::sampling`]): of a trace source's file,
+    /// or of a live source's recording in the process-wide trace store.
+    /// The plan is built over the group's lanes and memoized. A failed
+    /// recording or plan fails every structure.
+    fn walk_sampled(&self, spec: SampleSpec) -> Vec<Result<RawRun, String>> {
+        let planned = || -> Result<_, String> {
+            let path = match self.source {
+                Source::Live(kind) => crate::sampling::trace_store()?.ensure(*kind, self.scale)?,
+                Source::Trace { path, .. } => path.to_path_buf(),
+            };
+            Ok((crate::sampling::plan_for(&path, spec, self.lanes)?, path))
+        };
+        match planned() {
+            Ok((plan, path)) => self.walk_trace(&path, Some(&plan)),
+            Err(message) => self.fail(message),
         }
     }
-    runs
 }
 
-/// One structure's interval-sampled replay of `source`'s trace: a trace
-/// source replays its own file, and a live source's stream is recorded
-/// once into the process-wide trace store (keyed by scale and build). An
-/// interval plan is built and memoized, and only representative windows
-/// are replayed — see [`crate::sampling`].
-fn replay_sampled(
-    source: &Source,
-    scale: &Scale,
-    structure: &Structure,
-    spec: crate::sampling::SampleSpec,
-) -> Result<RawRun, String> {
-    let path = match source {
-        Source::Live(kind) => crate::sampling::trace_store()?.ensure(*kind, scale)?,
-        Source::Trace { path, .. } => path.to_path_buf(),
-    };
-    let plan = crate::sampling::plan_for(&path, spec)?;
-    crate::sampling::replay_structure_sampled(&path, scale, structure, &plan)
-        .map_err(|e| format!("sampled replay of {}: {e}", path.display()))
-}
-
-/// Walk `source` through `structures` at full fidelity (one stream for
-/// all of them, over at most `lanes` lanes) or interval-sampled (one
-/// sequential sampled replay per structure). Results are in `structures`
-/// order; a failure is the message of whatever stopped that structure,
-/// and a panic in the kernel fails every structure of its run.
+/// Walk `source` through `structures` from one stream, over at most
+/// `lanes` lanes: every event at full fidelity, or the windows of an
+/// interval plan when sampled. Results are in `structures` order; a
+/// failure is the message of whatever stopped that structure, and a panic
+/// in the kernel or the source fails every structure of the group.
 fn walk(
     source: &Source,
     scale: &Scale,
@@ -520,25 +537,19 @@ fn walk(
     lanes: usize,
 ) -> Vec<Result<RawRun, String>> {
     let mut span = memsim_obs::span!("grid.walk.{}", source.kind().name());
-    let runs = match opts.sample {
-        SampleMode::Off => panic::catch_unwind(AssertUnwindSafe(|| match source {
-            Source::Live(kind) => walk_live(source, *kind, scale, structures, opts.engine, lanes),
-            Source::Trace { path, .. } => {
-                walk_trace(source, path, scale, structures, opts.engine, lanes)
-            }
-        }))
-        .unwrap_or_else(|payload| {
-            let message = panic_message(payload);
-            structures.iter().map(|_| Err(message.clone())).collect()
-        }),
-        SampleMode::On(spec) => structures
-            .iter()
-            .map(|st| {
-                panic::catch_unwind(|| replay_sampled(source, scale, st, spec))
-                    .unwrap_or_else(|payload| Err(panic_message(payload)))
-            })
-            .collect(),
+    let group = Group {
+        source,
+        scale,
+        structures,
+        engine: opts.engine,
+        lanes,
     };
+    let runs = panic::catch_unwind(AssertUnwindSafe(|| match (opts.sample, source) {
+        (SampleMode::On(spec), _) => group.walk_sampled(spec),
+        (SampleMode::Off, Source::Live(kind)) => group.walk_live(*kind),
+        (SampleMode::Off, Source::Trace { path, .. }) => group.walk_trace(path, None),
+    }))
+    .unwrap_or_else(|payload| group.fail(panic_message(payload)));
     if let Some(Ok(run)) = runs.iter().find(|r| r.is_ok()) {
         span.add_events(run.total_refs);
     }
@@ -549,13 +560,11 @@ fn walk(
 /// through `structure`. This is the expensive step: every memory
 /// reference of the workload walks the hierarchy.
 ///
-/// At full fidelity the chosen engine walks every reference; both engines
-/// yield bit-identical [`RawRun`] counters (the sharded engine trades the
+/// The chosen engine walks the stream; both engines yield bit-identical
+/// [`RawRun`] counters, full or sampled (the sharded engine trades the
 /// sequential path's per-epoch probe publication for per-shard progress
 /// telemetry, with the identical finals published at drain either way).
-/// Interval-sampled runs (see [`crate::sampling`]) are always sequential:
-/// the snapshot deltas need one hierarchy in event order. This is a
-/// one-structure group walk, with one lane per replica.
+/// This is a one-structure group walk, with one lane per replica.
 ///
 /// Panics on a failed walk (a failed workload, an unreadable or corrupt
 /// trace) — grid workers turn those into [`FailedPoint`]s.
@@ -1204,14 +1213,6 @@ fn walk_grid(
             None => groups.push((source, vec![st])),
         }
     }
-    if opts.sample.is_on() {
-        // A sampled walk replays a recorded trace per structure: there is
-        // no stream to share, so every structure is its own group.
-        groups = groups
-            .into_iter()
-            .flat_map(|(source, sts)| sts.into_iter().map(move |st| (source, vec![st])))
-            .collect();
-    }
     let claims: Vec<Claim> = groups
         .iter()
         .map(|(source, sts)| cache.claim(source, scale, opts, sts))
@@ -1615,7 +1616,6 @@ mod tests {
         let spec = crate::sampling::SampleSpec {
             interval: 1_000_000,
             clusters: 16,
-            warmup: crate::sampling::Warmup::Functional,
         };
         let sampled = RunOpts {
             sample: SampleMode::On(spec),
@@ -1631,7 +1631,7 @@ mod tests {
 
         let store = crate::sampling::trace_store().unwrap();
         let trace = store.ensure(WorkloadKind::Hash, &scale()).unwrap();
-        let plan = crate::sampling::plan_for(&trace, spec).unwrap();
+        let plan = crate::sampling::plan_for(&trace, spec, 1).unwrap();
         assert_eq!(plan.clusters.len() as u64, plan.intervals);
         let recorded = std::fs::metadata(&trace).unwrap().modified().unwrap();
         let second = grid(sampled);

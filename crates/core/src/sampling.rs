@@ -11,67 +11,41 @@
 //! each cluster contributes an independent estimate, the spread across
 //! clusters yields per-metric confidence intervals ([`SampleCi`]).
 //!
-//! Two warmup policies handle the state a representative inherits from
-//! the stream it never saw:
+//! Warm-up is functional: each representative is preceded by a
+//! one-interval warm window fed through the same hierarchy without being
+//! measured, and the representative's contribution is the *delta* between
+//! snapshots at its boundaries. With `clusters >= intervals` every
+//! interval is its own representative, the windows tile the whole stream,
+//! and the deltas telescope to the exact full-run counters — sampled and
+//! full runs agree bit-for-bit (pinned by tests).
 //!
-//! * [`Warmup::Functional`] (default): one shared hierarchy walks the
-//!   file once; each representative is preceded by a one-interval warm
-//!   window fed without being measured, and the representative's
-//!   contribution is the *delta* between snapshots at its boundaries.
-//!   With `clusters >= intervals` every interval is its own
-//!   representative, the windows tile the whole stream, and the deltas
-//!   telescope to the exact full-run counters — sampled and full runs
-//!   agree bit-for-bit (pinned by tests).
-//! * [`Warmup::Cold`]: each representative starts from an empty
-//!   hierarchy and is drained afterwards. Cheaper and embarrassingly
-//!   independent, but cold misses and the final writeback flush are
-//!   charged to every cluster (a documented bias), so `Functional` is
-//!   the default.
-//!
-//! The sampled path is trace-backed: live entry points record the
-//! workload's stream once into a [`TraceStore`] keyed by workload, scale
-//! and build (shared across all structures and processes) and replay
-//! windows of it. The interval plan is itself built with a
-//! cheap pass that decodes only a strided subset of chunks for the
-//! signatures and *skips* the rest without decoding
-//! ([`memsim_tracefile::TraceReader::next_chunk_where`]) — the plan
-//! costs far less than one full decode.
+//! The plan is a window schedule in front of the grid's one group walk
+//! ([`crate::runner`]): the source decodes only the window chunks and
+//! sends a mark through the walk's lanes at every representative's
+//! bounds ([`memsim_cache::ShardedHierarchy::mark`]), so a group of
+//! structures shares one decode of the windows and any engine walks them.
+//! Live entry points record the workload's stream once into a
+//! [`TraceStore`] keyed by workload, scale and build (shared across all
+//! structures and processes) and sample that. The interval plan is itself
+//! built with a cheap pass, split over the group's lanes, that decodes
+//! only a strided subset of chunks for the signatures and *skips* the
+//! rest without decoding ([`memsim_tracefile::TraceReader::next_chunk_where`])
+//! — the plan costs far less than one full decode.
 
 use crate::design::{Structure, MEM_NAME};
 use crate::model::{LevelCost, Metrics};
-use crate::runner::{build_caches, RawRun};
+use crate::runner::{Engine, Group, RawRun, Source};
 use crate::scale::Scale;
 use crate::store::TraceStore;
-use memsim_cache::{Hierarchy, LevelStats};
+use memsim_cache::{LevelStats, ShardedRun};
 use memsim_memory::{PartitionedMemory, RegionTraffic};
-use memsim_tech::Technology;
-use memsim_trace::{SignatureBuilder, TraceSink, SIGNATURE_DIMS};
+use memsim_trace::{Region, SignatureBuilder, TraceEvent, TraceSink, SIGNATURE_DIMS};
 use memsim_tracefile::{ChunkStep, TraceError, TraceReader, TRACE_CHUNK_EVENTS};
 use std::collections::HashMap;
+use std::io::{Read, Seek};
+use std::panic::resume_unwind;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// How a representative interval's inherited cache state is handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Warmup {
-    /// One shared hierarchy, a one-interval warm window before each
-    /// representative, contributions measured as snapshot deltas.
-    /// Exact (bit-for-bit) when every interval is its own cluster.
-    #[default]
-    Functional,
-    /// A fresh hierarchy per representative, drained afterwards; cold
-    /// misses and the writeback flush are charged to every cluster.
-    Cold,
-}
-
-impl Warmup {
-    fn name(self) -> &'static str {
-        match self {
-            Warmup::Functional => "functional",
-            Warmup::Cold => "cold",
-        }
-    }
-}
 
 /// The parameters of a sampled run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,8 +55,6 @@ pub struct SampleSpec {
     /// Number of k-means clusters over the full intervals (a partial
     /// tail interval always forms its own extra cluster).
     pub clusters: usize,
-    /// Warmup policy for representative intervals.
-    pub warmup: Warmup,
 }
 
 impl Default for SampleSpec {
@@ -90,7 +62,6 @@ impl Default for SampleSpec {
         Self {
             interval: 1_000_000,
             clusters: 8,
-            warmup: Warmup::Functional,
         }
     }
 }
@@ -114,8 +85,9 @@ impl SampleMode {
     }
 
     /// Parse `"off"`, `"on"` (all defaults), or a comma-separated
-    /// `interval=N,clusters=K,warmup=functional|cold` list (each key
-    /// optional; `N` accepts `k`/`m` suffixes).
+    /// `interval=N,clusters=K` list (each key optional; `N` accepts
+    /// `k`/`m` suffixes). `warmup=functional`, the only warm-up, is
+    /// accepted so that canonical strings round-trip.
     pub fn parse(s: &str) -> Result<SampleMode, String> {
         let s = s.trim();
         match s {
@@ -144,16 +116,12 @@ impl SampleMode {
                         return Err("--sample: clusters must be positive".into());
                     }
                 }
+                "warmup" if v == "functional" => {}
                 "warmup" => {
-                    spec.warmup = match v {
-                        "functional" => Warmup::Functional,
-                        "cold" => Warmup::Cold,
-                        other => {
-                            return Err(format!(
-                                "--sample: unknown warmup '{other}' (functional|cold)"
-                            ))
-                        }
-                    };
+                    return Err(format!(
+                        "--sample: warmup={v} is not available: functional warm-up is the \
+                         only policy (cold was removed)"
+                    ))
                 }
                 other => {
                     return Err(format!(
@@ -165,15 +133,15 @@ impl SampleMode {
         Ok(SampleMode::On(spec))
     }
 
-    /// The canonical string form; `parse(canon())` round-trips.
+    /// The canonical string form; `parse(canon())` round-trips. It
+    /// still names the warm-up, so journal fingerprints and job ids keep
+    /// their values.
     pub fn canon(&self) -> String {
         match self {
             SampleMode::Off => "off".to_string(),
             SampleMode::On(s) => format!(
-                "interval={},clusters={},warmup={}",
-                s.interval,
-                s.clusters,
-                s.warmup.name()
+                "interval={},clusters={},warmup=functional",
+                s.interval, s.clusters
             ),
         }
     }
@@ -213,7 +181,7 @@ pub struct SampleCluster {
 /// exist, and which representative stands in for which population.
 /// Structure- and scale-independent, so one plan serves the whole
 /// design grid (memoized per `(trace, spec)` by [`plan_for`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SamplePlan {
     /// The spec the plan was built under.
     pub spec: SampleSpec,
@@ -225,6 +193,20 @@ pub struct SamplePlan {
     pub clusters: Vec<SampleCluster>,
 }
 
+/// The window schedule of a plan: what the source feeds the walk and
+/// where it marks it.
+struct Schedule {
+    /// The disjoint, ascending event ranges fed: each representative
+    /// preceded by a one-interval warm window, overlaps merged.
+    segments: Vec<(u64, u64)>,
+    /// The clusters in stream order of their representatives.
+    order: Vec<usize>,
+    /// Where the source sends a mark: each representative's start and
+    /// end, in `order`. Representatives are distinct intervals, so the
+    /// positions ascend, and an end meets the next start first.
+    marks: Vec<u64>,
+}
+
 impl SamplePlan {
     /// Event-index bounds `[start, end)` of interval `i`.
     pub fn interval_bounds(&self, i: u64) -> (u64, u64) {
@@ -233,107 +215,80 @@ impl SamplePlan {
         (start, end)
     }
 
-    /// Events simulated by a [`Warmup::Functional`] pass (warm windows
-    /// included), for speedup estimates.
+    /// Events a sampled walk feeds (warm windows included), for speedup
+    /// estimates.
     pub fn simulated_events(&self) -> u64 {
-        self.functional_segments().iter().map(|(a, b)| b - a).sum()
+        self.schedule().segments.iter().map(|(a, b)| b - a).sum()
     }
 
-    /// The disjoint, ascending event ranges a Functional pass feeds:
-    /// each representative preceded by a one-interval warm window,
-    /// overlaps merged.
-    fn functional_segments(&self) -> Vec<(u64, u64)> {
-        let mut reps: Vec<u64> = self.clusters.iter().map(|c| c.representative).collect();
-        reps.sort_unstable();
+    fn schedule(&self) -> Schedule {
+        let mut order: Vec<usize> = (0..self.clusters.len()).collect();
+        order.sort_by_key(|&c| self.clusters[c].representative);
         let mut segments: Vec<(u64, u64)> = Vec::new();
-        for r in reps {
-            let (rs, re) = self.interval_bounds(r);
+        let mut marks = Vec::with_capacity(2 * order.len());
+        for &c in &order {
+            let (rs, re) = self.interval_bounds(self.clusters[c].representative);
             let ws = rs.saturating_sub(self.spec.interval);
             match segments.last_mut() {
                 Some(last) if ws <= last.1 => last.1 = last.1.max(re),
                 _ => segments.push((ws, re)),
             }
+            marks.extend([rs, re]);
         }
-        segments
+        Schedule {
+            segments,
+            order,
+            marks,
+        }
     }
 }
 
-/// Build the interval plan for the trace at `path`.
+/// Build the interval plan for the trace at `path` on the calling thread.
 ///
-/// One pass over the file: a strided subset of each interval's chunks is
-/// decoded into that interval's [`SignatureBuilder`] (decoded chunks
-/// straddling an interval boundary are split at it); all other chunks
-/// are skipped without decoding. Full intervals are k-means-clustered on
-/// their signatures with deterministic seeding; a partial tail interval
-/// is always its own singleton cluster so it never stands in for (or
-/// hides behind) full-length intervals.
+/// A strided subset of each interval's chunks is decoded into that
+/// interval's [`SignatureBuilder`] (decoded chunks straddling an interval
+/// boundary are split at it); all other chunks are skipped without
+/// decoding. Full intervals are k-means-clustered on their signatures
+/// with deterministic seeding; a partial tail interval is always its own
+/// singleton cluster so it never stands in for (or hides behind)
+/// full-length intervals.
 pub fn build_plan(path: &Path, spec: SampleSpec) -> Result<SamplePlan, String> {
+    build_plan_over(path, spec, 1)
+}
+
+/// [`build_plan`] with the signature pass split over `workers` threads,
+/// the calling thread being worker 0. Each worker decodes only the
+/// strided chunks that overlap an interval it owns (`interval % workers
+/// == worker`), so every signature is built from the same events as in
+/// one pass and the plan does not depend on `workers`.
+fn build_plan_over(path: &Path, spec: SampleSpec, workers: usize) -> Result<SamplePlan, String> {
     let _span = memsim_obs::span!("sample.plan");
-    let mut reader =
-        TraceReader::open(path).map_err(|e| format!("sample plan: {}: {e}", path.display()))?;
-    reader.enable_seek_skip();
-
-    // decode ~8 chunks per interval for the signature, skip the rest
-    let chunks_per_interval = (spec.interval / TRACE_CHUNK_EVENTS as u64).max(1);
-    let stride = (chunks_per_interval / 8).max(1);
-
-    let mut chunk_idx = 0u64;
-    let mut sigs: Vec<[f64; SIGNATURE_DIMS]> = Vec::new();
-    let mut cur: Option<(u64, SignatureBuilder)> = None;
-    let finalize = |cur: &mut Option<(u64, SignatureBuilder)>,
-                    sigs: &mut Vec<[f64; SIGNATURE_DIMS]>,
-                    upto: u64| {
-        if let Some((iv, b)) = cur.take() {
-            while (sigs.len() as u64) < iv {
-                sigs.push([0.0; SIGNATURE_DIMS]);
-            }
-            sigs.push(b.signature().features);
-        }
-        while (sigs.len() as u64) < upto {
-            sigs.push([0.0; SIGNATURE_DIMS]);
-        }
-    };
-    loop {
-        let want = chunk_idx.is_multiple_of(stride);
-        // the next chunk's first event index, whether it ends up decoded
-        // or skipped
-        let base = reader.events_read() + reader.events_skipped();
-        let step = reader
-            .next_chunk_where(|_, _| want)
-            .map_err(|e| format!("sample plan: {}: {e}", path.display()))?;
-        chunk_idx += 1;
-        match step {
-            ChunkStep::End => break,
-            ChunkStep::Skipped { .. } => {}
-            ChunkStep::Events(evs) => {
-                let mut off = 0usize;
-                while off < evs.len() {
-                    let g = base + off as u64;
-                    let iv = g / spec.interval;
-                    let take = (((iv + 1) * spec.interval - g) as usize).min(evs.len() - off);
-                    match &mut cur {
-                        Some((ci, b)) if *ci == iv => b.access_chunk(&evs[off..off + take]),
-                        _ => {
-                            finalize(&mut cur, &mut sigs, iv);
-                            // signature granularity is the ubiquitous
-                            // 64-byte line; the plan must not depend on
-                            // scale so it can be shared across them
-                            let mut b = SignatureBuilder::new(64);
-                            b.access_chunk(&evs[off..off + take]);
-                            cur = Some((iv, b));
-                        }
-                    }
-                    off += take;
-                }
-            }
-        }
+    let workers = workers.max(1) as u64;
+    let pass = |worker| signature_pass(path, spec, worker, workers);
+    let passes: Vec<Result<SignaturePass, (u64, String)>> = std::thread::scope(|s| {
+        let others: Vec<_> = (1..workers).map(|w| s.spawn(move || pass(w))).collect();
+        let first = pass(0);
+        let joined = others
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| resume_unwind(p)));
+        std::iter::once(first).chain(joined).collect()
+    });
+    // the error a single pass would meet first: the earliest chunk's
+    let first_error = passes.iter().filter_map(|p| p.as_ref().err());
+    if let Some((_, e)) = first_error.min_by_key(|(chunk, _)| *chunk) {
+        return Err(e.clone());
     }
-    let total_events = reader.events_read() + reader.events_skipped();
+    let passes: Vec<SignaturePass> = passes.into_iter().flatten().collect();
+    let total_events = passes[0].0;
     if total_events == 0 {
         return Err(format!("sample plan: {} records no events", path.display()));
     }
     let intervals = total_events.div_ceil(spec.interval);
-    finalize(&mut cur, &mut sigs, intervals);
+    // an interval with no decoded events keeps the zero signature
+    let mut sigs = vec![[0.0; SIGNATURE_DIMS]; intervals as usize];
+    for (iv, sig) in passes.into_iter().flat_map(|(_, owned)| owned) {
+        sigs[iv as usize] = sig;
+    }
 
     let nfull = (total_events / spec.interval) as usize;
     let mut clusters = if nfull > 0 {
@@ -341,7 +296,7 @@ pub fn build_plan(path: &Path, spec: SampleSpec) -> Result<SamplePlan, String> {
     } else {
         Vec::new()
     };
-    if total_events % spec.interval != 0 {
+    if !total_events.is_multiple_of(spec.interval) {
         clusters.push(SampleCluster {
             representative: nfull as u64,
             weight: 1,
@@ -354,6 +309,72 @@ pub fn build_plan(path: &Path, spec: SampleSpec) -> Result<SamplePlan, String> {
         intervals,
         clusters,
     })
+}
+
+/// One worker's share of the signature pass: the trace's event count and
+/// the signatures of its intervals that had decoded events.
+type SignaturePass = (u64, Vec<(u64, [f64; SIGNATURE_DIMS])>);
+
+/// Worker `worker` of `workers` of the signature pass. An error carries
+/// the index of the chunk it was met at.
+fn signature_pass(
+    path: &Path,
+    spec: SampleSpec,
+    worker: u64,
+    workers: u64,
+) -> Result<SignaturePass, (u64, String)> {
+    let fail = |chunk: u64, e: TraceError| (chunk, format!("sample plan: {}: {e}", path.display()));
+    let mut reader = TraceReader::open(path).map_err(|e| fail(0, e))?;
+    reader.enable_seek_skip();
+
+    // decode ~8 chunks per interval for the signature, skip the rest
+    let chunks_per_interval = (spec.interval / TRACE_CHUNK_EVENTS as u64).max(1);
+    let stride = (chunks_per_interval / 8).max(1);
+    let owns = |iv: u64| iv % workers == worker;
+
+    let mut chunk_idx = 0u64;
+    let mut signatures = Vec::new();
+    let mut cur: Option<(u64, SignatureBuilder)> = None;
+    loop {
+        let strided = chunk_idx.is_multiple_of(stride);
+        // the next chunk's first event index, whether it ends up decoded
+        // or skipped
+        let base = reader.events_read() + reader.events_skipped();
+        let step = reader
+            .next_chunk_where(|first, count| {
+                let last = first + u64::from(count) - 1;
+                strided && (first / spec.interval..=last / spec.interval).any(owns)
+            })
+            .map_err(|e| fail(chunk_idx, e))?;
+        chunk_idx += 1;
+        let evs = match step {
+            ChunkStep::End => break,
+            ChunkStep::Skipped { .. } => continue,
+            ChunkStep::Events(evs) => evs,
+        };
+        let mut off = 0usize;
+        while off < evs.len() {
+            let g = base + off as u64;
+            let iv = g / spec.interval;
+            let take = (((iv + 1) * spec.interval - g) as usize).min(evs.len() - off);
+            let part = &evs[off..off + take];
+            off += take;
+            if !owns(iv) {
+                continue;
+            }
+            if let Some((ci, b)) = cur.take_if(|(ci, _)| *ci != iv) {
+                signatures.push((ci, b.signature().features));
+            }
+            // signature granularity is the ubiquitous 64-byte line; the
+            // plan must not depend on scale so it can be shared across them
+            let (_, b) = cur.get_or_insert_with(|| (iv, SignatureBuilder::new(64)));
+            part.iter().for_each(|&ev| b.access(ev));
+        }
+    }
+    if let Some((ci, b)) = cur {
+        signatures.push((ci, b.signature().features));
+    }
+    Ok((reader.events_read() + reader.events_skipped(), signatures))
 }
 
 fn dist2(a: &[f64; SIGNATURE_DIMS], b: &[f64; SIGNATURE_DIMS]) -> f64 {
@@ -586,25 +607,11 @@ pub fn publish_ci_summary(cis: &[SampleCi]) {
 }
 
 // ---------------------------------------------------------------------------
-// sampled replay
+// sampled walks
 // ---------------------------------------------------------------------------
 
-/// A pure-read snapshot of a running hierarchy's counters.
-struct Snap {
-    levels: Vec<LevelStats>,
-    mem: LevelStats,
-    traffic: Vec<RegionTraffic>,
-    refs: u64,
-}
-
-fn snap(h: &Hierarchy<PartitionedMemory>) -> Snap {
-    Snap {
-        levels: h.levels().iter().map(|c| c.stats()).collect(),
-        mem: h.memory().dram_stats().clone(),
-        traffic: h.memory().traffic().to_vec(),
-        refs: h.total_refs(),
-    }
-}
+/// A walker's merged counters at one mark, or its finals.
+type Counters = ShardedRun<PartitionedMemory>;
 
 fn stats_delta(end: &LevelStats, start: &LevelStats) -> LevelStats {
     LevelStats {
@@ -647,16 +654,17 @@ fn traffic_delta(end: &[RegionTraffic], start: &[RegionTraffic]) -> Vec<RegionTr
         .collect()
 }
 
-fn snap_delta(c: &SampleCluster, end: &Snap, start: &Snap) -> ClusterRun {
+/// What the counters gained from `start` to `end`, with weight 1.
+fn snap_delta(end: &Counters, start: &Counters) -> ClusterRun {
     // the terminal delta takes the canonical name so downstream costing
     // (which aligns stats to costs by name, like the extrapolated run's
     // own terminal) accepts cluster runs too
-    let mut mem = stats_delta(&end.mem, &start.mem);
+    let mut mem = stats_delta(end.memory.dram_stats(), start.memory.dram_stats());
     mem.name = MEM_NAME.to_string();
     ClusterRun {
-        representative: c.representative,
-        weight: c.weight,
-        refs: end.refs - start.refs,
+        representative: 0,
+        weight: 1,
+        refs: end.total_refs - start.total_refs,
         caches: end
             .levels
             .iter()
@@ -664,262 +672,95 @@ fn snap_delta(c: &SampleCluster, end: &Snap, start: &Snap) -> ClusterRun {
             .map(|(e, s)| stats_delta(e, s))
             .collect(),
         mem,
-        per_region: traffic_delta(&end.traffic, &start.traffic),
+        per_region: traffic_delta(end.memory.traffic(), start.memory.traffic()),
     }
 }
 
-enum Mark {
-    Start(usize),
-    End(usize),
+/// What the source of a sampled walk sends the walk, in stream order.
+pub(crate) enum Window<'a> {
+    /// Events inside a window, for every walker.
+    Events(&'a [TraceEvent]),
+    /// A mark ([`memsim_cache::ShardedHierarchy::mark`]).
+    Mark,
 }
 
-/// Replay only the plan's representative windows of the trace at `path`
-/// through `structure`'s hierarchy and extrapolate a full-stream
-/// [`RawRun`] (with [`RawRun::sample`] set).
-///
-/// Always a sequential walk: snapshot deltas need one hierarchy with a
-/// well-defined event order, so the engine choice upstream applies only
-/// to full-fidelity runs.
-pub fn replay_structure_sampled(
-    path: &Path,
-    scale: &Scale,
-    structure: &Structure,
+/// Send the plan's windows of the trace behind `reader`, in stream order,
+/// as the source of a sampled group walk: only window events (chunks
+/// outside every window are skipped undecoded), cut at every
+/// [`Schedule::marks`] position with a mark there, and one more mark
+/// before the drain. The calling thread's timeline shows `sample.warm`
+/// and `sample.measure` phases.
+pub(crate) fn feed_windows<R: Read + Seek>(
+    reader: &mut TraceReader<R>,
     plan: &SamplePlan,
-) -> Result<RawRun, TraceError> {
-    let mut span = memsim_obs::span!("sample.replay.{}", structure.obs_label());
-
-    // window layout: ascending representatives, each with its warm
-    // window (Functional) or bare interval (Cold); marks at interval
-    // boundaries, End sorted before Start at equal positions so
-    // back-to-back representatives hand over correctly
-    let mut reps: Vec<(usize, u64)> = plan
-        .clusters
-        .iter()
-        .enumerate()
-        .map(|(c, cl)| (c, cl.representative))
-        .collect();
-    reps.sort_by_key(|&(_, r)| r);
-    let functional = plan.spec.warmup == Warmup::Functional;
-    let mut segments: Vec<(u64, u64)> = Vec::new();
-    let mut marks: Vec<(u64, Mark)> = Vec::new();
-    for &(c, r) in &reps {
-        let (rs, re) = plan.interval_bounds(r);
-        let ws = if functional {
-            rs.saturating_sub(plan.spec.interval)
-        } else {
-            rs
-        };
-        match segments.last_mut() {
-            Some(last) if ws <= last.1 => last.1 = last.1.max(re),
-            _ => segments.push((ws, re)),
-        }
-        marks.push((rs, Mark::Start(c)));
-        marks.push((re, Mark::End(c)));
-    }
-    marks.sort_by_key(|&(p, ref m)| (p, matches!(m, Mark::Start(_)) as u8));
-
-    let mut reader = TraceReader::open(path)?;
-    reader.enable_seek_skip();
-    let regions = reader.header().regions.clone();
-    let fresh = |scale: &Scale, structure: &Structure| {
-        Hierarchy::new(
-            build_caches(scale, structure),
-            PartitionedMemory::new(&regions, Technology::Pcm),
-        )
-    };
-    let mut hierarchy: Option<Hierarchy<PartitionedMemory>> =
-        functional.then(|| fresh(scale, structure));
-    let mut starts: Vec<Option<Snap>> = (0..plan.clusters.len()).map(|_| None).collect();
-    let mut runs: Vec<Option<ClusterRun>> = (0..plan.clusters.len()).map(|_| None).collect();
-    let mut mark_i = 0usize;
-    let mut seg_i = 0usize;
-    // Flight-recorder phase spans: the timeline distinguishes warm-window
-    // feeding (`sample.warm`, Functional warmup only) from measured
-    // representative windows (`sample.measure`). Mark application and
-    // feed ranges are deterministic given the plan, so the emitted event
-    // stream is too.
-    let mut warm_open = false;
-    let mut measuring = false;
-
-    // applies every mark at stream position <= `pos` (no events between
-    // the mark position and `pos` have been fed, so the counters at
-    // `pos` equal the counters at the mark)
-    macro_rules! apply_marks_through {
-        ($pos:expr) => {
-            while mark_i < marks.len() && marks[mark_i].0 <= $pos {
-                match marks[mark_i].1 {
-                    Mark::Start(c) => {
-                        if warm_open {
-                            memsim_obs::recorder::span_end("sample.warm");
-                            warm_open = false;
-                        }
-                        if memsim_obs::recorder::recording() {
-                            memsim_obs::recorder::span_begin("sample.measure");
-                        }
-                        measuring = true;
-                        if functional {
-                            starts[c] = Some(snap(hierarchy.as_ref().expect("live hierarchy")));
-                        } else {
-                            hierarchy = Some(fresh(scale, structure));
-                        }
-                    }
-                    Mark::End(c) => {
-                        if measuring && memsim_obs::recorder::recording() {
-                            memsim_obs::recorder::span_end("sample.measure");
-                        }
-                        measuring = false;
-                        if functional {
-                            let s0 = starts[c].take().expect("start snapshot");
-                            let s1 = snap(hierarchy.as_ref().expect("live hierarchy"));
-                            runs[c] = Some(snap_delta(&plan.clusters[c], &s1, &s0));
-                        } else {
-                            let mut h = hierarchy.take().expect("live hierarchy");
-                            h.drain();
-                            h.assert_consistent();
-                            let refs = h.total_refs();
-                            let caches: Vec<LevelStats> =
-                                h.levels().iter().map(|x| x.stats()).collect();
-                            let mem_part = h.into_memory();
-                            runs[c] = Some(ClusterRun {
-                                representative: plan.clusters[c].representative,
-                                weight: plan.clusters[c].weight,
-                                refs,
-                                caches,
-                                mem: mem_part.dram_stats().clone(),
-                                per_region: mem_part.traffic().to_vec(),
-                            });
-                        }
-                    }
-                }
-                mark_i += 1;
+    send: &mut dyn FnMut(Window<'_>),
+) -> Result<(), TraceError> {
+    let schedule = plan.schedule();
+    let (segments, marks) = (&schedule.segments, &schedule.marks);
+    // the first segment that has not ended at `pos`
+    let pending = |pos: u64| segments.get(segments.partition_point(|s| s.1 <= pos));
+    // the open timeline phase span
+    let recording = memsim_obs::recorder::recording();
+    let mut phase: Option<&'static str> = None;
+    let mut enter = |to: Option<&'static str>| {
+        if recording && phase != to {
+            if let Some(open) = phase {
+                memsim_obs::recorder::span_end(open);
             }
-        };
-    }
-
+            if let Some(name) = to {
+                memsim_obs::recorder::span_begin(name);
+            }
+            phase = to;
+        }
+    };
+    // the next mark to send: even marks start a representative, odd ones
+    // end it
+    let mut next = 0usize;
     loop {
-        let si = seg_i;
-        let segs = &segments;
         let base = reader.events_read() + reader.events_skipped();
-        let step = reader.next_chunk_where(move |first, count| {
-            let end = first + u64::from(count);
-            let mut i = si;
-            while i < segs.len() && segs[i].1 <= first {
-                i += 1;
-            }
-            i < segs.len() && segs[i].0 < end
+        let step = reader.next_chunk_where(|first, count| {
+            pending(first).is_some_and(|s| s.0 < first + u64::from(count))
         })?;
-        match step {
+        let evs = match step {
             ChunkStep::End => break,
-            ChunkStep::Skipped { .. } => {}
-            ChunkStep::Events(evs) => {
-                let len = evs.len() as u64;
-                let mut off = 0u64;
-                while off < len {
-                    let g = base + off;
-                    apply_marks_through!(g);
-                    let mut s = seg_i;
-                    while s < segments.len() && segments[s].1 <= g {
-                        s += 1;
-                    }
-                    if s >= segments.len() {
-                        break;
-                    }
-                    let (s0, s1) = segments[s];
-                    if g < s0 {
-                        off = (s0 - base).min(len);
-                        continue;
-                    }
-                    let mut until = (s1 - base).min(len);
-                    if mark_i < marks.len() {
-                        until = until.min(marks[mark_i].0 - base);
-                    }
-                    if !measuring && !warm_open && memsim_obs::recorder::recording() {
-                        memsim_obs::recorder::span_begin("sample.warm");
-                        warm_open = true;
-                    }
-                    hierarchy
-                        .as_mut()
-                        .expect("feeding outside a representative window")
-                        .access_chunk(&evs[off as usize..until as usize]);
-                    off = until;
-                }
+            ChunkStep::Skipped { .. } => continue,
+            ChunkStep::Events(evs) => evs,
+        };
+        let len = evs.len() as u64;
+        let mut off = 0u64;
+        while off < len {
+            let g = base + off;
+            // no event between a mark and `g` has been fed, so the
+            // walkers' counters at `g` are those at the mark
+            while marks.get(next).is_some_and(|&at| at <= g) {
+                enter(next.is_multiple_of(2).then_some("sample.measure"));
+                send(Window::Mark);
+                next += 1;
             }
-        }
-        let pos = reader.events_read() + reader.events_skipped();
-        while seg_i < segments.len() && segments[seg_i].1 <= pos {
-            seg_i += 1;
+            let Some(&(s0, s1)) = pending(g) else {
+                break;
+            };
+            if g < s0 {
+                off = (s0 - base).min(len);
+                continue;
+            }
+            let until = marks.get(next).map_or(s1, |&at| at.min(s1)).min(base + len) - base;
+            enter(Some(if next.is_multiple_of(2) {
+                "sample.warm"
+            } else {
+                "sample.measure"
+            }));
+            send(Window::Events(&evs[off as usize..until as usize]));
+            off = until;
         }
     }
-    apply_marks_through!(plan.total_events);
-    if warm_open {
-        memsim_obs::recorder::span_end("sample.warm");
+    for i in next..marks.len() {
+        enter(i.is_multiple_of(2).then_some("sample.measure"));
+        send(Window::Mark);
     }
-
-    let cluster_runs: Vec<ClusterRun> = runs
-        .into_iter()
-        .map(|r| r.expect("every representative measured"))
-        .collect();
-
-    // extrapolate: population-weighted cluster deltas, plus (Functional
-    // only) the end-of-run drain flush, once and unweighted — it is a
-    // terminal artifact of the whole run, not of any interval. At
-    // clusters == intervals the weighted sum telescopes to the exact
-    // pre-drain counters and this lands the exact finals.
-    let level_names: Vec<String> = cluster_runs[0]
-        .caches
-        .iter()
-        .map(|s| s.name.clone())
-        .collect();
-    let mut caches: Vec<LevelStats> = level_names
-        .into_iter()
-        .map(|name| LevelStats {
-            name,
-            ..Default::default()
-        })
-        .collect();
-    let mut mem = LevelStats {
-        name: MEM_NAME.to_string(),
-        ..Default::default()
-    };
-    let mut per_region = vec![RegionTraffic::default(); regions.len()];
-    let mut total_refs = 0u64;
-    for cr in &cluster_runs {
-        for (acc, d) in caches.iter_mut().zip(cr.caches.iter()) {
-            stats_scaled_add(acc, d, cr.weight);
-        }
-        stats_scaled_add(&mut mem, &cr.mem, cr.weight);
-        for (acc, d) in per_region.iter_mut().zip(cr.per_region.iter()) {
-            acc.loads += d.loads * cr.weight;
-            acc.stores += d.stores * cr.weight;
-            acc.bytes_loaded += d.bytes_loaded * cr.weight;
-            acc.bytes_stored += d.bytes_stored * cr.weight;
-        }
-        total_refs += cr.refs * cr.weight;
-    }
-    if functional {
-        let h = hierarchy.as_mut().expect("live hierarchy");
-        let pre = snap(h);
-        h.drain();
-        h.assert_consistent();
-        let post = snap(h);
-        for (acc, (e, s)) in caches
-            .iter_mut()
-            .zip(post.levels.iter().zip(pre.levels.iter()))
-        {
-            stats_scaled_add(acc, &stats_delta(e, s), 1);
-        }
-        stats_scaled_add(&mut mem, &stats_delta(&post.mem, &pre.mem), 1);
-        for (acc, d) in per_region
-            .iter_mut()
-            .zip(traffic_delta(&post.traffic, &pre.traffic).iter())
-        {
-            acc.loads += d.loads;
-            acc.stores += d.stores;
-            acc.bytes_loaded += d.bytes_loaded;
-            acc.bytes_stored += d.bytes_stored;
-        }
-        total_refs += post.refs - pre.refs;
-    }
+    enter(None);
+    // the drain's baseline
+    send(Window::Mark);
 
     if memsim_obs::enabled() {
         let reg = memsim_obs::global();
@@ -933,23 +774,90 @@ pub fn replay_structure_sampled(
             .store(plan.simulated_events());
         reg.counter("sample.events_total").store(plan.total_events);
     }
-    span.add_events(cluster_runs.iter().map(|c| c.refs).sum());
+    Ok(())
+}
 
-    Ok(RawRun {
-        caches,
-        mem,
-        per_region,
-        region_names: regions.iter().map(|r| r.name.clone()).collect(),
-        region_sizes: regions.iter().map(|r| r.len).collect(),
-        region_starts: regions.iter().map(|r| r.start).collect(),
-        total_refs,
-        footprint_bytes: regions.iter().map(|r| r.len).sum(),
-        sample: Some(SampleDetail {
-            spec: plan.spec,
-            intervals: plan.intervals,
-            cluster_runs,
-        }),
-    })
+/// One structure's extrapolated [`RawRun`] from its walk's counters at
+/// the marks [`feed_windows`] sent: each representative's delta weighted
+/// by its cluster's population, plus the drain once, unweighted (a
+/// terminal artifact of the whole run, not of any interval). At clusters
+/// == intervals this telescopes to the exact finals. An error when the
+/// stream stopped short of its last mark.
+pub(crate) fn extrapolate(
+    plan: &SamplePlan,
+    run: &Counters,
+    regions: &[Region],
+) -> Result<RawRun, String> {
+    let Schedule { order, .. } = plan.schedule();
+    let Some((pre_drain, bounds)) =
+        (run.marks.split_last()).filter(|(_, bounds)| bounds.len() == 2 * order.len())
+    else {
+        return Err("the sampled stream stopped before its last mark".into());
+    };
+    let mut measured: Vec<Option<ClusterRun>> = vec![None; order.len()];
+    for (&c, snaps) in order.iter().zip(bounds.chunks(2)) {
+        let cluster = &plan.clusters[c];
+        measured[c] = Some(ClusterRun {
+            representative: cluster.representative,
+            weight: cluster.weight,
+            ..snap_delta(&snaps[1], &snaps[0])
+        });
+    }
+    let cluster_runs: Vec<ClusterRun> = measured.into_iter().flatten().collect();
+
+    // from zero: Σ weight × delta, and the drain once
+    let mut total = snap_delta(run, run);
+    let drain = snap_delta(run, pre_drain);
+    for d in cluster_runs.iter().chain([&drain]) {
+        for (acc, x) in total.caches.iter_mut().zip(&d.caches) {
+            stats_scaled_add(acc, x, d.weight);
+        }
+        stats_scaled_add(&mut total.mem, &d.mem, d.weight);
+        for (acc, x) in total.per_region.iter_mut().zip(&d.per_region) {
+            acc.loads += x.loads * d.weight;
+            acc.stores += x.stores * d.weight;
+            acc.bytes_loaded += x.bytes_loaded * d.weight;
+            acc.bytes_stored += x.bytes_stored * d.weight;
+        }
+        total.refs += d.refs * d.weight;
+    }
+    let detail = SampleDetail {
+        spec: plan.spec,
+        intervals: plan.intervals,
+        cluster_runs,
+    };
+    Ok(RawRun::new(
+        total.caches,
+        total.mem,
+        total.per_region,
+        total.refs,
+        regions,
+        Some(detail),
+    ))
+}
+
+/// Replay the plan's windows of the trace at `path` through `structure`
+/// and extrapolate a full-stream [`RawRun`] (with [`RawRun::sample`]
+/// set): a one-structure sampled group walk on one lane. The trace must
+/// record its workload ([`Source::trace`]).
+pub fn replay_structure_sampled(
+    path: &Path,
+    scale: &Scale,
+    structure: &Structure,
+    plan: &SamplePlan,
+) -> Result<RawRun, String> {
+    let source = Source::trace(path)?;
+    let group = Group {
+        source: &source,
+        scale,
+        structures: std::slice::from_ref(structure),
+        engine: Engine::Sequential,
+        lanes: 1,
+    };
+    group
+        .walk_trace(path, Some(plan))
+        .pop()
+        .expect("one run per structure")
 }
 
 // ---------------------------------------------------------------------------
@@ -983,32 +891,57 @@ pub(crate) fn trace_store() -> Result<&'static TraceStore, String> {
 
 type PlanCell = Arc<OnceLock<Result<Arc<SamplePlan>, String>>>;
 
-/// Memoized [`build_plan`]: one plan per `(trace path, spec)` per
-/// process, shared across every structure of a grid, and persisted to a
-/// sidecar in [`sample_trace_dir`] so later *processes* skip the
-/// signature pass over the trace as well (the sidecar is keyed by the
-/// trace's size and mtime and silently rebuilt when stale).
-pub fn plan_for(path: &Path, spec: SampleSpec) -> Result<Arc<SamplePlan>, String> {
+/// Memoized plan build over `lanes` workers: one plan per `(trace path,
+/// spec)` per process, shared across every structure of a grid, and
+/// persisted to a sidecar in [`sample_trace_dir`] (keyed by the trace's
+/// size and mtime and the build identity, silently rebuilt when stale) so
+/// later processes skip the signature pass too. A failed build is not
+/// memoized: the next caller builds again.
+pub fn plan_for(path: &Path, spec: SampleSpec, lanes: usize) -> Result<Arc<SamplePlan>, String> {
     static PLANS: OnceLock<Mutex<HashMap<(PathBuf, SampleSpec), PlanCell>>> = OnceLock::new();
     let map = PLANS.get_or_init(|| Mutex::new(HashMap::new()));
+    let key = (path.to_path_buf(), spec);
     let cell = {
         let mut map = map.lock().expect("plan cache poisoned");
-        Arc::clone(map.entry((path.to_path_buf(), spec)).or_default())
+        Arc::clone(map.entry(key.clone()).or_default())
     };
-    cell.get_or_init(|| {
-        let sidecar = trace_identity(path).map(|id| plan_sidecar_path(path, spec, id));
-        if let Some(sc) = &sidecar {
-            if let Some(plan) = load_plan_sidecar(sc, spec) {
-                return Ok(Arc::new(plan));
-            }
+    let plan = cell
+        .get_or_init(|| {
+            let build = crate::store::build_identity().ok();
+            load_or_build_plan(path, spec, lanes, build).map(Arc::new)
+        })
+        .clone();
+    if plan.is_err() {
+        let mut map = map.lock().expect("plan cache poisoned");
+        if map.get(&key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
+            map.remove(&key);
         }
-        let plan = build_plan(path, spec)?;
-        if let Some(sc) = &sidecar {
-            store_plan_sidecar(sc, &plan);
-        }
-        Ok(Arc::new(plan))
-    })
-    .clone()
+    }
+    plan
+}
+
+/// The plan from its sidecar under `build`, or built over `lanes` workers
+/// and persisted there. Without a build identity there is no sidecar.
+fn load_or_build_plan(
+    path: &Path,
+    spec: SampleSpec,
+    lanes: usize,
+    build: Option<&str>,
+) -> Result<SamplePlan, String> {
+    let sidecar = build
+        .zip(trace_identity(path))
+        .map(|(build, id)| plan_sidecar_path(path, spec, id, build));
+    if let Some(plan) = sidecar
+        .as_deref()
+        .and_then(|sc| load_plan_sidecar(sc, spec))
+    {
+        return Ok(plan);
+    }
+    let plan = build_plan_over(path, spec, lanes)?;
+    if let Some(sc) = &sidecar {
+        store_plan_sidecar(sc, &plan);
+    }
+    Ok(plan)
 }
 
 /// `(len, mtime ns)` of the trace file — the staleness key for plan
@@ -1023,15 +956,17 @@ fn trace_identity(path: &Path) -> Option<(u64, u64)> {
     Some((meta.len(), mtime.as_nanos() as u64))
 }
 
-/// Sidecar file for one `(trace, identity, spec)` triple. DefaultHasher
-/// is keyed with process-independent constants, so the name is stable
-/// across processes; a store trace's path carries its build identity.
-fn plan_sidecar_path(path: &Path, spec: SampleSpec, identity: (u64, u64)) -> PathBuf {
+/// Sidecar file for one `(trace, identity, spec, build)` key.
+/// DefaultHasher is keyed with process-independent constants, so the name
+/// is stable across processes; the build identity keeps a changed planner
+/// from reading an old build's plans.
+fn plan_sidecar_path(path: &Path, spec: SampleSpec, identity: (u64, u64), build: &str) -> PathBuf {
     use std::hash::{Hash, Hasher};
     let mut h = std::collections::hash_map::DefaultHasher::new();
     path.hash(&mut h);
     identity.hash(&mut h);
     spec.hash(&mut h);
+    build.hash(&mut h);
     sample_trace_dir().join(format!("plan-{:016x}.txt", h.finish()))
 }
 
@@ -1090,7 +1025,7 @@ fn load_plan_sidecar(file: &Path, spec: SampleSpec) -> Option<SamplePlan> {
             .split(',')
             .map(|m| m.parse().ok())
             .collect::<Option<_>>()?;
-        if representative >= intervals || weight as usize != members.len() {
+        if weight as usize != members.len() || !members.contains(&representative) {
             return None;
         }
         clusters.push(SampleCluster {
@@ -1099,8 +1034,11 @@ fn load_plan_sidecar(file: &Path, spec: SampleSpec) -> Option<SamplePlan> {
             members,
         });
     }
-    let covered: u64 = clusters.iter().map(|c| c.weight).sum();
-    if clusters.is_empty() || covered != intervals {
+    // the members partition the intervals, so representatives are
+    // distinct
+    let mut covered: Vec<u64> = clusters.iter().flat_map(|c| c.members.clone()).collect();
+    covered.sort_unstable();
+    if clusters.is_empty() || !covered.into_iter().eq(0..intervals) {
         return None;
     }
     Some(SamplePlan {
@@ -1124,19 +1062,23 @@ mod tests {
             SampleMode::parse("on").unwrap(),
             SampleMode::On(SampleSpec::default())
         );
-        let m = SampleMode::parse("interval=64k,clusters=3,warmup=cold").unwrap();
+        let m = SampleMode::parse("interval=64k,clusters=3,warmup=functional").unwrap();
         assert_eq!(
             m,
             SampleMode::On(SampleSpec {
                 interval: 64_000,
                 clusters: 3,
-                warmup: Warmup::Cold,
             })
         );
+        assert_eq!(m.canon(), "interval=64000,clusters=3,warmup=functional");
         assert_eq!(SampleMode::parse(&m.canon()).unwrap(), m);
+        assert_eq!(SampleMode::parse("interval=64k,clusters=3").unwrap(), m);
         assert_eq!(SampleMode::Off.canon(), "off");
         assert!(SampleMode::parse("interval=0").is_err());
         assert!(SampleMode::parse("clusters=0").is_err());
+        // the cold ablation is gone, and saying so beats "unknown"
+        let cold = SampleMode::parse("interval=64k,clusters=3,warmup=cold").unwrap_err();
+        assert!(cold.contains("removed"), "{cold}");
         assert!(SampleMode::parse("warmup=warm").is_err());
         assert!(SampleMode::parse("bogus=1").is_err());
         assert!(SampleMode::parse("interval").is_err());
@@ -1147,7 +1089,6 @@ mod tests {
         let spec = SampleSpec {
             interval: 1000,
             clusters: 2,
-            warmup: Warmup::Functional,
         };
         let plan = SamplePlan {
             spec,
@@ -1235,7 +1176,6 @@ mod tests {
         let spec = SampleSpec {
             interval: 10_000,
             clusters: 2,
-            warmup: Warmup::Functional,
         };
         let plan = build_plan(&path, spec).unwrap();
         assert_eq!(plan.total_events, 35_000);
@@ -1267,6 +1207,119 @@ mod tests {
     }
 
     #[test]
+    fn a_plan_split_over_workers_is_the_one_pass_plan() {
+        // a strided pass (17 chunks per interval, so every other chunk is
+        // decoded) whose chunks straddle interval boundaries, with a
+        // partial tail interval
+        let events: Vec<TraceEvent> = (0..300_000u64)
+            .map(|i| match (i / 70_000) % 2 {
+                0 => TraceEvent::load(i * 64, 8),
+                _ => TraceEvent::store((i * 7919) % (1 << 22), 8),
+            })
+            .collect();
+        let path = temp("split.trace");
+        write_trace(&path, &events);
+        let hash = temp("split-hash.trace");
+        crate::replay::record_workload(
+            memsim_workloads::WorkloadKind::Hash,
+            memsim_workloads::Class::Mini,
+            &hash,
+        )
+        .unwrap();
+        for (path, spec) in [
+            (
+                &path,
+                SampleSpec {
+                    interval: 70_000,
+                    clusters: 2,
+                },
+            ),
+            (
+                &hash,
+                SampleSpec {
+                    interval: 64_000,
+                    clusters: 4,
+                },
+            ),
+        ] {
+            let one = build_plan(path, spec).unwrap();
+            for workers in [2, 3] {
+                assert_eq!(
+                    build_plan_over(path, spec, workers).unwrap(),
+                    one,
+                    "{} over {workers} workers",
+                    path.display()
+                );
+            }
+        }
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&hash).ok();
+    }
+
+    #[test]
+    fn plan_for_retries_a_failed_build() {
+        let path = temp("late.trace");
+        std::fs::remove_file(&path).ok();
+        let spec = SampleSpec {
+            interval: 8_192,
+            clusters: 2,
+        };
+        assert!(plan_for(&path, spec, 2).is_err());
+        let events: Vec<TraceEvent> = (0..20_000u64)
+            .map(|i| TraceEvent::load(i * 64, 8))
+            .collect();
+        write_trace(&path, &events);
+        let plan = plan_for(&path, spec, 2).expect("the failed build was not memoized");
+        assert_eq!(plan.total_events, 20_000);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn plan_sidecars_are_keyed_on_the_build() {
+        let path = temp("builds.trace");
+        let events: Vec<TraceEvent> = (0..40_000u64)
+            .map(|i| TraceEvent::load((i * 7919) % (1 << 20), 8))
+            .collect();
+        write_trace(&path, &events);
+        let spec = SampleSpec {
+            interval: 8_192,
+            clusters: 2,
+        };
+        let id = trace_identity(&path).unwrap();
+        let (a, b) = (
+            plan_sidecar_path(&path, spec, id, "build-a"),
+            plan_sidecar_path(&path, spec, id, "build-b"),
+        );
+        assert_ne!(a, b);
+
+        // build a's planner leaves its sidecar; doctor it, and build a
+        // reads the doctored plan back while build b builds its own
+        let built = load_or_build_plan(&path, spec, 1, Some("build-a")).unwrap();
+        let doctored = SamplePlan {
+            clusters: vec![SampleCluster {
+                representative: 0,
+                weight: built.intervals,
+                members: (0..built.intervals).collect(),
+            }],
+            ..built.clone()
+        };
+        store_plan_sidecar(&a, &doctored);
+        assert_eq!(
+            load_or_build_plan(&path, spec, 1, Some("build-a")).unwrap(),
+            doctored
+        );
+        assert_eq!(
+            load_or_build_plan(&path, spec, 1, Some("build-b")).unwrap(),
+            built
+        );
+        // and without a build identity there is no sidecar at all
+        assert_eq!(load_or_build_plan(&path, spec, 1, None).unwrap(), built);
+        for f in [&a, &b, &path] {
+            std::fs::remove_file(f).ok();
+        }
+    }
+
+    #[test]
     fn plan_is_deterministic() {
         let events: Vec<TraceEvent> = (0..50_000u64)
             .map(|i| TraceEvent::load((i * 7919) % (1 << 20), 8))
@@ -1276,7 +1329,6 @@ mod tests {
         let spec = SampleSpec {
             interval: 8_192,
             clusters: 3,
-            warmup: Warmup::Functional,
         };
         let a = build_plan(&path, spec).unwrap();
         let b = build_plan(&path, spec).unwrap();

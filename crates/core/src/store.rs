@@ -38,8 +38,9 @@ pub fn digest(s: &str) -> String {
 }
 
 /// Digest of the running executable, computed once per process by
-/// streaming the file through a small fixed buffer.
-fn build_identity() -> Result<&'static str, String> {
+/// streaming the file through a small fixed buffer. It keys the store's
+/// traces and the interval sampler's plan sidecars.
+pub(crate) fn build_identity() -> Result<&'static str, String> {
     static IDENTITY: OnceLock<Result<String, String>> = OnceLock::new();
     IDENTITY
         .get_or_init(|| {

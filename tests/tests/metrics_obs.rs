@@ -12,7 +12,7 @@ use memsim_core::configs::n_by_name;
 use memsim_core::experiments::{fig_nmm, ExperimentCtx, Metric};
 use memsim_core::jsontext::{get_u64, parse_json};
 use memsim_core::runner::{evaluate_cached, evaluate_grid_sweep};
-use memsim_core::{Design, RunOpts, Scale, SimCache, Source, Structure};
+use memsim_core::{Design, RunOpts, SampleMode, Scale, SimCache, Source, Structure};
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::PathBuf;
@@ -218,6 +218,58 @@ fn a_trace_grid_decodes_the_file_once_per_group() {
         memsim_obs::global().counter_value("sim.workload_runs"),
         None
     );
+    memsim_obs::reset();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn a_sampled_trace_grid_decodes_its_windows_once_per_group() {
+    let _lock = memsim_obs::test_lock();
+    let path = temp_trace("hash-sampled-grid.trace");
+    memsim_core::record_workload(WorkloadKind::Hash, Class::Mini, &path).unwrap();
+    let trace = Source::trace(&path).unwrap();
+    let nmm = |config| Design::Nmm {
+        nvm: Technology::Pcm,
+        config: n_by_name(config).unwrap(),
+    };
+    let points: Vec<(Source, Design)> = [Design::Baseline, nmm("N1"), nmm("N6")]
+        .into_iter()
+        .map(|d| (trace.clone(), d))
+        .collect();
+
+    memsim_obs::reset();
+    memsim_obs::set_enabled(true);
+    let opts = RunOpts {
+        sample: SampleMode::parse("interval=1m,clusters=3").unwrap(),
+        ..RunOpts::default()
+    };
+    let outcome = evaluate_grid_sweep(
+        &points,
+        &Scale::mini(),
+        &SimCache::new(),
+        Some(2),
+        None,
+        opts,
+    );
+    memsim_obs::set_enabled(false);
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+
+    // one group of three structures: one walk, one plan, one decode of
+    // the windows for all three
+    let doc = memsim_obs::export_json(&[], memsim_obs::global());
+    let parsed = parse_json(doc.trim_end()).unwrap();
+    let spans = parsed.as_obj().unwrap()["spans"].as_obj().unwrap();
+    let child = |node: &memsim_core::jsontext::JVal, name: &str| {
+        node.as_obj().unwrap()["children"].as_obj().unwrap()[name].clone()
+    };
+    let walk = child(&spans["grid"], "walk");
+    let hash = child(&walk, "Hash");
+    assert_eq!(get_u64(hash.as_obj().unwrap(), "calls"), Ok(1), "{doc}");
+    // the plan is built inside the walk, on the walking thread
+    let plan = child(&child(&hash, "sample"), "plan");
+    assert_eq!(get_u64(plan.as_obj().unwrap(), "calls"), Ok(1), "{doc}");
+    assert_eq!(counter("sim.memo.misses"), 3);
+    assert!(counter("sample.events_simulated") < counter("sample.events_total"));
     memsim_obs::reset();
     std::fs::remove_file(&path).ok();
 }
