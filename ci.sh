@@ -138,6 +138,36 @@ else
     echo "python3 not found; skipping obs export parity diff"
 fi
 
+echo "== shared prefix: one L1-L3 walk per group feeds every structure's L4 and terminal"
+if command -v python3 >/dev/null 2>&1; then
+    MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm,4lc \
+        --quiet --metrics-out "$smoke_dir/replay-prefix.json"
+    python3 - "$smoke_dir/replay-prefix.json" <<'PY'
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+fields = ["loads", "stores", "load_hits", "load_misses", "store_hits",
+          "store_misses", "writebacks_out", "fills", "bytes_loaded",
+          "bytes_stored"]
+structures = sorted(k.split(".")[1] for k in c
+                    if k.startswith("replay.") and k.endswith(".L1.loads"))
+assert len(structures) == 3, structures
+# L1-L3 are the group's one prefix: every structure publishes its counters
+for level in ("L1", "L2", "L3"):
+    for f in fields:
+        values = {s: c["replay.{}.{}.{}".format(s, level, f)] for s in structures}
+        assert len(set(values.values())) == 1, (level, f, values)
+# an L4 sees exactly the fills L3 sends below
+with_l4 = [s for s in structures if "replay.{}.L4.loads".format(s) in c]
+assert len(with_l4) == 2, structures
+for s in with_l4:
+    l4, l3 = c["replay.{}.L4.loads".format(s)], c["replay.{}.L3.load_misses".format(s)]
+    assert l4 == l3, (s, l4, l3)
+print("shared prefix: L1-L3 identical across {}; L4 loads = L3 load misses".format(structures))
+PY
+else
+    echo "python3 not found; skipping the shared-prefix check"
+fi
+
 echo "== sampled-parity: interval-sampled replay vs full fidelity (demo scale)"
 # the dedicated accuracy suites: golden sampled-vs-full error/CI coverage,
 # the bit-identical degenerate plan, cross-fidelity journal refusal
@@ -214,10 +244,10 @@ else
 fi
 
 echo "== obs-trace: flight-recorder timeline export, byte stability, golden diff"
-# Sharded full-fidelity replay: one decode fans out to both structures
-# over a budget of two lanes, each structure walked by two replicas, with
-# per-chunk walk spans and queue-depth / Mev/s counter tracks on every
-# lane. ~2 MB, so it is pinned by double-run byte identity plus the
+# Sharded full-fidelity replay: one decode feeds the group's shared L1-L3
+# prefix, walked by two class replicas on two lanes; each lane also walks
+# both structures' suffixes for its class, with per-chunk prefix and walk
+# spans and queue-depth / Mev/s counter tracks on every lane. ~2 MB, so it is pinned by double-run byte identity plus the
 # structural validation below rather than a committed golden.
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
     --shards 2 --threads 2 --quiet --trace-out "$smoke_dir/trace-sharded-a.json"
@@ -228,8 +258,7 @@ cmp "$smoke_dir/trace-sharded-a.json" "$smoke_dir/trace-sharded-b.json"
 # tracks. The first run pays the one-time interval-plan build (an extra
 # sample.plan span) and warms the plan sidecar; the next two are the
 # byte-stability pair, diffed against the committed golden. The engine is
-# pinned because the timeline's manifest records it (`--shards auto`
-# would name this host's core count).
+# pinned because the timeline's manifest records it.
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
     --sample interval=32k,clusters=2 --threads 1 --shards seq --quiet \
     --trace-out "$smoke_dir/trace-planwarm.json"
@@ -273,7 +302,8 @@ walk_lanes = [k for k in lanes(sharded) if k.startswith("memsim-walk-")]
 assert walk_lanes == ["memsim-walk-Hash-0", "memsim-walk-Hash-1"], lanes(sharded)
 for lane in walk_lanes:
     on_lane = names_on(sharded, lane)
-    for want in ("walk.3L", "walk.4L-c8388608-p512", "shard.queue_depth", "shard.mev_s"):
+    for want in ("walk.prefix", "walk.3L", "walk.4L-c8388608-p512",
+                 "shard.queue_depth", "shard.mev_s"):
         assert want in on_lane, (lane, want, sorted(on_lane))
 counters = [e for e in sharded["traceEvents"] if e["ph"] == "C"]
 assert counters and all("value" in e["args"] for e in counters)
@@ -283,12 +313,12 @@ for want in ("sample.warm", "sample.measure", "sample.ci_halfwidth.amat"):
     assert want in snames, (want, sorted(snames))
 # one decode of the windows feeds both sampled structures: the calling
 # thread (main, at --threads 1) reads the trace and marks the windows,
-# the group's one lane walks both structures, and a grid worker costs
-# the points
+# the group's one lane walks the shared prefix and both structures'
+# suffixes, and a grid worker costs the points
 for want in ("grid.walk.Hash", "sample.warm", "sample.measure"):
     assert want in names_on(sampled, "main"), (want, lanes(sampled))
 on_lane = names_on(sampled, "memsim-walk-Hash-0")
-for want in ("walk.3L", "walk.4L-c8388608-p512"):
+for want in ("walk.prefix", "walk.3L", "walk.4L-c8388608-p512"):
     assert want in on_lane, (want, sorted(on_lane))
 assert "grid.point.Hash.Baseline" in names_on(sampled, "memsim-sweep0"), lanes(sampled)
 print("obs-trace: walk lanes {}, {} sharded events; sampled timeline has warm/measure phases".format(

@@ -44,14 +44,14 @@ fn full_hierarchy(scale: &memsim_core::Scale) -> Hierarchy<CountingMemory> {
 /// The full hierarchy walked by `shards` set-sharded replicas, one lane
 /// each.
 fn sharded(scale: &memsim_core::Scale, shards: usize) -> ShardedHierarchy<CountingMemory> {
+    let mut levels = full_hierarchy(scale).levels().to_vec();
     let walk = Walk {
-        levels: full_hierarchy(scale).levels().to_vec(),
+        levels: levels.split_off(3),
         memory: CountingMemory::default(),
-        shards,
         obs_prefix: None,
         span: "walk.bench".to_string(),
     };
-    ShardedHierarchy::group(vec![walk], shards, "memsim-shard")
+    ShardedHierarchy::group(levels, vec![walk], shards, shards, "memsim-shard")
 }
 
 /// Finish a one-hierarchy sharded walk and return its reference count.

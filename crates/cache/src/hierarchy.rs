@@ -16,6 +16,10 @@ pub trait MainMemory {
     /// A write of `bytes` at `addr` (a dirty writeback from the last cache
     /// level, or a demand write when there are no caches).
     fn store(&mut self, addr: u64, bytes: u32);
+    /// Write back whatever dirty state the memory holds itself, once every
+    /// level above has drained into it. Terminals hold none; a [`Below`]
+    /// drains its own cache levels.
+    fn drain(&mut self) {}
 }
 
 /// The simplest terminal: counts requests and bytes.
@@ -45,6 +49,126 @@ impl MainMemory for CountingMemory {
     }
 }
 
+/// Cache levels over a terminal memory, entered from the level above: the
+/// part of a hierarchy that misses and writebacks walk.
+///
+/// A `Below` is itself a [`MainMemory`]. A fill from above is a `load`
+/// that probes `levels[0]` as a load of the requester's block size; a
+/// writeback is a `store` delivered to `levels[0]` with writeback
+/// semantics; `drain` flushes its levels top-down, then its terminal. A
+/// [`Hierarchy`] walks its own misses with the same code (its levels are a
+/// `Below` entered at L2), so `Hierarchy::new(upper, Below::new(lower,
+/// mem))` counts exactly what `Hierarchy::new(upper ++ lower, mem)` counts,
+/// drain included.
+#[derive(Debug, Clone)]
+pub struct Below<M> {
+    levels: Vec<Cache>,
+    memory: M,
+}
+
+impl<M: MainMemory> Below<M> {
+    /// The levels `levels` (top-down) over `memory`.
+    pub fn new(levels: Vec<Cache>, memory: M) -> Self {
+        Self { levels, memory }
+    }
+
+    /// The cache levels, top-down.
+    pub fn levels(&self) -> &[Cache] {
+        &self.levels
+    }
+
+    /// The terminal memory.
+    pub fn memory(&self) -> &M {
+        &self.memory
+    }
+
+    /// Run a consistency check over every level's counters, panicking
+    /// with the specific broken invariant.
+    pub fn assert_consistent(&self) {
+        for c in &self.levels {
+            if let Some(err) = c.stats().consistency_error() {
+                panic!("stats inconsistent — {err} (full: {:?})", c.stats());
+            }
+        }
+    }
+
+    /// Fetch `bytes` at `addr` into `levels[level]` as a load: walk down
+    /// until a hit or the terminal, writing each level's dirty victim back
+    /// after its fill. A level fetches its own block size from below.
+    #[inline]
+    fn fetch(&mut self, mut level: usize, addr: u64, mut bytes: u32) {
+        loop {
+            if level == self.levels.len() {
+                self.memory.load(addr, bytes);
+                return;
+            }
+            match self.levels[level].access(addr, AccessKind::Load, bytes) {
+                AccessOutcome::Hit => return,
+                AccessOutcome::Miss { evicted_dirty } => {
+                    if let Some(victim) = evicted_dirty {
+                        self.writeback_parts(level, victim);
+                    }
+                    bytes = self.levels[level].block_bytes();
+                    level += 1;
+                }
+            }
+        }
+    }
+
+    /// Deliver a dirty eviction from `level` as one writeback transaction
+    /// carrying the block's dirty bytes (whole block, or only the dirty
+    /// sectors of a sectored page cache).
+    fn writeback_parts(&mut self, level: usize, victim: u64) {
+        let bytes = self.levels[level].take_eviction_bytes();
+        self.writeback(level + 1, victim, bytes);
+    }
+
+    /// Deliver a writeback of `bytes` at `addr` to `level` (may recurse
+    /// further down when it misses or displaces more dirty blocks).
+    fn writeback(&mut self, level: usize, addr: u64, bytes: u32) {
+        if level == self.levels.len() {
+            self.memory.store(addr, bytes);
+            return;
+        }
+        match self.levels[level].writeback(addr, bytes) {
+            WritebackOutcome::HitMarkedDirty => {}
+            WritebackOutcome::MissBypass => self.writeback(level + 1, addr, bytes),
+            WritebackOutcome::MissAllocated { evicted_dirty } => {
+                if let Some(victim) = evicted_dirty {
+                    self.writeback_parts(level, victim);
+                }
+            }
+        }
+    }
+}
+
+impl<M: MainMemory> MainMemory for Below<M> {
+    #[inline]
+    fn load(&mut self, addr: u64, bytes: u32) {
+        self.fetch(0, addr, bytes);
+    }
+
+    #[inline]
+    fn store(&mut self, addr: u64, bytes: u32) {
+        self.writeback(0, addr, bytes);
+    }
+
+    /// Drain every resident dirty block top-down, set by set (a level's
+    /// writebacks only reach the levels below), then the terminal.
+    fn drain(&mut self) {
+        let mut dirty = Vec::new();
+        for level in 0..self.levels.len() {
+            for set in 0..self.levels[level].config().sets() as usize {
+                self.levels[level].drain_dirty_set(set, &mut dirty);
+                for (addr, bytes) in dirty.drain(..) {
+                    self.writeback(level + 1, addr, bytes);
+                }
+            }
+        }
+        self.memory.drain();
+    }
+}
+
 /// A stack of caches over a terminal memory.
 ///
 /// Implements [`TraceSink`]: feed it the raw application address stream.
@@ -58,8 +182,9 @@ impl MainMemory for CountingMemory {
 /// make their way to the main memory and count as write operations".
 #[derive(Debug, Clone)]
 pub struct Hierarchy<M: MainMemory> {
-    levels: Vec<Cache>,
-    memory: M,
+    /// Every level, L1 first, over the terminal: L1 is probed here, and a
+    /// miss continues through the stack's walk from L2 down.
+    stack: Below<M>,
     /// Demand references consumed (after line splitting) when there are no
     /// cache levels. With caches present the count is derived from L1's
     /// counters instead — every post-split reference reaches L1 exactly
@@ -110,8 +235,7 @@ impl<M: MainMemory> Hierarchy<M> {
             .map(|c| c.block_bytes() >= 2)
             .unwrap_or(false);
         Self {
-            levels,
-            memory,
+            stack: Below::new(levels, memory),
             uncached_refs: 0,
             uncached_bytes: 0,
             drained: false,
@@ -131,7 +255,7 @@ impl<M: MainMemory> Hierarchy<M> {
     pub fn set_probes(&mut self, probes: HierarchyProbes) {
         debug_assert_eq!(
             probes.level_count(),
-            self.levels.len(),
+            self.stack.levels.len(),
             "probes must cover every cache level"
         );
         self.probe_countdown = PROBE_EPOCH;
@@ -173,9 +297,7 @@ impl<M: MainMemory> Hierarchy<M> {
         let Some(state) = self.probes.as_deref_mut() else {
             return;
         };
-        for c in &state.probes.chunks {
-            c.inc();
-        }
+        state.probes.chunks.inc();
         if self.probe_countdown <= events_in_chunk {
             self.probe_countdown = PROBE_EPOCH;
             self.probe_publish();
@@ -196,35 +318,38 @@ impl<M: MainMemory> Hierarchy<M> {
         let delta = total.saturating_sub(state.published_events);
         state.published_events = total;
         if delta > 0 {
-            for c in &state.probes.events {
-                c.add(delta);
-            }
+            state.probes.events.add(delta);
         }
-        state.probes.lb_hits.store(lb_hits);
-        for (probe, cache) in state.probes.levels.iter().zip(self.levels.iter()) {
-            probe.publish(&cache.counter_values());
+        for c in &state.probes.lb_hits {
+            c.store(lb_hits);
+        }
+        for (probes, cache) in state.probes.levels.iter().zip(self.stack.levels.iter()) {
+            let values = cache.counter_values();
+            for probe in probes {
+                probe.publish(&values);
+            }
         }
     }
 
     /// The cache levels, top-down.
     pub fn levels(&self) -> &[Cache] {
-        &self.levels
+        &self.stack.levels
     }
 
     /// The terminal memory.
     pub fn memory(&self) -> &M {
-        &self.memory
+        &self.stack.memory
     }
 
     /// Mutable access to the terminal memory.
     pub fn memory_mut(&mut self) -> &mut M {
-        &mut self.memory
+        &mut self.stack.memory
     }
 
     /// Total demand references consumed (the paper's "Total Number of
     /// References" denominator in Equation 2).
     pub fn total_refs(&self) -> u64 {
-        match self.levels.first() {
+        match self.stack.levels.first() {
             Some(l1) => l1.demand_refs(),
             None => self.uncached_refs,
         }
@@ -232,7 +357,7 @@ impl<M: MainMemory> Hierarchy<M> {
 
     /// Total demand bytes moved by the CPU reference stream.
     pub fn demand_bytes(&self) -> u64 {
-        match self.levels.first() {
+        match self.stack.levels.first() {
             Some(l1) => l1.demand_bytes(),
             None => self.uncached_bytes,
         }
@@ -240,7 +365,7 @@ impl<M: MainMemory> Hierarchy<M> {
 
     /// Consume the hierarchy, returning the terminal memory.
     pub fn into_memory(self) -> M {
-        self.memory
+        self.stack.memory
     }
 
     /// Process one demand reference already confined to a single L1 block.
@@ -249,7 +374,8 @@ impl<M: MainMemory> Hierarchy<M> {
     /// (dominant) hit path stays small.
     #[inline]
     fn demand(&mut self, addr: u64, kind: AccessKind, size: u32) {
-        if let AccessOutcome::Miss { evicted_dirty } = self.levels[0].access(addr, kind, size) {
+        if let AccessOutcome::Miss { evicted_dirty } = self.stack.levels[0].access(addr, kind, size)
+        {
             self.demand_miss(addr, evicted_dirty);
         }
     }
@@ -259,59 +385,21 @@ impl<M: MainMemory> Hierarchy<M> {
         self.uncached_refs += 1;
         self.uncached_bytes += u64::from(size);
         match kind {
-            AccessKind::Load => self.memory.load(addr, size),
-            AccessKind::Store => self.memory.store(addr, size),
+            AccessKind::Load => self.stack.memory.load(addr, size),
+            AccessKind::Store => self.stack.memory.store(addr, size),
         }
     }
 
-    /// Continue a demand reference that missed L1: walk down until a hit
-    /// or the terminal memory. Writebacks from evictions are handled after
-    /// the fill, per level; fetches from below are always reads.
+    /// Continue a demand reference that missed L1: write L1's dirty victim
+    /// back, then fetch L1's block from L2 down until a hit or the
+    /// terminal.
     #[inline(never)]
     fn demand_miss(&mut self, addr: u64, l1_evicted: Option<u64>) {
-        let mut level = 0;
-        let mut evicted_dirty = l1_evicted;
-        loop {
-            let block = self.levels[level].block_bytes();
-            if let Some(victim) = evicted_dirty {
-                self.writeback_parts(level, victim);
-            }
-            level += 1;
-            if level == self.levels.len() {
-                self.memory.load(addr, block);
-                return;
-            }
-            match self.levels[level].access(addr, AccessKind::Load, block) {
-                AccessOutcome::Hit => return,
-                AccessOutcome::Miss { evicted_dirty: e } => evicted_dirty = e,
-            }
+        if let Some(victim) = l1_evicted {
+            self.stack.writeback_parts(0, victim);
         }
-    }
-
-    /// Deliver a dirty eviction from `level` as one writeback transaction
-    /// carrying the block's dirty bytes (whole block, or only the dirty
-    /// sectors of a sectored page cache).
-    fn writeback_parts(&mut self, level: usize, victim: u64) {
-        let bytes = self.levels[level].take_eviction_bytes();
-        self.writeback(level + 1, victim, bytes);
-    }
-
-    /// Deliver a writeback of `bytes` at `addr` to `level` (may recurse
-    /// further down when it misses or displaces more dirty blocks).
-    fn writeback(&mut self, level: usize, addr: u64, bytes: u32) {
-        if level == self.levels.len() {
-            self.memory.store(addr, bytes);
-            return;
-        }
-        match self.levels[level].writeback(addr, bytes) {
-            WritebackOutcome::HitMarkedDirty => {}
-            WritebackOutcome::MissBypass => self.writeback(level + 1, addr, bytes),
-            WritebackOutcome::MissAllocated { evicted_dirty } => {
-                if let Some(victim) = evicted_dirty {
-                    self.writeback_parts(level, victim);
-                }
-            }
-        }
+        let block = self.stack.levels[0].block_bytes();
+        self.stack.fetch(1, addr, block);
     }
 
     /// Process one demand event: line-buffer fast path for a repeat of the
@@ -319,7 +407,7 @@ impl<M: MainMemory> Hierarchy<M> {
     #[inline]
     fn process_event(&mut self, ev: TraceEvent) {
         debug_assert!(!self.drained, "stream continued after flush()");
-        if self.levels.is_empty() {
+        if self.stack.levels.is_empty() {
             self.demand_uncached(ev.addr, ev.kind, ev.size);
             return;
         }
@@ -333,7 +421,7 @@ impl<M: MainMemory> Hierarchy<M> {
                 // most-recent in its set, so apply the hit bookkeeping
                 // directly without walking the level.
                 self.lb_hits += 1;
-                self.levels[0].rehit(ev.addr, ev.kind, ev.size);
+                self.stack.levels[0].rehit(ev.addr, ev.kind, ev.size);
                 return;
             }
             self.demand(ev.addr, ev.kind, ev.size);
@@ -373,23 +461,15 @@ impl<M: MainMemory> Hierarchy<M> {
         }
     }
 
-    /// Drain all resident dirty blocks to memory, top-down. Idempotent.
+    /// Drain all resident dirty blocks to memory, top-down, then the
+    /// terminal's own state ([`MainMemory::drain`]). Idempotent.
     pub fn drain(&mut self) {
         if self.drained {
             return;
         }
         self.drained = true;
         self.lb_block = u64::MAX;
-        let mut dirty = Vec::new();
-        for level in 0..self.levels.len() {
-            // set by set: a level's writebacks only reach the levels below
-            for set in 0..self.levels[level].config().sets() as usize {
-                self.levels[level].drain_dirty_set(set, &mut dirty);
-                for (addr, bytes) in dirty.drain(..) {
-                    self.writeback(level + 1, addr, bytes);
-                }
-            }
-        }
+        self.stack.drain();
         // Authoritative final publication: after this, registry values are
         // exact, not one-epoch-stale.
         self.publish_probes();
@@ -398,11 +478,7 @@ impl<M: MainMemory> Hierarchy<M> {
     /// Run a consistency check over every level's counters, panicking
     /// with the specific broken invariant.
     pub fn assert_consistent(&self) {
-        for c in &self.levels {
-            if let Some(err) = c.stats().consistency_error() {
-                panic!("stats inconsistent — {err} (full: {:?})", c.stats());
-            }
-        }
+        self.stack.assert_consistent();
     }
 }
 
@@ -427,7 +503,7 @@ impl<M: MainMemory> TraceSink for Hierarchy<M> {
     /// event-at-a-time delivery; only the line-buffer/MRU-ring telemetry
     /// split differs (batched events probe the ring instead of the buffer).
     fn access_chunk(&mut self, events: &[TraceEvent]) {
-        if self.levels.is_empty() {
+        if self.stack.levels.is_empty() {
             for &ev in events {
                 self.process_event(ev);
             }
@@ -435,7 +511,7 @@ impl<M: MainMemory> TraceSink for Hierarchy<M> {
             debug_assert!(!self.drained, "stream continued after flush()");
             let mut i = 0;
             while i < events.len() {
-                let n = self.levels[0].access_hit_batch(&events[i..]);
+                let n = self.stack.levels[0].access_hit_batch(&events[i..]);
                 if n > 0 {
                     i += n;
                     // every batched event is a size>0 single-block hit, so

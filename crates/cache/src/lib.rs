@@ -14,6 +14,11 @@
 //!   stores; fills propagate upward as loads; at the terminal memory
 //!   "every access to fetch a cache line is counted as a read operation"
 //!   and dirty writebacks count as writes — the paper's counting semantics.
+//! * [`Below`] — cache levels over a terminal, entered from a level above:
+//!   itself a [`MainMemory`], so `Hierarchy::new(upper, Below::new(lower,
+//!   mem))` counts exactly what one hierarchy over all the levels counts.
+//!   A group walk ([`ShardedHierarchy::group`]) walks a shared L1–L3 once
+//!   and replays its requests through each structure's `Below`.
 //! * [`LevelStats`] — the per-level statistics consumed by `memsim-core`.
 //!
 //! # Example
@@ -45,7 +50,7 @@ mod stats;
 
 pub use cache::{AccessOutcome, Cache, CounterValues, WritebackOutcome};
 pub use config::{Associativity, CacheConfig, WritebackMissPolicy};
-pub use hierarchy::{CountingMemory, Hierarchy, MainMemory};
+pub use hierarchy::{Below, CountingMemory, Hierarchy, MainMemory};
 pub use policy::ReplacementPolicy;
 pub use probes::{HierarchyProbes, LevelProbes};
 pub use sharded::{

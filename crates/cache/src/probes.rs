@@ -76,15 +76,18 @@ impl LevelProbes {
 
 /// Everything a [`crate::Hierarchy`] publishes when observability is on.
 ///
-/// Built by [`HierarchyProbes::register`] and attached with
+/// Built by [`HierarchyProbes::register`] (or
+/// [`HierarchyProbes::register_shared`]) and attached with
 /// [`crate::Hierarchy::set_probes`]. The shared `progress.events` /
 /// `progress.chunks` counters are registered automatically.
 #[derive(Debug, Clone)]
 pub struct HierarchyProbes {
-    pub(crate) events: Vec<Arc<Counter>>,
-    pub(crate) chunks: Vec<Arc<Counter>>,
-    pub(crate) lb_hits: Arc<Counter>,
-    pub(crate) levels: Vec<LevelProbes>,
+    pub(crate) events: Arc<Counter>,
+    pub(crate) chunks: Arc<Counter>,
+    /// `{prefix}.l1_line_buffer_hits`, one per prefix.
+    pub(crate) lb_hits: Vec<Arc<Counter>>,
+    /// Per cache level (top-down), that level's probes under every prefix.
+    pub(crate) levels: Vec<Vec<LevelProbes>>,
 }
 
 impl HierarchyProbes {
@@ -94,13 +97,29 @@ impl HierarchyProbes {
     /// `{prefix}.l1_line_buffer_hits`, and hooks the shared
     /// `progress.events` / `progress.chunks` counters.
     pub fn register(reg: &MetricsRegistry, prefix: &str, level_names: &[&str]) -> Self {
+        Self::register_shared(reg, &[prefix], level_names)
+    }
+
+    /// Register probes for one hierarchy under every prefix in `prefixes`:
+    /// a hierarchy whose levels several structures share (a group walk's
+    /// L1–L3 prefix) publishes them under each structure's name, and
+    /// advances the `progress.*` counters once.
+    pub fn register_shared(reg: &MetricsRegistry, prefixes: &[&str], level_names: &[&str]) -> Self {
         Self {
-            events: vec![reg.counter("progress.events")],
-            chunks: vec![reg.counter("progress.chunks")],
-            lb_hits: reg.counter(&format!("{prefix}.l1_line_buffer_hits")),
+            events: reg.counter("progress.events"),
+            chunks: reg.counter("progress.chunks"),
+            lb_hits: prefixes
+                .iter()
+                .map(|p| reg.counter(&format!("{p}.l1_line_buffer_hits")))
+                .collect(),
             levels: level_names
                 .iter()
-                .map(|name| LevelProbes::register(reg, &format!("{prefix}.{name}")))
+                .map(|name| {
+                    prefixes
+                        .iter()
+                        .map(|p| LevelProbes::register(reg, &format!("{p}.{name}")))
+                        .collect()
+                })
                 .collect(),
         }
     }

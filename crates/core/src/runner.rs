@@ -6,8 +6,9 @@
 //! [`Structure`] serves every technology assignment that shares it. The
 //! paper's grid (9 N-configs × 3 NVMs, 8 EH-configs × 2 LLCs × 3 NVMs, NDM
 //! × 3 NVMs, heat maps) needs 18 structures per workload, and a grid walks
-//! all of a source's structures from **one** stream: the stream is fanned
-//! out, chunk by chunk, to every hierarchy it needs
+//! all of a source's structures from **one** stream. They all share the
+//! scale's L1–L3, so the group walks those levels once, and each
+//! structure's own L4 and memory walk the requests L3 sends below
 //! ([`memsim_cache::ShardedHierarchy::group`]).
 //!
 //! A grid point's stream comes from a [`Source`]: a live run of the
@@ -125,13 +126,13 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Auto-detect: shard across the available cores, or stay sequential
-    /// on a single-core host where fan-out only adds queue overhead.
+    /// The default engine: the sequential walk. A group walks its shared
+    /// L1–L3 prefix once and deals its structures' L4 suffixes to the
+    /// other lanes, so replicating the prefix only adds a class filter per
+    /// replica; on a 2-vCPU host `Sharded(2)` was slower than `Sequential`
+    /// on a live reproduce, a full replay and a sampled replay alike.
     pub fn auto() -> Self {
-        match std::thread::available_parallelism() {
-            Ok(n) if n.get() > 1 => Engine::Sharded(n.get()),
-            _ => Engine::Sequential,
-        }
+        Engine::Sequential
     }
 
     /// The shard count recorded in sweep journals: 0 for the sequential
@@ -143,7 +144,7 @@ impl Engine {
         }
     }
 
-    /// Class-filtered replicas per walked structure: one for the
+    /// Class-filtered replicas of a group's shared prefix: one for the
     /// sequential walk, the requested shard count otherwise.
     fn replicas(&self) -> usize {
         match self {
@@ -321,18 +322,17 @@ impl Group<'_> {
         vec![Err(message); self.structures.len()]
     }
 
-    /// Walk one reference stream through every structure at once: each
-    /// structure's hierarchy is built (a structure whose caches cannot be
-    /// built fails alone), `stream` feeds them all through one
+    /// Walk one reference stream through every structure at once: the
+    /// scale's L1–L3, which every structure shares, form the group's one
+    /// prefix; each structure's levels below them (its L4, if any) and its
+    /// terminal form its suffix (a structure whose caches cannot be built
+    /// fails alone). `stream` feeds them all through one
     /// [`ShardedHierarchy::group`] over at most `lanes` lane threads
-    /// (`memsim-walk-{W}-{i}`), and each hierarchy is drained into a
-    /// [`RawRun`]: its finals, published under `sim.{W}.{structure}` or
-    /// `replay.{structure}`, or with a `plan` the unpublished extrapolation
-    /// of its snapshots at the stream's marks, in `structures` order.
-    ///
-    /// Each structure gets the engine's replica count, capped at `lanes`:
-    /// replicas beyond the lane count would share a lane, which then
-    /// filters every chunk once per replica for no parallelism.
+    /// (`memsim-walk-{W}-{i}`), with the engine's replica count for the
+    /// prefix, and each hierarchy is drained into a [`RawRun`]: its finals,
+    /// published under `sim.{W}.{structure}` or `replay.{structure}`, or
+    /// with a `plan` the unpublished extrapolation of its snapshots at the
+    /// stream's marks, in `structures` order.
     fn walk_stream(
         &self,
         regions: &[Region],
@@ -350,18 +350,22 @@ impl Group<'_> {
             .iter()
             .map(|st| publish.then(|| format!("{base}.{}", st.obs_label())))
             .collect();
+        let shared = match panic::catch_unwind(|| build_caches(self.scale, &Structure::ThreeLevel))
+        {
+            Ok(levels) => levels,
+            Err(payload) => return self.fail(panic_message(payload)),
+        };
         let mut errors: Vec<Option<String>> = Vec::with_capacity(self.structures.len());
         let mut walks: Vec<Walk<PartitionedMemory>> = Vec::with_capacity(self.structures.len());
         for (st, prefix) in self.structures.iter().zip(&prefixes) {
             match panic::catch_unwind(|| build_caches(self.scale, st)) {
-                Ok(levels) => {
+                Ok(mut levels) => {
                     // the terminal collects per-region traffic for every
                     // structure; the aggregate equals a flat memory's
                     // counters because everything is placed on the DRAM side
                     walks.push(Walk {
-                        levels,
+                        levels: levels.split_off(shared.len()),
                         memory: PartitionedMemory::new(regions, Technology::Pcm),
-                        shards: self.engine.replicas().min(self.lanes),
                         obs_prefix: prefix.clone(),
                         span: format!("walk.{}", st.obs_label()),
                     });
@@ -374,7 +378,8 @@ impl Group<'_> {
             Vec::new().into_iter()
         } else {
             let lane_name = format!("memsim-walk-{name}-");
-            let mut sink = ShardedHierarchy::group(walks, self.lanes, &lane_name);
+            let replicas = self.engine.replicas();
+            let mut sink = ShardedHierarchy::group(shared, walks, replicas, self.lanes, &lane_name);
             {
                 let _s = memsim_obs::span!("simulate");
                 stream(&mut sink);
@@ -459,13 +464,13 @@ impl Group<'_> {
             .flatten()
             .and_then(|mut f| footer_total(&mut f));
         if let Some(total) = total {
-            // every hierarchy counts each event into `progress.events`, so
-            // the footer's total gives `--progress` an ETA although the
-            // group's structures all finish at once
+            // the group's one prefix counts each event into
+            // `progress.events` once, so the footer's total gives
+            // `--progress` an ETA although the group's structures all
+            // finish at once
             let reg = memsim_obs::global();
             let counted = reg.counter("progress.events").get();
-            reg.gauge("progress.total")
-                .set(counted + total * self.structures.len() as u64);
+            reg.gauge("progress.total").set(counted + total);
         }
         let decoded = TraceReader::open(path).and_then(|mut reader| {
             let regions = reader.header().regions.clone();
@@ -1182,8 +1187,11 @@ type WalkedRuns = HashMap<(Source, Structure), Walked>;
 /// up to `threads` groups at once, each with `threads / in_flight` lanes.
 /// So a grid of many one-structure groups (Table 4) overlaps workloads as
 /// far as `threads` allows, and a grid of a few small groups still gets
-/// every lane. Once interrupted, no further group starts; structures left
-/// unwalked are absent from the map.
+/// every lane. (Running every group side by side instead — one lane each
+/// at `--threads 2` — made a three-workload mini reproduce about 11%
+/// faster but raised its peak RSS by 44%, two kernels' data at once.)
+/// Once interrupted, no further group starts; structures left unwalked
+/// are absent from the map.
 ///
 /// With observability on, `progress.shards_done` counts the structures
 /// walked, and `progress.shards_total` is that count plus the structures
@@ -1397,10 +1405,7 @@ mod tests {
     fn engine_journal_shards() {
         assert_eq!(Engine::Sequential.journal_shards(), 0);
         assert_eq!(Engine::Sharded(4).journal_shards(), 4);
-        match Engine::auto() {
-            Engine::Sequential => {}
-            Engine::Sharded(n) => assert!(n > 1),
-        }
+        assert_eq!(Engine::auto(), Engine::Sequential);
     }
 
     #[test]

@@ -223,6 +223,45 @@ fn a_trace_grid_decodes_the_file_once_per_group() {
 }
 
 #[test]
+fn a_trace_grid_counts_each_event_once_toward_progress() {
+    let _lock = memsim_obs::test_lock();
+    let path = temp_trace("hash-progress.trace");
+    memsim_core::record_workload(WorkloadKind::Hash, Class::Mini, &path).unwrap();
+    let trace = Source::trace(&path).unwrap();
+    let nmm = |config| Design::Nmm {
+        nvm: Technology::Pcm,
+        config: n_by_name(config).unwrap(),
+    };
+    let points: Vec<(Source, Design)> = [Design::Baseline, nmm("N1"), nmm("N6")]
+        .into_iter()
+        .map(|d| (trace.clone(), d))
+        .collect();
+
+    memsim_obs::reset();
+    memsim_obs::set_enabled(true);
+    let opts = RunOpts::default();
+    let outcome = evaluate_grid_sweep(
+        &points,
+        &Scale::mini(),
+        &SimCache::new(),
+        Some(2),
+        None,
+        opts,
+    );
+    memsim_obs::set_enabled(false);
+    assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+
+    // three structures share one L1-L3 prefix, which counts every event
+    // once: the counter ends at the gauge the footer's total set
+    let total = memsim_obs::global().gauge_value("progress.total");
+    assert_eq!(Some(counter("progress.events")), total);
+    let run = &outcome.results[0].as_ref().unwrap().run;
+    assert_eq!(counter("progress.events"), run.total_refs);
+    memsim_obs::reset();
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn a_sampled_trace_grid_decodes_its_windows_once_per_group() {
     let _lock = memsim_obs::test_lock();
     let path = temp_trace("hash-sampled-grid.trace");

@@ -131,13 +131,13 @@ proptest! {
 
         for shards in shard_counts() {
             let walk = Walk {
-                levels: levels.clone(),
+                levels: Vec::new(),
                 memory: CountingMemory::default(),
-                shards,
                 obs_prefix: None,
                 span: "walk.parity".to_string(),
             };
-            let mut sh = ShardedHierarchy::group(vec![walk], shards, "memsim-shard");
+            let mut sh =
+                ShardedHierarchy::group(levels.clone(), vec![walk], shards, shards, "memsim-shard");
             for &ev in &events {
                 sh.access(ev);
             }
@@ -232,13 +232,12 @@ fn shards_claim_chunks_and_export_no_steal_counter() {
     let levels = build_levels(&specs);
     let shards = 4;
     let walk = Walk {
-        levels,
+        levels: Vec::new(),
         memory: CountingMemory::default(),
-        shards,
         obs_prefix: Some("parity.sim".to_string()),
         span: "walk.parity".to_string(),
     };
-    let mut sh = ShardedHierarchy::group(vec![walk], shards, "memsim-shard");
+    let mut sh = ShardedHierarchy::group(levels, vec![walk], shards, shards, "memsim-shard");
     for i in 0..20_000u64 {
         sh.access(TraceEvent::load((i * 67) % (1 << 16), 8));
     }
