@@ -96,48 +96,6 @@ for f in "$smoke_dir"/clean/*.md "$smoke_dir"/clean/*.csv; do
 done
 echo "interrupt/resume reproduction is byte-identical ($(ls "$smoke_dir"/clean/*.md | wc -l) artifacts)"
 
-echo "== sharded engine: golden parity at shards=1/2/N + obs-export diff vs sequential"
-# the dedicated parity suites (golden tests, proptest, per-shard claim counters)
-cargo test -p memsim-integration-tests --offline -q --test sharded_parity
-# end-to-end: a live run per engine, exported metrics diffed field by field.
-# Telemetry that legitimately depends on event adjacency (mru_hits, the L1
-# line-buffer split, progress.* and per-shard queue/claim counters)
-# is excluded; the ten LevelStats fields and memory counters must be exact.
-ncores=$(nproc 2>/dev/null || echo 4)
-for shards in 1 2 "$ncores"; do
-    MEMSIM_OBS_DETERMINISTIC=1 "$BIN" reproduce --out "$smoke_dir/sharded-$shards" \
-        --scale mini --workloads cg,hash --shards "$shards" 2>/dev/null
-    for f in "$smoke_dir"/clean/*.md "$smoke_dir"/clean/*.csv; do
-        cmp "$f" "$smoke_dir/sharded-$shards/$(basename "$f")"
-    done
-done
-echo "sharded reproduce artifacts byte-identical to sequential at shards=1/2/$ncores"
-if command -v python3 >/dev/null 2>&1; then
-    MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-        --shards seq --quiet --metrics-out "$smoke_dir/replay-seq.json"
-    MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-        --shards 2 --quiet --metrics-out "$smoke_dir/replay-sharded.json"
-    python3 - "$smoke_dir/replay-seq.json" "$smoke_dir/replay-sharded.json" <<'PY'
-import json, sys
-seq = json.load(open(sys.argv[1]))["counters"]
-shd = json.load(open(sys.argv[2]))["counters"]
-skip = ("mru_hits", "line_buffer", "lb_hits")
-def stat_keys(c):
-    return {k for k in c
-            if not k.startswith("progress.")
-            and ".shard" not in k
-            and ".reader." not in k
-            and not any(s in k for s in skip)}
-keys = stat_keys(seq)
-assert keys == stat_keys(shd), keys ^ stat_keys(shd)
-diffs = [(k, seq[k], shd[k]) for k in sorted(keys) if seq[k] != shd[k]]
-assert not diffs, diffs
-print("obs export parity: {} exported stat counters identical across engines".format(len(keys)))
-PY
-else
-    echo "python3 not found; skipping obs export parity diff"
-fi
-
 echo "== shared prefix: one L1-L3 walk per group feeds every structure's L4 and terminal"
 if command -v python3 >/dev/null 2>&1; then
     MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm,4lc \
@@ -179,8 +137,11 @@ cargo test -p memsim-integration-tests --offline -q --test sampling
 # is enforced on the deterministic simulated-event ratio from the obs
 # export — wall-clock converges to that ratio as fixed costs amortize
 # (measured ~5x here; paper-scale traces reach >=10x since the plan cost
-# is fixed while the trace grows) — plus a 4x wall-clock floor that
-# catches plan/cache regressions without exposing CI to timer noise.
+# is fixed while the trace grows). Plan and cache regressions are caught
+# deterministically too: the timed run must build no plan (its dump has
+# no sample.plan span) and decode at most a quarter of the trace's chunks.
+# The wall-clock ratio is printed, not gated: it moves with host load and
+# with the speed of the full-fidelity path.
 "$BIN" record amg2013 -o "$smoke_dir/amg.trace" --scale demo >/dev/null
 full_t0=$(date +%s.%N)
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/amg.trace" --scale demo \
@@ -193,19 +154,22 @@ MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/amg.trace" --scale demo \
     --metrics-out "$smoke_dir/obs-sampled.json" >"$smoke_dir/replay-sampled.json"
 samp_t0=$(date +%s.%N)
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/amg.trace" --scale demo \
-    --sample interval=1m,clusters=12 --json >/dev/null
+    --sample interval=1m,clusters=12 --json \
+    --metrics-out "$smoke_dir/obs-sampled-timed.json" >/dev/null
 samp_t1=$(date +%s.%N)
 rm -f "$smoke_dir/amg.trace"
 if command -v python3 >/dev/null 2>&1; then
     python3 - "$smoke_dir/replay-full.json" "$smoke_dir/replay-sampled.json" \
         "$smoke_dir/obs-full.json" "$smoke_dir/obs-sampled.json" \
+        "$smoke_dir/obs-sampled-timed.json" \
         "$full_t0" "$full_t1" "$samp_t0" "$samp_t1" <<'PY'
 import json, sys
 full = json.load(open(sys.argv[1]))
 samp = json.load(open(sys.argv[2]))
 obs_full = json.load(open(sys.argv[3]))["counters"]
 obs_samp = json.load(open(sys.argv[4]))["counters"]
-t = [float(a) for a in sys.argv[5:9]]
+timed = json.load(open(sys.argv[5]))
+t = [float(a) for a in sys.argv[6:10]]
 
 assert samp["sample"].startswith("interval="), samp["sample"]
 fr = {r["design"]: r for r in full["results"]}
@@ -234,46 +198,56 @@ assert not any(k.startswith("sample.") for k in obs_full)
 
 event_ratio = obs_samp["sample.events_total"] / obs_samp["sample.events_simulated"]
 assert event_ratio >= 5.0, "simulated-event ratio {:.2f}x < 5x".format(event_ratio)
+
+# the timed run read its plan from the sidecar the cold run wrote...
+def has_plan_span(node):
+    return any((name == "sample" and "plan" in child["children"]) or has_plan_span(child)
+               for name, child in node["children"].items())
+assert not has_plan_span({"children": timed["spans"]}), "the timed sampled run built a plan"
+# ...and decoded only the window chunks, seeking past the rest
+c = timed["counters"]
+read, skipped = c["sample.chunks_read"], c["sample.chunks_skipped"]
+assert read > 0 and 4 * read <= read + skipped, (
+    "decoded {} of {} chunks (> 1/4)".format(read, read + skipped))
 wall = (t[1] - t[0]) / (t[3] - t[2])
-assert wall >= 4.0, "wall-clock speedup {:.2f}x < 4x floor".format(wall)
-print("sampled parity: worst error {:.2%}, event ratio {:.1f}x, wall {:.1f}x".format(
-    worst, event_ratio, wall))
+print("sampled parity: worst error {:.2%}, event ratio {:.1f}x, decoded {}/{} chunks, "
+      "wall {:.1f}x".format(worst, event_ratio, read, read + skipped, wall))
 PY
 else
     echo "python3 not found; skipping sampled-parity error/speedup checks"
 fi
 
 echo "== obs-trace: flight-recorder timeline export, byte stability, golden diff"
-# Sharded full-fidelity replay: one decode feeds the group's shared L1-L3
-# prefix, walked by two class replicas on two lanes; each lane also walks
-# both structures' suffixes for its class, with per-chunk prefix and walk
-# spans and queue-depth / Mev/s counter tracks on every lane. ~2 MB, so it is pinned by double-run byte identity plus the
-# structural validation below rather than a committed golden.
+# Two-lane full-fidelity replay: one decode feeds the group's shared L1-L3
+# prefix on lane 0, which also walks the 3L structure's terminal; the NMM
+# structure's L4 suffix is dealt to lane 1. Per-chunk prefix and walk
+# spans, and queue-depth / Mev/s counter tracks on both lanes. ~2 MB, so it
+# is pinned by double-run byte identity plus the structural validation
+# below rather than a committed golden.
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-    --shards 2 --threads 2 --quiet --trace-out "$smoke_dir/trace-sharded-a.json"
+    --threads 2 --quiet --trace-out "$smoke_dir/trace-lanes-a.json"
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-    --shards 2 --threads 2 --quiet --trace-out "$smoke_dir/trace-sharded-b.json"
-cmp "$smoke_dir/trace-sharded-a.json" "$smoke_dir/trace-sharded-b.json"
+    --threads 2 --quiet --trace-out "$smoke_dir/trace-lanes-b.json"
+cmp "$smoke_dir/trace-lanes-a.json" "$smoke_dir/trace-lanes-b.json"
 # Sampled replay: warm-vs-measure phase spans and CI-halfwidth counter
 # tracks. The first run pays the one-time interval-plan build (an extra
 # sample.plan span) and warms the plan sidecar; the next two are the
-# byte-stability pair, diffed against the committed golden. The engine is
-# pinned because the timeline's manifest records it.
+# byte-stability pair, diffed against the committed golden.
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-    --sample interval=32k,clusters=2 --threads 1 --shards seq --quiet \
+    --sample interval=32k,clusters=2 --threads 1 --quiet \
     --trace-out "$smoke_dir/trace-planwarm.json"
 for t in a b; do
     MEMSIM_OBS_DETERMINISTIC=1 "$BIN" replay "$smoke_dir/hash.trace" --designs baseline,nmm \
-        --sample interval=32k,clusters=2 --threads 1 --shards seq --quiet \
+        --sample interval=32k,clusters=2 --threads 1 --quiet \
         --trace-out "$smoke_dir/trace-sampled-$t.json"
 done
 cmp "$smoke_dir/trace-sampled-a.json" "$smoke_dir/trace-sampled-b.json"
 cmp "$smoke_dir/trace-sampled-a.json" tests/golden/sampled_replay.trace.json
 echo "flight-recorder exports byte-stable; sampled timeline matches the committed golden"
 if command -v python3 >/dev/null 2>&1; then
-    python3 - "$smoke_dir/trace-sharded-a.json" "$smoke_dir/trace-sampled-a.json" <<'PY'
+    python3 - "$smoke_dir/trace-lanes-a.json" "$smoke_dir/trace-sampled-a.json" <<'PY'
 import json, sys
-sharded = json.load(open(sys.argv[1]))
+two_lanes = json.load(open(sys.argv[1]))
 sampled = json.load(open(sys.argv[2]))
 
 def lanes(doc):
@@ -290,7 +264,7 @@ def check_balanced(doc):
             assert depth[e["tid"]] >= 0, ("unbalanced span end", e)
     assert all(v == 0 for v in depth.values()), depth
 
-for doc in (sharded, sampled):
+for doc in (two_lanes, sampled):
     assert doc["displayTimeUnit"] == "ms", doc.keys()
     check_balanced(doc)
 
@@ -298,14 +272,17 @@ def names_on(doc, lane):
     tid = lanes(doc)[lane]
     return {e["name"] for e in doc["traceEvents"] if e["tid"] == tid and e["ph"] != "M"}
 
-walk_lanes = [k for k in lanes(sharded) if k.startswith("memsim-walk-")]
-assert walk_lanes == ["memsim-walk-Hash-0", "memsim-walk-Hash-1"], lanes(sharded)
-for lane in walk_lanes:
-    on_lane = names_on(sharded, lane)
-    for want in ("walk.prefix", "walk.3L", "walk.4L-c8388608-p512",
-                 "shard.queue_depth", "shard.mev_s"):
+walk_lanes = [k for k in lanes(two_lanes) if k.startswith("memsim-walk-")]
+assert walk_lanes == ["memsim-walk-Hash-0", "memsim-walk-Hash-1"], lanes(two_lanes)
+# the prefix lane walks the prefix and the terminal-only 3L suffix; the
+# hop lane walks the L4 suffix; both export the queue and rate tracks
+for lane, walks in (("memsim-walk-Hash-0", ("walk.prefix", "walk.3L")),
+                    ("memsim-walk-Hash-1", ("walk.4L-c8388608-p512",))):
+    on_lane = names_on(two_lanes, lane)
+    assert {n for n in on_lane if n.startswith("walk.")} == set(walks), (lane, sorted(on_lane))
+    for want in ("shard.queue_depth", "shard.mev_s"):
         assert want in on_lane, (lane, want, sorted(on_lane))
-counters = [e for e in sharded["traceEvents"] if e["ph"] == "C"]
+counters = [e for e in two_lanes["traceEvents"] if e["ph"] == "C"]
 assert counters and all("value" in e["args"] for e in counters)
 
 snames = {e["name"] for e in sampled["traceEvents"]}
@@ -321,8 +298,8 @@ on_lane = names_on(sampled, "memsim-walk-Hash-0")
 for want in ("walk.prefix", "walk.3L", "walk.4L-c8388608-p512"):
     assert want in on_lane, (want, sorted(on_lane))
 assert "grid.point.Hash.Baseline" in names_on(sampled, "memsim-sweep0"), lanes(sampled)
-print("obs-trace: walk lanes {}, {} sharded events; sampled timeline has warm/measure phases".format(
-    walk_lanes, len(sharded["traceEvents"])))
+print("obs-trace: walk lanes {}, {} two-lane events; sampled timeline has warm/measure phases".format(
+    walk_lanes, len(two_lanes["traceEvents"])))
 PY
 else
     echo "python3 not found; skipping trace structural validation"

@@ -9,7 +9,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use memsim_bench::bench_scale;
 use memsim_core::configs::n_by_name;
-use memsim_core::runner::{evaluate_cached, RunOpts, SimCache};
+use memsim_core::runner::{evaluate_cached, SimCache};
+use memsim_core::SampleMode;
 use memsim_core::{Design, LevelCost, Metrics};
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -36,7 +37,7 @@ fn recost(
 
 fn bench(c: &mut Criterion) {
     let scale = bench_scale();
-    let (cache, opts) = (SimCache::new(), RunOpts::default());
+    let (cache, sample) = (SimCache::new(), SampleMode::Off);
     println!("\n========== ablation: NVM interface bandwidth (NMM + PCM) ==========");
     for (cfg_name, kind) in [
         ("N3", WorkloadKind::Hash),
@@ -48,7 +49,7 @@ fn bench(c: &mut Criterion) {
             nvm: Technology::Pcm,
             config,
         };
-        let r = evaluate_cached(kind, &scale, &design, &cache, opts);
+        let r = evaluate_cached(kind, &scale, &design, &cache, sample);
         println!(
             "\n{} @ {} ({} B pages):",
             kind.name(),
@@ -88,7 +89,7 @@ fn bench(c: &mut Criterion) {
             config,
         },
         &cache,
-        opts,
+        sample,
     );
     c.bench_function("ablation_bandwidth/recost", |b| {
         b.iter(|| black_box(recost(&r, &scale, Some(12.8))))

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use memsim_bench::bench_scale;
-use memsim_cache::{Cache, CacheConfig, CountingMemory, Hierarchy, ShardedHierarchy, Walk};
+use memsim_cache::{Cache, CacheConfig, CountingMemory, Hierarchy};
 use memsim_trace::{ChunkBuffer, TraceEvent, TraceSink};
 use memsim_tracefile::{replay_into, TraceHeader, TraceReader, TraceWriter};
 use memsim_workloads::WorkloadKind;
@@ -39,26 +39,6 @@ fn full_hierarchy(scale: &memsim_core::Scale) -> Hierarchy<CountingMemory> {
         ),
     ];
     Hierarchy::new(caches, CountingMemory::default())
-}
-
-/// The full hierarchy walked by `shards` set-sharded replicas, one lane
-/// each.
-fn sharded(scale: &memsim_core::Scale, shards: usize) -> ShardedHierarchy<CountingMemory> {
-    let mut levels = full_hierarchy(scale).levels().to_vec();
-    let walk = Walk {
-        levels: levels.split_off(3),
-        memory: CountingMemory::default(),
-        obs_prefix: None,
-        span: "walk.bench".to_string(),
-    };
-    ShardedHierarchy::group(levels, vec![walk], shards, shards, "memsim-shard")
-}
-
-/// Finish a one-hierarchy sharded walk and return its reference count.
-fn total_refs(sh: ShardedHierarchy<CountingMemory>) -> u64 {
-    let run = sh.finish_all().remove(0);
-    run.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
-        .total_refs
 }
 
 /// Interleaved min-of-N harness: every case runs one warmup pass, then the
@@ -111,11 +91,6 @@ fn bench(c: &mut Criterion) {
         let mut h_rnd = full_hierarchy(&scale);
         let mut rng = SmallRng::seed_from_u64(1);
         let (mut pos_str, mut pos_chk) = (0u64, 0u64);
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut sh_auto = sharded(&scale, cores);
-        let mut sh_four = sharded(&scale, 4);
-        let sh_auto_label = format!("sharded{}_l1_hits", sh_auto.shards());
-        let sh_four_label = format!("sharded{}_l1_hits", sh_four.shards());
         let mut cases: Vec<MinOfNCase<'_>> = vec![
             (
                 "l1_hits",
@@ -174,27 +149,8 @@ fn bench(c: &mut Criterion) {
                     black_box(h_rnd.total_refs());
                 }),
             ),
-            (
-                &sh_auto_label,
-                Box::new(|| {
-                    for i in 0..MIN_OF_N_EVENTS {
-                        sh_auto.access(l1_hit_event(i));
-                    }
-                }),
-            ),
-            (
-                &sh_four_label,
-                Box::new(|| {
-                    for i in 0..MIN_OF_N_EVENTS {
-                        sh_four.access(l1_hit_event(i));
-                    }
-                }),
-            ),
         ];
         min_of_n_report(&mut cases);
-        drop(cases);
-        black_box(total_refs(sh_auto));
-        black_box(total_refs(sh_four));
     }
 
     let mut g = c.benchmark_group("simulator_throughput");
@@ -227,20 +183,6 @@ fn bench(c: &mut Criterion) {
             }
             black_box(h.total_refs())
         })
-    });
-
-    // the L1-resident stream through the set-sharded engine (one worker
-    // per detected core): measures chunk fan-out + queue hand-off cost on
-    // this host, and aggregate speedup where cores exist
-    g.bench_function("sharded_l1_hits", |b| {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let mut sh = sharded(&scale, cores);
-        b.iter(|| {
-            for i in 0..N {
-                sh.access(l1_hit_event(i));
-            }
-        });
-        black_box(total_refs(sh));
     });
 
     // sequential sweep over a large range: every level fills steadily

@@ -218,15 +218,6 @@ impl Cache {
         addr >> self.block_shift << self.block_shift
     }
 
-    /// The bit range `[lo, hi)` of the address field that selects this
-    /// cache's set: `lo` is the block offset width, `hi - lo` the set index
-    /// width. The set-sharded engine intersects these ranges across levels
-    /// to find address bits that pick the same shard at every level.
-    #[inline]
-    pub fn set_index_bits(&self) -> (u32, u32) {
-        (self.block_shift, self.block_shift + self.set_shift)
-    }
-
     #[inline]
     fn locate(&self, addr: u64) -> (usize, u64) {
         let block = addr >> self.block_shift;

@@ -17,8 +17,8 @@
 //! * [`Below`] — cache levels over a terminal, entered from a level above:
 //!   itself a [`MainMemory`], so `Hierarchy::new(upper, Below::new(lower,
 //!   mem))` counts exactly what one hierarchy over all the levels counts.
-//!   A group walk ([`ShardedHierarchy::group`]) walks a shared L1–L3 once
-//!   and replays its requests through each structure's `Below`.
+//!   A group walk ([`GroupWalk::group`]) walks a shared L1–L3 once and
+//!   replays its requests through each structure's `Below`.
 //! * [`LevelStats`] — the per-level statistics consumed by `memsim-core`.
 //!
 //! # Example
@@ -42,18 +42,16 @@
 
 mod cache;
 mod config;
+mod group;
 mod hierarchy;
 mod policy;
 pub mod probes;
-mod sharded;
 mod stats;
 
 pub use cache::{AccessOutcome, Cache, CounterValues, WritebackOutcome};
 pub use config::{Associativity, CacheConfig, WritebackMissPolicy};
+pub use group::{panic_text, GroupWalk, Walk, WalkPanic, WalkRun, CHUNK_EVENTS};
 pub use hierarchy::{Below, CountingMemory, Hierarchy, MainMemory};
 pub use policy::ReplacementPolicy;
 pub use probes::{HierarchyProbes, LevelProbes};
-pub use sharded::{
-    shard_class_bits, ShardMerge, ShardedHierarchy, ShardedRun, Walk, WalkPanic, CHUNK_EVENTS,
-};
 pub use stats::LevelStats;

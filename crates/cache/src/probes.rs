@@ -7,8 +7,8 @@
 //! events) and once more, authoritatively, at drain. Between epochs the
 //! registry lags by at most one epoch; after drain it is exact. Shared
 //! `progress.*` counters are advanced by delta (several hierarchies — the
-//! replay shards — add into the same counter), per-level counters by
-//! absolute store (each hierarchy owns its prefix).
+//! groups a grid walks side by side — add into the same counter),
+//! per-level counters by absolute store (each hierarchy owns its prefix).
 
 use crate::cache::CounterValues;
 use memsim_obs::{Counter, MetricsRegistry};

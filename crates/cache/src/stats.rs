@@ -93,43 +93,6 @@ impl LevelStats {
         check("load", self.load_hits, self.load_misses, self.loads)
             .or_else(|| check("store", self.store_hits, self.store_misses, self.stores))
     }
-
-    /// Merge another level's counters into this one (used when averaging
-    /// across workloads or accumulating shards). Saturating: an overflow
-    /// pegs at `u64::MAX`, where `consistency_error` reports it, instead
-    /// of silently wrapping into a plausible-looking small number.
-    ///
-    /// Saturation is never expected in practice, so it is loud: debug
-    /// builds assert, and every build bumps the `stats.merge_saturated`
-    /// registry counter first so a release-mode sweep that kept going on
-    /// pegged totals still shows the event in its metrics dump.
-    pub fn merge(&mut self, other: &LevelStats) {
-        let mut saturated = false;
-        let mut add = |a: u64, b: u64| {
-            a.checked_add(b).unwrap_or_else(|| {
-                saturated = true;
-                u64::MAX
-            })
-        };
-        self.loads = add(self.loads, other.loads);
-        self.stores = add(self.stores, other.stores);
-        self.load_hits = add(self.load_hits, other.load_hits);
-        self.load_misses = add(self.load_misses, other.load_misses);
-        self.store_hits = add(self.store_hits, other.store_hits);
-        self.store_misses = add(self.store_misses, other.store_misses);
-        self.writebacks_out = add(self.writebacks_out, other.writebacks_out);
-        self.fills = add(self.fills, other.fills);
-        self.bytes_loaded = add(self.bytes_loaded, other.bytes_loaded);
-        self.bytes_stored = add(self.bytes_stored, other.bytes_stored);
-        if saturated {
-            memsim_obs::global().counter("stats.merge_saturated").inc();
-            debug_assert!(
-                false,
-                "LevelStats::merge saturated a counter in '{}'",
-                self.name
-            );
-        }
-    }
 }
 
 #[cfg(test)]
@@ -206,54 +169,5 @@ mod tests {
         };
         let msg = s.consistency_error().unwrap();
         assert!(msg.contains("overflows"), "{msg}");
-    }
-
-    #[test]
-    fn merge_saturates_instead_of_wrapping() {
-        let _lock = memsim_obs::test_lock();
-        memsim_obs::reset();
-        let mut a = LevelStats {
-            name: "L9".into(),
-            loads: u64::MAX - 1,
-            ..Default::default()
-        };
-        let b = LevelStats {
-            loads: 5,
-            ..Default::default()
-        };
-        if cfg!(debug_assertions) {
-            // debug builds assert — but only after pegging the counter and
-            // recording the event, so the state the panic leaves behind is
-            // the same state a release build continues on
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.merge(&b)));
-            assert!(r.is_err(), "debug builds must assert on saturation");
-        } else {
-            a.merge(&b);
-        }
-        assert_eq!(a.loads, u64::MAX);
-        assert_eq!(
-            memsim_obs::global().counter_value("stats.merge_saturated"),
-            Some(1)
-        );
-        memsim_obs::reset();
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = LevelStats {
-            loads: 1,
-            bytes_loaded: 64,
-            ..Default::default()
-        };
-        let b = LevelStats {
-            loads: 2,
-            stores: 3,
-            bytes_loaded: 128,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.loads, 3);
-        assert_eq!(a.stores, 3);
-        assert_eq!(a.bytes_loaded, 192);
     }
 }

@@ -26,8 +26,7 @@ use memsim_core::experiments::{self, ExperimentCtx, Metric};
 use memsim_core::report::{heatmap_to_csv, heatmap_to_markdown};
 use memsim_core::runner::evaluate_grid_sweep;
 use memsim_core::{
-    Design, Engine, EvalResult, RunOpts, SampleMode, Scale, SimCache, Source, SweepCtx, SweepError,
-    JOURNAL_FILE,
+    Design, EvalResult, SampleMode, Scale, SimCache, Source, SweepCtx, SweepError, JOURNAL_FILE,
 };
 use memsim_obs::json;
 use memsim_tech::Technology;
@@ -87,7 +86,7 @@ impl From<&str> for CliError {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  memsim list\n  memsim table <tech|eh-configs|nmm-configs|table4> [options]\n  memsim figure <fig1..fig10> [options]\n  memsim run --workload <W> --design <baseline|4lc|nmm|4lcnvm|ndm> [--llc T] [--nvm T] [--config C] [options]\n  memsim heatmap <latency|energy> [options]\n  memsim reproduce [--out DIR] [--resume] [options]\n  memsim analyze --workload <W> [options]\n  memsim record <W> -o FILE [options]      record W's address stream to a trace file\n  memsim replay <FILE> [--designs a,b,c]   evaluate designs against a recorded trace\n  memsim trace-info <FILE>                 inspect a trace file\n  memsim serve [--port P|auto] [--state DIR] [--threads N] [--queue N]\n                                           run the simulation-as-a-service daemon\n  memsim submit --addr H:P --artifact A | --replay W [--designs a,b] [options]\n                                           submit a job, wait, print/fetch the result\n  memsim status <JOB-ID> --addr H:P        query one job's status\noptions:\n  --scale mini|demo|paper   capacity scale (default demo)\n  --workloads a,b,c         benchmark subset (default: the Table 4 set)\n  --threads N               lane budget: threads that walk structures and cost points\n  --shards N|auto|seq       simulation engine: N set shards of each group's L1-L3\n                            prefix, or the sequential walk (seq; auto, the default)\n                            (reproduce/figure/heatmap/replay)\n  --sample MODE             interval sampling: off (default), on, or\n                            interval=N,clusters=K — simulate one representative\n                            interval per cluster after a one-interval warm-up and\n                            extrapolate with confidence intervals\n  --out DIR                 journal completed sweep points to DIR/sweep.journal.jsonl\n                            (table4/figure/heatmap; reproduce always journals)\n  --resume                  skip points already journaled in --out DIR\n  --csv                     CSV instead of markdown\n  --json                    one JSON object instead of human text (run/replay/record/trace-info)\n  --quiet                   suppress stdout (run/replay/record/trace-info)\n  --progress                live progress line + end-of-run phase timings (run/replay/record/reproduce)\n  --metrics-out FILE        write the metrics/span dump as deterministic JSON (run/replay/record/reproduce)\n  --trace-out FILE          record a flight-recorder timeline and write it as Chrome\n                            trace-event JSON for ui.perfetto.dev / chrome://tracing\n                            (run/replay/reproduce/figure/heatmap)"
+    "usage:\n  memsim list\n  memsim table <tech|eh-configs|nmm-configs|table4> [options]\n  memsim figure <fig1..fig10> [options]\n  memsim run --workload <W> --design <baseline|4lc|nmm|4lcnvm|ndm> [--llc T] [--nvm T] [--config C] [options]\n  memsim heatmap <latency|energy> [options]\n  memsim reproduce [--out DIR] [--resume] [options]\n  memsim analyze --workload <W> [options]\n  memsim record <W> -o FILE [options]      record W's address stream to a trace file\n  memsim replay <FILE> [--designs a,b,c]   evaluate designs against a recorded trace\n  memsim trace-info <FILE>                 inspect a trace file\n  memsim serve [--port P|auto] [--state DIR] [--threads N] [--queue N]\n                                           run the simulation-as-a-service daemon\n  memsim submit --addr H:P --artifact A | --replay W [--designs a,b] [options]\n                                           submit a job, wait, print/fetch the result\n  memsim status <JOB-ID> --addr H:P        query one job's status\noptions:\n  --scale mini|demo|paper   capacity scale (default demo)\n  --workloads a,b,c         benchmark subset (default: the Table 4 set)\n  --threads N               lane budget: threads that walk structures and cost points\n  --shards seq|auto|1       accepted for compatibility: every value names the one\n                            group walk, whose lanes --threads sets; others are refused\n                            (reproduce/figure/heatmap/replay/submit)\n  --sample MODE             interval sampling: off (default), on, or\n                            interval=N,clusters=K — simulate one representative\n                            interval per cluster after a one-interval warm-up and\n                            extrapolate with confidence intervals\n  --out DIR                 journal completed sweep points to DIR/sweep.journal.jsonl\n                            (table4/figure/heatmap; reproduce always journals)\n  --resume                  skip points already journaled in --out DIR\n  --csv                     CSV instead of markdown\n  --json                    one JSON object instead of human text (run/replay/record/trace-info)\n  --quiet                   suppress stdout (run/replay/record/trace-info)\n  --progress                live progress line + end-of-run phase timings (run/replay/record/reproduce)\n  --metrics-out FILE        write the metrics/span dump as deterministic JSON (run/replay/record/reproduce)\n  --trace-out FILE          record a flight-recorder timeline and write it as Chrome\n                            trace-event JSON for ui.perfetto.dev / chrome://tracing\n                            (run/replay/reproduce/figure/heatmap)"
 }
 
 /// Minimal flag parser: `--key value` pairs after the positional arguments.
@@ -220,21 +219,9 @@ impl Opts {
         }
     }
 
-    /// `--shards`: "auto" (the default) picks the default engine (the
-    /// sequential walk), "seq" forces the sequential engine, N >= 1
-    /// requests that many set shards of each group's prefix. Zero
-    /// is rejected (a zero-worker engine cannot make progress) and
-    /// duplicates are already rejected by [`Opts::parse`].
-    fn shards(&self) -> Result<Engine, String> {
-        match self.get("shards").unwrap_or("auto") {
-            "auto" => Ok(Engine::auto()),
-            "seq" => Ok(Engine::Sequential),
-            n => match n.parse::<usize>() {
-                Ok(0) => Err("--shards must be at least 1 (or 'auto'/'seq')".into()),
-                Ok(n) => Ok(Engine::Sharded(n)),
-                Err(_) => Err(format!("bad shard count '{n}' (want N, 'auto', or 'seq')")),
-            },
-        }
+    /// `--shards`, accepted for compatibility ([`memsim_core::check_shards`]).
+    fn check_shards(&self) -> Result<(), String> {
+        self.get("shards").map_or(Ok(()), memsim_core::check_shards)
     }
 }
 
@@ -515,11 +502,16 @@ fn cmd_list() -> Result<(), String> {
 /// Open (or resume) the sweep journal in `out` and arm the ctrl-c flag.
 /// The sampling mode joins the journal fingerprint: a sampled journal
 /// refuses to resume a full-fidelity sweep and vice versa.
-fn start_sweep(out: &Path, scale: &Scale, resume: bool, run: RunOpts) -> Result<SweepCtx, String> {
+fn start_sweep(
+    out: &Path,
+    scale: &Scale,
+    resume: bool,
+    sample: SampleMode,
+) -> Result<SweepCtx, String> {
     std::fs::create_dir_all(out).map_err(|e| format!("cannot create {}: {e}", out.display()))?;
     let journal = out.join(JOURNAL_FILE);
     let mut ctx = if resume {
-        let (ctx, rec) = SweepCtx::resume(scale, &journal, run)?;
+        let (ctx, rec) = SweepCtx::resume(scale, &journal, sample)?;
         if rec.corrupt_lines > 0 {
             eprintln!(
                 "resume: dropped {} corrupt journal line(s)",
@@ -539,20 +531,25 @@ fn start_sweep(out: &Path, scale: &Scale, resume: bool, run: RunOpts) -> Result<
         );
         ctx
     } else {
-        SweepCtx::fresh(scale, &journal, run)?
+        SweepCtx::fresh(scale, &journal, sample)?
     };
     ctx.set_interrupt(interrupt::install());
     Ok(ctx)
 }
 
+/// The `engine` a run manifest records. There is one walk; the key and
+/// the value older builds wrote for it stay, so timelines and metrics
+/// dumps remain comparable across builds.
+const ONE_WALK: &str = "seq";
+
 /// What the sweep commands (`table table4`, `figure`, `heatmap`,
-/// `reproduce`) share: the scale, the run options, the journal directory
+/// `reproduce`) share: the scale, the sampling mode, the journal directory
 /// and its sweep context, the simulation memo, and the benchmark set and
 /// thread count of their [`ExperimentCtx`].
 struct SweepSetup {
     cmd: &'static str,
     scale: Scale,
-    run: RunOpts,
+    sample: SampleMode,
     /// Where the journal and the written artifacts live.
     out: Option<PathBuf>,
     sweep: Option<SweepCtx>,
@@ -564,23 +561,17 @@ struct SweepSetup {
 impl SweepSetup {
     /// Parse the sweep options and open the journal. `reproduce` always
     /// journals (to `--out`, by default `reproduction`); the others only
-    /// with `--out`. `table` takes no `--shards`: it runs sequentially.
+    /// with `--out`.
     fn new(opts: &Opts, cmd: &'static str) -> Result<Self, String> {
+        opts.check_shards()?;
         let scale = opts.scale()?;
-        let engine = match cmd {
-            "table" => Engine::Sequential,
-            _ => opts.shards()?,
-        };
-        let run = RunOpts {
-            engine,
-            sample: opts.sample()?,
-        };
+        let sample = opts.sample()?;
         let out = match (cmd, opts.get("out")) {
             ("reproduce", out) => Some(PathBuf::from(out.unwrap_or("reproduction"))),
             (_, out) => out.map(PathBuf::from),
         };
         let sweep = match &out {
-            Some(out) => Some(start_sweep(out, &scale, opts.has("resume"), run)?),
+            Some(out) => Some(start_sweep(out, &scale, opts.has("resume"), sample)?),
             None if opts.has("resume") => {
                 return Err("--resume needs --out DIR (the journal lives there)".into())
             }
@@ -589,7 +580,7 @@ impl SweepSetup {
         Ok(Self {
             cmd,
             scale,
-            run,
+            sample,
             out,
             sweep,
             cache: SimCache::new(),
@@ -605,7 +596,7 @@ impl SweepSetup {
             cache: &self.cache,
             threads: self.threads,
             sweep: self.sweep.as_ref(),
-            opts: self.run,
+            sample: self.sample,
         }
     }
 
@@ -800,7 +791,7 @@ fn cmd_run(opts: &Opts) -> Result<(), String> {
         (workload.into(), design),
     ];
     let cache = SimCache::new();
-    let grid = evaluate_grid_sweep(&points, &scale, &cache, None, None, RunOpts::default());
+    let grid = evaluate_grid_sweep(&points, &scale, &cache, None, None, SampleMode::Off);
     let [base, result]: [EvalResult; 2] = grid
         .into_result()
         .map_err(|e| e.to_string())?
@@ -1074,8 +1065,8 @@ fn cmd_reproduce(opts: &Opts) -> Result<(), CliError> {
     let mut obs = ObsSession::start(opts, "reproduce");
     obs.annotate("scale", setup.scale.class.name().to_string());
     obs.annotate("out", out.display().to_string());
-    obs.annotate("engine", setup.run.engine.to_string());
-    obs.annotate("sample", setup.run.sample.canon());
+    obs.annotate("engine", ONE_WALK.to_string());
+    obs.annotate("sample", setup.sample.canon());
     let ctx = setup.ctx();
 
     let write = |name: &str, md: String, csv: String| -> Result<(), String> {
@@ -1194,6 +1185,7 @@ fn cmd_record(opts: &Opts) -> Result<(), String> {
 }
 
 fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
+    opts.check_shards()?;
     let file = opts.positional.first().ok_or("replay needs a trace file")?;
     let path = Path::new(file);
 
@@ -1230,17 +1222,13 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
     let mut grid = vec![Design::Baseline];
     grid.extend(designs.iter().filter(|d| **d != Design::Baseline).copied());
 
-    let run = RunOpts {
-        engine: opts.shards()?,
-        sample: opts.sample()?,
-    };
-    let sample = run.sample;
+    let sample = opts.sample()?;
     let mut rep = Report::new(opts.report_mode()?);
     let mut obs = ObsSession::start(opts, "replay");
     obs.annotate("trace", trace_basename(file));
     obs.annotate("workload", header.workload.clone());
     obs.annotate("scale", scale.class.name().to_string());
-    obs.annotate("engine", run.engine.to_string());
+    obs.annotate("engine", ONE_WALK.to_string());
     obs.annotate("sample", sample.canon());
     obs.annotate(
         "designs",
@@ -1256,7 +1244,7 @@ fn cmd_replay(opts: &Opts) -> Result<(), CliError> {
     let outcome = {
         let _span = memsim_obs::span!("replay");
         let cache = SimCache::new();
-        evaluate_grid_sweep(&points, &scale, &cache, opts.threads()?, None, run)
+        evaluate_grid_sweep(&points, &scale, &cache, opts.threads()?, None, sample)
     };
     let failures: Vec<String> = outcome.failures.iter().map(|f| f.to_string()).collect();
     let Some(base) = outcome.results[0].as_ref() else {
@@ -1490,8 +1478,7 @@ fn cmd_heatmap(opts: &Opts) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Parse a required-positive integer option, rejecting 0 and junk the
-/// same way the `--shards` parser does.
+/// Parse a required-positive integer option, rejecting 0 and junk.
 fn positive_opt(opts: &Opts, key: &str, default: usize) -> Result<usize, String> {
     match opts.get(key) {
         None => Ok(default),
@@ -1792,7 +1779,7 @@ mod tests {
         // bad values are caught client-side before any network I/O
         let bad = Opts::parse(&args(&["--artifact", "warp"])).unwrap();
         assert!(submit_spec(&bad).is_err());
-        let bad_shards = Opts::parse(&args(&["--artifact", "table4", "--shards", "0"])).unwrap();
+        let bad_shards = Opts::parse(&args(&["--artifact", "table4", "--shards", "2"])).unwrap();
         assert!(submit_spec(&bad_shards).is_err());
         // replay spec with designs
         let replay =
@@ -1838,22 +1825,37 @@ mod tests {
 
     #[test]
     fn shards_parsing() {
-        // the default is `auto`, the sequential walk
-        let default = Opts::parse(&args(&[])).unwrap();
-        assert_eq!(default.shards().unwrap(), Engine::Sequential);
-        assert_eq!(default.shards().unwrap(), Engine::auto());
-        let auto = Opts::parse(&args(&["--shards", "auto"])).unwrap();
-        assert_eq!(auto.shards().unwrap(), Engine::auto());
-        let seq = Opts::parse(&args(&["--shards", "seq"])).unwrap();
-        assert_eq!(seq.shards().unwrap(), Engine::Sequential);
-        let four = Opts::parse(&args(&["--shards", "4"])).unwrap();
-        assert_eq!(four.shards().unwrap(), Engine::Sharded(4));
-        let zero = Opts::parse(&args(&["--shards", "0"])).unwrap();
-        assert!(zero.shards().unwrap_err().contains("at least 1"));
-        let junk = Opts::parse(&args(&["--shards", "many"])).unwrap();
-        assert!(junk.shards().is_err());
+        // absent, or any value naming the one group walk, is accepted
+        assert!(Opts::parse(&args(&[])).unwrap().check_shards().is_ok());
+        for ok in ["seq", "auto", "1"] {
+            let o = Opts::parse(&args(&["--shards", ok])).unwrap();
+            assert!(o.check_shards().is_ok(), "{ok}");
+        }
+        // anything else asked for the removed set-sharded engine
+        for bad in ["0", "2", "many"] {
+            let o = Opts::parse(&args(&["--shards", bad])).unwrap();
+            let err = o.check_shards().unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "--shards {bad} is not available: the set-sharded engine was removed \
+                     (use --threads)"
+                )
+            );
+        }
+        // refused at parse time, before a trace is opened or a journal
+        // written
+        let err = run(&args(&[
+            "replay",
+            "/nonexistent/never.trace",
+            "--shards",
+            "2",
+        ]))
+        .unwrap_err()
+        .message;
+        assert!(err.contains("set-sharded engine was removed"), "{err}");
         // a repeated --shards is ambiguous, like any duplicate flag
-        assert!(Opts::parse(&args(&["--shards", "2", "--shards", "4"])).is_err());
+        assert!(Opts::parse(&args(&["--shards", "seq", "--shards", "1"])).is_err());
     }
 
     #[test]

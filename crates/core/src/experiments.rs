@@ -10,7 +10,8 @@ use crate::heatmap::{default_multipliers, heatmap, Axis, HeatmapData};
 use crate::journal::SweepCtx;
 use crate::model::NormMetrics;
 use crate::report::{FigureData, Series};
-use crate::runner::{evaluate_grid_sweep, EvalResult, RunOpts, SimCache, Source, SweepError};
+use crate::runner::{evaluate_grid_sweep, EvalResult, SimCache, Source, SweepError};
+use crate::sampling::SampleMode;
 use crate::scale::Scale;
 use memsim_tech::{TechParams, Technology};
 use memsim_workloads::WorkloadKind;
@@ -29,8 +30,9 @@ pub struct ExperimentCtx<'a> {
     /// Journal/resume/interrupt state shared across the suite (None =
     /// plain run, no checkpointing).
     pub sweep: Option<&'a SweepCtx>,
-    /// How each structure simulation runs: engine and sampling mode.
-    pub opts: RunOpts,
+    /// Interval sampling of each structure simulation (off: full
+    /// fidelity).
+    pub sample: SampleMode,
 }
 
 impl<'a> ExperimentCtx<'a> {
@@ -42,7 +44,7 @@ impl<'a> ExperimentCtx<'a> {
             cache,
             threads: None,
             sweep: None,
-            opts: RunOpts::default(),
+            sample: SampleMode::Off,
         }
     }
 
@@ -60,10 +62,9 @@ impl<'a> ExperimentCtx<'a> {
         self
     }
 
-    /// Choose the engine and sampling mode (default sequential, full
-    /// fidelity).
-    pub fn with_opts(mut self, opts: RunOpts) -> Self {
-        self.opts = opts;
+    /// Choose the sampling mode (default off: full fidelity).
+    pub fn with_sample(mut self, sample: SampleMode) -> Self {
+        self.sample = sample;
         self
     }
 
@@ -80,7 +81,7 @@ impl<'a> ExperimentCtx<'a> {
             self.cache,
             self.threads,
             self.sweep,
-            self.opts,
+            self.sample,
         )
         .into_result()
     }

@@ -26,7 +26,7 @@
 use crate::design::Design;
 use crate::jsontext::{get, get_str, get_u64, parse_json, JVal};
 use crate::model::Metrics;
-use crate::runner::{EvalResult, RawRun, RunOpts};
+use crate::runner::{EvalResult, RawRun};
 use crate::sampling::{SampleCi, SampleMode};
 use crate::scale::Scale;
 use memsim_cache::LevelStats;
@@ -150,24 +150,15 @@ fn run_json(r: &RawRun) -> String {
     o.finish()
 }
 
-fn point_payload(
-    fingerprint: &str,
-    scale: &Scale,
-    res: &EvalResult,
-    shards: u64,
-    sample: SampleMode,
-) -> String {
+fn point_payload(fingerprint: &str, scale: &Scale, res: &EvalResult, sample: SampleMode) -> String {
     let mut o = json::Obj::new();
     o.u64("v", JOURNAL_VERSION)
         .str("fp", fingerprint)
-        // provenance only (0 = sequential engine): the decoder ignores it,
-        // and it is deliberately NOT part of the sweep fingerprint — both
-        // engines journal bit-identical stats, so a resume may freely mix
-        // shard counts (asserted by `shard_count_never_gates_resume`)
-        .u64("shards", shards)
-        // NOT provenance: the sampling mode changes the numbers, so it
-        // both joins the fingerprint and gates resume explicitly (a
-        // mismatch is a hard refusal, never a silent skip)
+        // older builds wrote a `shards` key here, which the decoder
+        // ignores (asserted by `shard_count_never_gates_resume`).
+        // The sampling mode changes the numbers, so it both joins the
+        // fingerprint and gates resume explicitly (a mismatch is a hard
+        // refusal, never a silent skip)
         .str("sample", &sample.canon())
         .str("scale", scale.class.name())
         .str("workload", res.workload.name())
@@ -572,48 +563,44 @@ pub struct SweepCtx {
     journal: SweepJournal,
     resumed: HashMap<PointKey, RestoredPoint>,
     interrupt: Option<Arc<AtomicBool>>,
-    /// The engine's shard count is journaled with each point for
-    /// provenance (0 = sequential engine), never part of the fingerprint:
-    /// results are engine-independent, so resume must not refuse on a
-    /// mismatch. The sampling mode is part of the fingerprint *and* an
-    /// explicit resume gate: sampled and full-fidelity points must never
-    /// mix.
-    opts: RunOpts,
+    /// The sampling mode is part of the fingerprint *and* an explicit
+    /// resume gate: sampled and full-fidelity points must never mix.
+    sample: SampleMode,
     state: Mutex<CtxState>,
 }
 
 impl SweepCtx {
-    /// A context for a sweep run with `opts`, appending to `journal` and
-    /// serving nothing yet.
-    fn new(scale: &Scale, journal: SweepJournal, opts: RunOpts) -> Self {
+    /// A context for a sweep run with `sample`, appending to `journal`
+    /// and serving nothing yet.
+    fn new(scale: &Scale, journal: SweepJournal, sample: SampleMode) -> Self {
         Self {
             scale: *scale,
-            fingerprint: sweep_fingerprint(scale, opts.sample),
+            fingerprint: sweep_fingerprint(scale, sample),
             journal,
             resumed: HashMap::new(),
             interrupt: None,
-            opts,
+            sample,
             state: Mutex::new(CtxState::default()),
         }
     }
 
-    /// Start a fresh journaled sweep run with `opts`, truncating any
+    /// Start a fresh journaled sweep run with `sample`, truncating any
     /// journal at `path`.
-    pub fn fresh(scale: &Scale, path: &Path, opts: RunOpts) -> Result<Self, String> {
-        Ok(Self::new(scale, SweepJournal::create(path)?, opts))
+    pub fn fresh(scale: &Scale, path: &Path, sample: SampleMode) -> Result<Self, String> {
+        Ok(Self::new(scale, SweepJournal::create(path)?, sample))
     }
 
-    /// Resume a journaled sweep run with `opts`: load and validate `path`,
+    /// Resume a journaled sweep run with `sample`: load and validate `path`,
     /// then append. Returns the context plus the recovery statistics.
     /// Refuses (does not silently skip) a journal whose sampling mode
     /// differs — see [`load_journal`].
     pub fn resume(
         scale: &Scale,
         path: &Path,
-        opts: RunOpts,
+        sample: SampleMode,
     ) -> Result<(Self, JournalRecovery), String> {
-        let rec = load_journal(path, &sweep_fingerprint(scale, opts.sample), opts.sample)?;
-        let mut ctx = Self::new(scale, SweepJournal::append_to(path)?, opts);
+        let rec = load_journal(path, &sweep_fingerprint(scale, sample), sample)?;
+        let mut ctx = Self::new(scale, SweepJournal::append_to(path)?, sample);
         let state = ctx.state.get_mut().unwrap_or_else(|e| e.into_inner());
         state.persisted.extend(rec.points.keys().cloned());
         ctx.resumed = rec.points.clone();
@@ -694,12 +681,11 @@ impl SweepCtx {
             &self.fingerprint,
             &self.scale,
             res,
-            self.opts.engine.journal_shards(),
-            self.opts.sample,
+            self.sample,
         )));
     }
 
-    /// Journal a failed point (panic payload or shard error) for
+    /// Journal a failed point (panic payload or walk error) for
     /// post-mortem provenance. Increments `sweep.points_failed` once per
     /// distinct point. Failure entries are never trusted on resume.
     pub fn record_failure(&self, kind: WorkloadKind, design: &Design, message: &str) {
@@ -716,7 +702,7 @@ impl SweepCtx {
             &self.scale,
             &key,
             message,
-            self.opts.sample,
+            self.sample,
         )));
     }
 }
@@ -724,13 +710,13 @@ impl SweepCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{evaluate_cached, Engine, SimCache};
+    use crate::runner::{evaluate_cached, SimCache};
     use memsim_tech::Technology;
 
     const OFF: SampleMode = SampleMode::Off;
 
     fn evaluate(kind: WorkloadKind, scale: &Scale, design: &Design) -> EvalResult {
-        evaluate_cached(kind, scale, design, &SimCache::new(), RunOpts::default())
+        evaluate_cached(kind, scale, design, &SimCache::new(), OFF)
     }
 
     fn temp_path(name: &str) -> PathBuf {
@@ -784,7 +770,7 @@ mod tests {
             },
         );
         let fp = sweep_fingerprint(&scale, OFF);
-        let line = envelope(&point_payload(&fp, &scale, &res, 3, SampleMode::Off));
+        let line = envelope(&point_payload(&fp, &scale, &res, OFF));
         let (key, point, got_fp, got_sample) = decode_line(&line).unwrap();
         assert_eq!(got_fp, fp);
         assert_eq!(got_sample, "off");
@@ -806,39 +792,33 @@ mod tests {
 
     #[test]
     fn shard_count_never_gates_resume() {
-        // The shard count is provenance, not identity: a point journaled
-        // by the sharded engine must decode to the same RestoredPoint as a
-        // sequential one, and a resume with a different shard count must
-        // accept it (results are engine-independent by the parity tests).
+        // Older builds journaled the walk engine's shard count with every
+        // point ("shards":0 for the sequential walk, N for N set shards).
+        // The decoder ignores the key, so their journals still resume.
         let scale = Scale::mini();
         let res = evaluate(WorkloadKind::Hash, &scale, &Design::Baseline);
         let fp = sweep_fingerprint(&scale, OFF);
-        let seq_line = envelope(&point_payload(&fp, &scale, &res, 0, SampleMode::Off));
-        let sharded_line = envelope(&point_payload(&fp, &scale, &res, 4, SampleMode::Off));
-        let (seq_key, seq_point, seq_fp, _) = decode_line(&seq_line).unwrap();
-        let (sh_key, sh_point, sh_fp, _) = decode_line(&sharded_line).unwrap();
-        assert_eq!(seq_fp, sh_fp, "fingerprint must not encode the engine");
-        assert_eq!(seq_key, sh_key);
-        let (seq_point, sh_point) = (seq_point.unwrap(), sh_point.unwrap());
-        assert_eq!(seq_point.run.caches, sh_point.run.caches);
-        assert_eq!(seq_point.run.mem, sh_point.run.mem);
+        let payload = point_payload(&fp, &scale, &res, OFF);
+        let older = payload.replacen(",\"sample\":", ",\"shards\":4,\"sample\":", 1);
+        assert_ne!(older, payload);
+        let (key, point, got_fp, _) = decode_line(&envelope(&older)).unwrap();
+        let (want_key, want_point, ..) = decode_line(&envelope(&payload)).unwrap();
+        assert_eq!(got_fp, fp);
+        assert_eq!(key, want_key);
+        let (point, want_point) = (point.unwrap(), want_point.unwrap());
+        assert_eq!(point.run.caches, want_point.run.caches);
+        assert_eq!(point.run.mem, want_point.run.mem);
         assert_eq!(
-            seq_point.metrics.time_s.to_bits(),
-            sh_point.metrics.time_s.to_bits()
+            point.metrics.time_s.to_bits(),
+            want_point.metrics.time_s.to_bits()
         );
 
-        // end to end: journal under shards=4, resume with the default
-        // (sequential) context — the point must be served, not refused
+        // end to end: a journal of such a line resumes, the point served
+        // from it, not refused
         let path = temp_path("xengine.journal.jsonl");
-        {
-            let opts = RunOpts {
-                engine: Engine::Sharded(4),
-                sample: OFF,
-            };
-            SweepCtx::fresh(&scale, &path, opts).unwrap().record(&res);
-        }
-        let (ctx, rec) = SweepCtx::resume(&scale, &path, RunOpts::default()).unwrap();
-        assert_eq!(rec.points.len(), 1, "sharded entry refused on resume");
+        std::fs::write(&path, envelope(&older)).unwrap();
+        let (ctx, rec) = SweepCtx::resume(&scale, &path, OFF).unwrap();
+        assert_eq!(rec.points.len(), 1, "an older line was refused on resume");
         assert!(ctx.lookup(WorkloadKind::Hash, &Design::Baseline).is_some());
         std::fs::remove_file(&path).ok();
     }
@@ -848,7 +828,7 @@ mod tests {
         let scale = Scale::mini();
         let res = evaluate(WorkloadKind::Hash, &scale, &Design::Baseline);
         let fp = sweep_fingerprint(&scale, OFF);
-        let line = envelope(&point_payload(&fp, &scale, &res, 0, SampleMode::Off));
+        let line = envelope(&point_payload(&fp, &scale, &res, OFF));
 
         // truncation at any prefix length must never decode
         for cut in [0, 1, 9, 20, line.len() / 2, line.len() - 2] {
@@ -867,7 +847,7 @@ mod tests {
     fn journal_load_skips_damage_and_foreign_fingerprints() {
         let scale = Scale::mini();
         let path = temp_path("load.journal.jsonl");
-        let ctx = SweepCtx::fresh(&scale, &path, RunOpts::default()).unwrap();
+        let ctx = SweepCtx::fresh(&scale, &path, OFF).unwrap();
         let good = evaluate(WorkloadKind::Hash, &scale, &Design::Baseline);
         ctx.record(&good);
         ctx.record_failure(
@@ -885,13 +865,7 @@ mod tests {
                 .open(&path)
                 .unwrap();
             writeln!(f, "{{\"crc\":\"00000000\",\"p\":{{garbage").unwrap();
-            let foreign = envelope(&point_payload(
-                "ffffffff",
-                &scale,
-                &good,
-                0,
-                SampleMode::Off,
-            ));
+            let foreign = envelope(&point_payload("ffffffff", &scale, &good, OFF));
             f.write_all(foreign.as_bytes()).unwrap();
         }
         let rec = load_journal(&path, &sweep_fingerprint(&scale, OFF), OFF).unwrap();
@@ -911,14 +885,14 @@ mod tests {
         let path = temp_path("resume.journal.jsonl");
         let res = evaluate(WorkloadKind::Hash, &scale, &Design::Baseline);
         {
-            let ctx = SweepCtx::fresh(&scale, &path, RunOpts::default()).unwrap();
+            let ctx = SweepCtx::fresh(&scale, &path, OFF).unwrap();
             ctx.record(&res);
             ctx.record(&res); // dedup: second append is a no-op
         }
         let lines = std::fs::read_to_string(&path).unwrap().lines().count();
         assert_eq!(lines, 1);
 
-        let (ctx, rec) = SweepCtx::resume(&scale, &path, RunOpts::default()).unwrap();
+        let (ctx, rec) = SweepCtx::resume(&scale, &path, OFF).unwrap();
         assert_eq!(rec.points.len(), 1);
         let restored = ctx
             .lookup(WorkloadKind::Hash, &Design::Baseline)
@@ -940,11 +914,7 @@ mod tests {
         use crate::sampling::SampleSpec;
         let scale = Scale::mini();
         let spec = SampleMode::On(SampleSpec::default());
-        let full = RunOpts::default();
-        let sampled = RunOpts {
-            sample: spec,
-            ..full
-        };
+        let (full, sampled) = (OFF, spec);
 
         // distinct fingerprints per mode (and per parameters)
         let off = sweep_fingerprint(&scale, OFF);

@@ -15,7 +15,8 @@
 //!   and costs any number of technology assignments analytically (cache
 //!   statistics do not depend on latency/energy parameters); a [`Source`]
 //!   names a live kernel run or a recorded trace of one, and one
-//!   [`RunOpts`] picks the engine and the sampling mode of every walk.
+//!   [`SampleMode`] picks full fidelity or interval sampling for every
+//!   walk.
 //! * [`replay`] — records a workload's stream to a trace file.
 //! * [`sampling`] — interval-sampled simulation: cluster the stream's
 //!   intervals by locality signature, simulate one representative per
@@ -32,16 +33,16 @@
 //! # Example: one design point
 //!
 //! ```
-//! use memsim_core::{Design, Scale, runner};
+//! use memsim_core::{Design, SampleMode, Scale, runner};
 //! use memsim_core::configs::n_configs;
 //! use memsim_tech::Technology;
 //! use memsim_workloads::WorkloadKind;
 //!
 //! let scale = Scale::mini();
 //! let design = Design::Nmm { nvm: Technology::Pcm, config: n_configs()[4] }; // N5
-//! let (cache, opts) = (runner::SimCache::new(), runner::RunOpts::default());
-//! let result = runner::evaluate_cached(WorkloadKind::Cg, &scale, &design, &cache, opts);
-//! let base = runner::evaluate_cached(WorkloadKind::Cg, &scale, &Design::Baseline, &cache, opts);
+//! let (cache, sample) = (runner::SimCache::new(), SampleMode::Off);
+//! let result = runner::evaluate_cached(WorkloadKind::Cg, &scale, &design, &cache, sample);
+//! let base = runner::evaluate_cached(WorkloadKind::Cg, &scale, &Design::Baseline, &cache, sample);
 //! let norm = result.metrics.normalized_to(&base.metrics);
 //! assert!(norm.time > 0.5 && norm.time < 2.0);
 //! ```
@@ -72,7 +73,7 @@ pub use journal::{sweep_fingerprint, JournalRecovery, SweepCtx, SweepJournal, JO
 pub use model::{breakdown, LevelBreakdown, LevelCost, Metrics, NormMetrics};
 pub use replay::{record_workload, RecordSummary};
 pub use runner::{
-    simulate_structure, Engine, EvalResult, FailedPoint, GridOutcome, RawRun, RunOpts, SimCache,
+    check_shards, simulate_structure, EvalResult, FailedPoint, GridOutcome, RawRun, SimCache,
     Source, SweepError,
 };
 pub use sampling::{SampleCi, SampleMode, SamplePlan, SampleSpec};

@@ -213,12 +213,12 @@ mod tests {
     use memsim_workloads::WorkloadKind;
 
     fn run() -> RawRun {
-        let opts = crate::runner::RunOpts::default();
+        let sample = crate::sampling::SampleMode::Off;
         simulate_structure(
             WorkloadKind::Cg,
             &Scale::mini(),
             &Structure::ThreeLevel,
-            opts,
+            sample,
         )
     }
 

@@ -97,12 +97,10 @@ pub fn record_workload(
 mod tests {
     use super::*;
     use crate::configs::n_by_name;
-    use crate::design::{Design, Structure};
+    use crate::design::Design;
     use crate::model::Metrics;
-    use crate::runner::{
-        evaluate_grid_sweep, simulate_structure, Engine, EvalResult, GridOutcome, RunOpts,
-        SimCache, Source,
-    };
+    use crate::runner::{evaluate_grid_sweep, EvalResult, GridOutcome, SimCache, Source};
+    use crate::sampling::SampleMode;
     use crate::scale::Scale;
     use memsim_tech::Technology;
     use std::path::PathBuf;
@@ -122,14 +120,17 @@ mod tests {
     }
 
     /// One grid over `designs`, every point read from `source`.
-    fn grid(source: &Source, designs: &[Design], threads: usize, engine: Engine) -> GridOutcome {
+    fn grid(source: &Source, designs: &[Design], threads: usize) -> GridOutcome {
         let points: Vec<(Source, Design)> = designs.iter().map(|d| (source.clone(), *d)).collect();
-        let opts = RunOpts {
-            engine,
-            ..RunOpts::default()
-        };
         let cache = SimCache::new();
-        evaluate_grid_sweep(&points, &Scale::mini(), &cache, Some(threads), None, opts)
+        evaluate_grid_sweep(
+            &points,
+            &Scale::mini(),
+            &cache,
+            Some(threads),
+            None,
+            SampleMode::Off,
+        )
     }
 
     fn metric_bits(m: &Metrics) -> [u64; 5] {
@@ -158,47 +159,19 @@ mod tests {
             nmm(Technology::Pcm, "N6"),
         ];
         let live = WorkloadKind::Hash.into();
-        let live: Vec<EvalResult> = grid(&live, &designs, 2, Engine::Sequential)
-            .into_result()
-            .unwrap();
+        let live: Vec<EvalResult> = grid(&live, &designs, 2).into_result().unwrap();
         for threads in [1, 2, 3] {
-            for engine in [Engine::Sequential, Engine::Sharded(2)] {
-                let replayed = grid(&trace, &designs, threads, engine)
-                    .into_result()
-                    .unwrap();
-                for (r, l) in replayed.iter().zip(&live) {
-                    let what = format!("{} at {threads} threads, {engine}", l.design.label());
-                    assert_eq!(r.workload, WorkloadKind::Hash);
-                    assert_eq!(r.design, l.design, "{what}");
-                    assert_eq!(r.run.caches, l.run.caches, "{what}");
-                    assert_eq!(r.run.mem, l.run.mem, "{what}");
-                    assert_eq!(r.run.per_region, l.run.per_region, "{what}");
-                    assert_eq!(r.run.total_refs, l.run.total_refs, "{what}");
-                    assert_eq!(metric_bits(&r.metrics), metric_bits(&l.metrics), "{what}");
-                }
+            let replayed = grid(&trace, &designs, threads).into_result().unwrap();
+            for (r, l) in replayed.iter().zip(&live) {
+                let what = format!("{} at {threads} threads", l.design.label());
+                assert_eq!(r.workload, WorkloadKind::Hash);
+                assert_eq!(r.design, l.design, "{what}");
+                assert_eq!(r.run.caches, l.run.caches, "{what}");
+                assert_eq!(r.run.mem, l.run.mem, "{what}");
+                assert_eq!(r.run.per_region, l.run.per_region, "{what}");
+                assert_eq!(r.run.total_refs, l.run.total_refs, "{what}");
+                assert_eq!(metric_bits(&r.metrics), metric_bits(&l.metrics), "{what}");
             }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn sharded_replay_matches_sequential_replay() {
-        let scale = Scale::mini();
-        let path = temp_trace("hash-sharded.trace");
-        record_workload(WorkloadKind::Hash, Class::Mini, &path).unwrap();
-        let trace = Source::trace(&path).unwrap();
-        let st = Structure::ThreeLevel;
-        let seq = simulate_structure(trace.clone(), &scale, &st, RunOpts::default());
-        for shards in [2usize, 7] {
-            let opts = RunOpts {
-                engine: Engine::Sharded(shards),
-                ..RunOpts::default()
-            };
-            let sh = simulate_structure(trace.clone(), &scale, &st, opts);
-            assert_eq!(sh.caches, seq.caches, "shards={shards}");
-            assert_eq!(sh.mem, seq.mem, "shards={shards}");
-            assert_eq!(sh.per_region, seq.per_region, "shards={shards}");
-            assert_eq!(sh.total_refs, seq.total_refs, "shards={shards}");
         }
         std::fs::remove_file(&path).ok();
     }
@@ -222,26 +195,25 @@ mod tests {
         let trace = Source::trace(&path).unwrap();
         let designs = [Design::Baseline, nmm(Technology::Pcm, "N6")];
         let points: Vec<(Source, Design)> = designs.iter().map(|d| (trace.clone(), *d)).collect();
-        let opts = RunOpts {
-            engine: Engine::Sharded(2),
-            sample: crate::sampling::SampleMode::On(spec),
-        };
-        let outcome = evaluate_grid_sweep(
-            &points,
-            &Scale::mini(),
-            &SimCache::new(),
-            Some(2),
-            None,
-            opts,
-        );
-        let failed: Vec<Design> = outcome.failures.iter().map(|f| f.design).collect();
-        assert_eq!(failed, designs);
         let want = format!(
             "sampled replay of {}: CRC mismatch in chunk",
             path.display()
         );
-        for f in &outcome.failures {
-            assert!(f.message.starts_with(&want), "{f}");
+        // on one lane, and with N6's suffix one hop away
+        for threads in [1, 2] {
+            let outcome = evaluate_grid_sweep(
+                &points,
+                &Scale::mini(),
+                &SimCache::new(),
+                Some(threads),
+                None,
+                SampleMode::On(spec),
+            );
+            let failed: Vec<Design> = outcome.failures.iter().map(|f| f.design).collect();
+            assert_eq!(failed, designs, "threads={threads}");
+            for f in &outcome.failures {
+                assert!(f.message.starts_with(&want), "{f}");
+            }
         }
         std::fs::remove_file(&path).ok();
     }
@@ -257,7 +229,7 @@ mod tests {
             kind: WorkloadKind::Hash,
             path: Arc::from(missing),
         };
-        let outcome = grid(&gone, &[Design::Baseline], 1, Engine::Sequential);
+        let outcome = grid(&gone, &[Design::Baseline], 1);
         assert_eq!(outcome.failures.len(), 1);
         let failed = outcome.failures[0].to_string();
         assert!(failed.starts_with("Hash × Baseline: I/O error"), "{failed}");
@@ -279,7 +251,7 @@ mod tests {
             nmm(Technology::Pcm, "N6"),
             nmm(Technology::SttRam, "N6"),
         ];
-        let outcome = grid(&trace, &designs, 2, Engine::Sequential);
+        let outcome = grid(&trace, &designs, 2);
         assert!(outcome.results.iter().all(Option::is_none));
         // the one decode feeds both structures (3L and NMM@N6's L4), so
         // the CRC mismatch fails every point, each exactly once

@@ -9,7 +9,7 @@
 //! all of a source's structures from **one** stream. They all share the
 //! scale's L1–L3, so the group walks those levels once, and each
 //! structure's own L4 and memory walk the requests L3 sends below
-//! ([`memsim_cache::ShardedHierarchy::group`]).
+//! ([`memsim_cache::GroupWalk::group`]).
 //!
 //! A grid point's stream comes from a [`Source`]: a live run of the
 //! workload's kernel, or one decode of a trace recorded from it. Both
@@ -40,7 +40,7 @@ use crate::model::Metrics;
 use crate::partition::{self, Placement};
 use crate::sampling::{feed_windows, SampleMode, SamplePlan, SampleSpec, Window};
 use crate::scale::Scale;
-use memsim_cache::{Cache, CacheConfig, LevelStats, ShardedHierarchy, Walk};
+use memsim_cache::{panic_text, Cache, CacheConfig, GroupWalk, LevelStats, Walk};
 use memsim_memory::{PartitionedMemory, RegionTraffic};
 use memsim_tech::Technology;
 use memsim_trace::{Region, TraceSink};
@@ -109,71 +109,18 @@ impl RawRun {
     }
 }
 
-/// Which engine walks the reference stream through the hierarchy.
-///
-/// Both engines produce bit-identical [`LevelStats`] (asserted by the
-/// parity tests), so the choice affects throughput only — which is why
-/// [`SimCache`] does not key on it and the sweep journal accepts resumed
-/// points across engines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The single-threaded [`memsim_cache::Hierarchy`] walk.
-    #[default]
-    Sequential,
-    /// The set-sharded parallel engine with this many requested worker
-    /// shards (at least 1; capped at the structure's address-class count).
-    Sharded(usize),
-}
-
-impl Engine {
-    /// The default engine: the sequential walk. A group walks its shared
-    /// L1–L3 prefix once and deals its structures' L4 suffixes to the
-    /// other lanes, so replicating the prefix only adds a class filter per
-    /// replica; on a 2-vCPU host `Sharded(2)` was slower than `Sequential`
-    /// on a live reproduce, a full replay and a sampled replay alike.
-    pub fn auto() -> Self {
-        Engine::Sequential
+/// Check a `--shards` value or a job spec's `shards` field. `--threads`
+/// sets the lanes of the one group walk; `seq`, `auto` and `1` all name
+/// that walk and stay accepted so that existing command lines and job
+/// specs keep working. Any other value is refused before anything is
+/// walked: the set-sharded engine it asked for was removed.
+pub fn check_shards(spec: &str) -> Result<(), String> {
+    match spec {
+        "seq" | "auto" | "1" => Ok(()),
+        other => Err(format!(
+            "--shards {other} is not available: the set-sharded engine was removed (use --threads)"
+        )),
     }
-
-    /// The shard count recorded in sweep journals: 0 for the sequential
-    /// engine, the requested worker count otherwise.
-    pub fn journal_shards(&self) -> u64 {
-        match self {
-            Engine::Sequential => 0,
-            Engine::Sharded(n) => *n as u64,
-        }
-    }
-
-    /// Class-filtered replicas of a group's shared prefix: one for the
-    /// sequential walk, the requested shard count otherwise.
-    fn replicas(&self) -> usize {
-        match self {
-            Engine::Sequential => 1,
-            Engine::Sharded(n) => *n,
-        }
-    }
-}
-
-impl std::fmt::Display for Engine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Engine::Sequential => write!(f, "seq"),
-            Engine::Sharded(n) => write!(f, "sharded({n})"),
-        }
-    }
-}
-
-/// How structure walks run: the engine and the sampling mode. The
-/// default is the sequential engine at full fidelity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunOpts {
-    /// Which engine walks the stream, full or sampled. Results are
-    /// engine-independent; this is a throughput choice.
-    pub engine: Engine,
-    /// Interval sampling: `Off` walks every event; `On` simulates one
-    /// representative interval per cluster and extrapolates (results
-    /// carry confidence intervals).
-    pub sample: SampleMode,
 }
 
 /// Where a grid point's reference stream comes from. Both sources feed
@@ -311,7 +258,6 @@ pub(crate) struct Group<'a> {
     pub(crate) source: &'a Source,
     pub(crate) scale: &'a Scale,
     pub(crate) structures: &'a [Structure],
-    pub(crate) engine: Engine,
     /// At most this many lane threads walk the structures.
     pub(crate) lanes: usize,
 }
@@ -327,17 +273,17 @@ impl Group<'_> {
     /// prefix; each structure's levels below them (its L4, if any) and its
     /// terminal form its suffix (a structure whose caches cannot be built
     /// fails alone). `stream` feeds them all through one
-    /// [`ShardedHierarchy::group`] over at most `lanes` lane threads
-    /// (`memsim-walk-{W}-{i}`), with the engine's replica count for the
-    /// prefix, and each hierarchy is drained into a [`RawRun`]: its finals,
-    /// published under `sim.{W}.{structure}` or `replay.{structure}`, or
-    /// with a `plan` the unpublished extrapolation of its snapshots at the
-    /// stream's marks, in `structures` order.
+    /// [`GroupWalk::group`] over at most `lanes` lane threads
+    /// (`memsim-walk-{W}-{i}`), and each hierarchy is drained into a
+    /// [`RawRun`]: its finals, published under `sim.{W}.{structure}` or
+    /// `replay.{structure}`, or with a `plan` the unpublished
+    /// extrapolation of its snapshots at the stream's marks, in
+    /// `structures` order.
     fn walk_stream(
         &self,
         regions: &[Region],
         plan: Option<&SamplePlan>,
-        stream: impl FnOnce(&mut ShardedHierarchy<PartitionedMemory>),
+        stream: impl FnOnce(&mut GroupWalk<PartitionedMemory>),
     ) -> Vec<Result<RawRun, String>> {
         let name = self.source.kind().name();
         let base = match self.source {
@@ -353,7 +299,7 @@ impl Group<'_> {
         let shared = match panic::catch_unwind(|| build_caches(self.scale, &Structure::ThreeLevel))
         {
             Ok(levels) => levels,
-            Err(payload) => return self.fail(panic_message(payload)),
+            Err(payload) => return self.fail(panic_text(&payload)),
         };
         let mut errors: Vec<Option<String>> = Vec::with_capacity(self.structures.len());
         let mut walks: Vec<Walk<PartitionedMemory>> = Vec::with_capacity(self.structures.len());
@@ -371,15 +317,14 @@ impl Group<'_> {
                     });
                     errors.push(None);
                 }
-                Err(payload) => errors.push(Some(panic_message(payload))),
+                Err(payload) => errors.push(Some(panic_text(&payload))),
             }
         }
         let mut runs = if walks.is_empty() {
             Vec::new().into_iter()
         } else {
             let lane_name = format!("memsim-walk-{name}-");
-            let replicas = self.engine.replicas();
-            let mut sink = ShardedHierarchy::group(shared, walks, replicas, self.lanes, &lane_name);
+            let mut sink = GroupWalk::group(shared, walks, self.lanes, &lane_name);
             {
                 let _s = memsim_obs::span!("simulate");
                 stream(&mut sink);
@@ -395,7 +340,7 @@ impl Group<'_> {
                     return Err(message);
                 }
                 let run = runs.next().expect("one run per built hierarchy");
-                let run = run.map_err(panic_message)?;
+                let run = run.map_err(|payload| panic_text(&payload))?;
                 if let Some(plan) = plan {
                     return crate::sampling::extrapolate(plan, &run, regions);
                 }
@@ -538,7 +483,7 @@ fn walk(
     source: &Source,
     scale: &Scale,
     structures: &[Structure],
-    opts: RunOpts,
+    sample: SampleMode,
     lanes: usize,
 ) -> Vec<Result<RawRun, String>> {
     let mut span = memsim_obs::span!("grid.walk.{}", source.kind().name());
@@ -546,15 +491,14 @@ fn walk(
         source,
         scale,
         structures,
-        engine: opts.engine,
         lanes,
     };
-    let runs = panic::catch_unwind(AssertUnwindSafe(|| match (opts.sample, source) {
+    let runs = panic::catch_unwind(AssertUnwindSafe(|| match (sample, source) {
         (SampleMode::On(spec), _) => group.walk_sampled(spec),
         (SampleMode::Off, Source::Live(kind)) => group.walk_live(*kind),
         (SampleMode::Off, Source::Trace { path, .. }) => group.walk_trace(path, None),
     }))
-    .unwrap_or_else(|payload| group.fail(panic_message(payload)));
+    .unwrap_or_else(|payload| group.fail(panic_text(&payload)));
     if let Some(Ok(run)) = runs.iter().find(|r| r.is_ok()) {
         span.add_events(run.total_refs);
     }
@@ -562,14 +506,10 @@ fn walk(
 }
 
 /// Simulate `source` (a workload at `scale.class`, or a trace of one)
-/// through `structure`. This is the expensive step: every memory
-/// reference of the workload walks the hierarchy.
-///
-/// The chosen engine walks the stream; both engines yield bit-identical
-/// [`RawRun`] counters, full or sampled (the sharded engine trades the
-/// sequential path's per-epoch probe publication for per-shard progress
-/// telemetry, with the identical finals published at drain either way).
-/// This is a one-structure group walk, with one lane per replica.
+/// through `structure`, every event or, with `sample` on, the windows of
+/// an interval plan. This is the expensive step: every memory reference
+/// of the workload walks the hierarchy. This is a one-structure group
+/// walk on one lane.
 ///
 /// Panics on a failed walk (a failed workload, an unreadable or corrupt
 /// trace) — grid workers turn those into [`FailedPoint`]s.
@@ -577,11 +517,10 @@ pub fn simulate_structure(
     source: impl Into<Source>,
     scale: &Scale,
     structure: &Structure,
-    opts: RunOpts,
+    sample: SampleMode,
 ) -> RawRun {
     let structures = std::slice::from_ref(structure);
-    let lanes = opts.engine.replicas();
-    let mut runs = walk(&source.into(), scale, structures, opts, lanes);
+    let mut runs = walk(&source.into(), scale, structures, sample, 1);
     runs.pop()
         .expect("one run per structure")
         .unwrap_or_else(|e| panic!("{e}"))
@@ -634,13 +573,13 @@ impl Cell {
 struct Claim {
     source: Source,
     scale: Scale,
-    opts: RunOpts,
+    sample: SampleMode,
     entries: Vec<(Structure, Arc<Cell>, bool)>,
 }
 
 impl Claim {
     fn key(&self, structure: Structure) -> SimKey {
-        (self.source.clone(), self.scale, structure, self.opts.sample)
+        (self.source.clone(), self.scale, structure, self.sample)
     }
 
     /// The structures this request must walk, with their cells.
@@ -691,11 +630,9 @@ fn count_memo(walked: bool) {
 /// The key names the [`Source`]: a trace run is keyed by its path, which
 /// assumes the file does not change while the memo lives (the trace
 /// store's files are content-addressed, so this holds for them). It
-/// deliberately excludes the engine — both engines produce
-/// bit-identical runs, so whichever requester claims first fills the cell
-/// for everyone — but it *includes* the sampling mode, because a sampled
-/// run's extrapolated counters are not the full run's counters and must
-/// never be served in its place.
+/// *includes* the sampling mode, because a sampled run's extrapolated
+/// counters are not the full run's counters and must never be served in
+/// its place.
 #[derive(Default)]
 pub struct SimCache {
     map: Mutex<HashMap<SimKey, Arc<Cell>>>,
@@ -708,18 +645,18 @@ impl SimCache {
     }
 
     /// Fetch or simulate one structure of a live run of `kind`: a
-    /// one-structure group, walked with one lane per replica. Panics when
-    /// the walk fails; otherwise counts one memo hit or miss.
+    /// one-structure group, walked on one lane. Panics when the walk fails;
+    /// otherwise counts one memo hit or miss.
     pub fn get(
         &self,
         kind: WorkloadKind,
         scale: &Scale,
         structure: &Structure,
-        opts: RunOpts,
+        sample: SampleMode,
     ) -> Arc<RawRun> {
         let structures = std::slice::from_ref(structure);
         let source = Source::Live(kind);
-        let mut runs = self.fetch(&source, scale, structures, opts, opts.engine.replicas());
+        let mut runs = self.fetch(&source, scale, structures, sample, 1);
         let fetched = runs.pop().expect("a fetch yields every structure");
         let run = fetched.run.unwrap_or_else(|e| panic!("{e}"));
         count_memo(fetched.walked);
@@ -735,10 +672,10 @@ impl SimCache {
         source: &Source,
         scale: &Scale,
         structures: &[Structure],
-        opts: RunOpts,
+        sample: SampleMode,
         lanes: usize,
     ) -> Vec<Fetched> {
-        let claim = self.claim(source, scale, opts, structures);
+        let claim = self.claim(source, scale, sample, structures);
         let walked = self.walk_claim(&claim, lanes);
         self.collect(&claim, walked, lanes, false)
     }
@@ -748,13 +685,13 @@ impl SimCache {
         &self,
         source: &Source,
         scale: &Scale,
-        opts: RunOpts,
+        sample: SampleMode,
         structures: &[Structure],
     ) -> Claim {
         let mut claim = Claim {
             source: source.clone(),
             scale: *scale,
-            opts,
+            sample,
             entries: Vec::with_capacity(structures.len()),
         };
         let mut map = self.map.lock().expect("sim cache poisoned");
@@ -780,7 +717,7 @@ impl SimCache {
         if owned.is_empty() {
             return Vec::new();
         }
-        let runs = walk(&claim.source, &claim.scale, &owned, claim.opts, lanes);
+        let runs = walk(&claim.source, &claim.scale, &owned, claim.sample, lanes);
         claim
             .owned()
             .zip(runs)
@@ -851,7 +788,7 @@ impl SimCache {
             out.push(fetched);
         }
         if !released.is_empty() {
-            for fetched in self.fetch(&claim.source, &claim.scale, &released, claim.opts, lanes) {
+            for fetched in self.fetch(&claim.source, &claim.scale, &released, claim.sample, lanes) {
                 let i = claim
                     .entries
                     .iter()
@@ -939,10 +876,10 @@ pub fn evaluate_cached(
     scale: &Scale,
     design: &Design,
     cache: &SimCache,
-    opts: RunOpts,
+    sample: SampleMode,
 ) -> EvalResult {
     design.validate().expect("invalid design");
-    let run = cache.get(kind, scale, &design.structure(scale), opts);
+    let run = cache.get(kind, scale, &design.structure(scale), sample);
     evaluate_run(kind, scale, design, run)
 }
 
@@ -953,7 +890,7 @@ pub struct FailedPoint {
     pub workload: WorkloadKind,
     /// The design of the failed point.
     pub design: Design,
-    /// The panic payload (or shard error) that killed it.
+    /// The panic payload (or walk error) that killed it.
     pub message: String,
 }
 
@@ -1041,20 +978,9 @@ impl GridOutcome {
     }
 }
 
-/// Turn a caught panic payload into a displayable message.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// Evaluate a grid of points in parallel over `threads` workers (defaults
 /// to the available parallelism when `None`), sharing one simulation memo,
-/// with `opts` choosing each structure walk's engine and sampling mode.
+/// with `sample` choosing each structure walk's sampling mode.
 ///
 /// Two phases (see the module docs): every structure the grid's
 /// unjournaled, valid points need is walked first, one stream per source
@@ -1075,7 +1001,7 @@ pub fn evaluate_grid_sweep(
     cache: &SimCache,
     threads: Option<usize>,
     sweep: Option<&SweepCtx>,
-    opts: RunOpts,
+    sample: SampleMode,
 ) -> GridOutcome {
     let threads = threads
         .unwrap_or_else(|| {
@@ -1084,7 +1010,7 @@ pub fn evaluate_grid_sweep(
                 .unwrap_or(4)
         })
         .max(1);
-    let runs = walk_grid(points, scale, cache, threads, sweep, opts);
+    let runs = walk_grid(points, scale, cache, threads, sweep, sample);
 
     // Each point gets its own result slot, and worker `w` costs every
     // `workers`-th point from `w`: publishing a result is a lock-free
@@ -1203,7 +1129,7 @@ fn walk_grid(
     cache: &SimCache,
     threads: usize,
     sweep: Option<&SweepCtx>,
-    opts: RunOpts,
+    sample: SampleMode,
 ) -> WalkedRuns {
     let interrupted = || sweep.is_some_and(|ctx| ctx.interrupted());
     let mut groups: Vec<(&Source, Vec<Structure>)> = Vec::new();
@@ -1223,7 +1149,7 @@ fn walk_grid(
     }
     let claims: Vec<Claim> = groups
         .iter()
-        .map(|(source, sts)| cache.claim(source, scale, opts, sts))
+        .map(|(source, sts)| cache.claim(source, scale, sample, sts))
         .collect();
     let progress = memsim_obs::enabled().then(|| {
         let reg = memsim_obs::global();
@@ -1308,7 +1234,7 @@ fn cost_point(
                 // through `thread::scope` would re-raise on join and drop
                 // every completed slot with it.
                 panic::catch_unwind(AssertUnwindSafe(|| evaluate_run(kind, scale, design, run)))
-                    .map_err(panic_message)
+                    .map_err(|payload| panic_text(&payload))
             })
         }
     };
@@ -1341,16 +1267,13 @@ mod tests {
         Scale::mini()
     }
 
-    const SEQ: RunOpts = RunOpts {
-        engine: Engine::Sequential,
-        sample: SampleMode::Off,
-    };
+    const FULL: SampleMode = SampleMode::Off;
 
     const HASH: Source = Source::Live(WorkloadKind::Hash);
 
     #[test]
     fn baseline_run_is_consistent() {
-        let run = simulate_structure(WorkloadKind::Cg, &scale(), &Structure::ThreeLevel, SEQ);
+        let run = simulate_structure(WorkloadKind::Cg, &scale(), &Structure::ThreeLevel, FULL);
         assert_eq!(run.caches.len(), 3);
         assert!(run.total_refs > 100_000);
         // L1 sees every demand reference (after line splitting)
@@ -1370,7 +1293,7 @@ mod tests {
             capacity_bytes: 1 << 20,
             page_bytes: 1024,
         };
-        let run = simulate_structure(WorkloadKind::Cg, &scale(), &st, SEQ);
+        let run = simulate_structure(WorkloadKind::Cg, &scale(), &st, FULL);
         assert_eq!(run.caches.len(), 4);
         assert_eq!(run.caches[3].name, "L4");
         // the L4 must filter some traffic: memory loads < L3 load misses
@@ -1380,39 +1303,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_engine_matches_sequential_golden() {
-        for st in [
-            Structure::ThreeLevel,
-            Structure::WithL4 {
-                capacity_bytes: 1 << 20,
-                page_bytes: 1024,
-            },
-        ] {
-            let seq = simulate_structure(WorkloadKind::Cg, &scale(), &st, SEQ);
-            for shards in [2usize, 7] {
-                let engine = Engine::Sharded(shards);
-                let opts = RunOpts { engine, ..SEQ };
-                let sh = simulate_structure(WorkloadKind::Cg, &scale(), &st, opts);
-                assert_eq!(sh.caches, seq.caches, "{st:?} shards={shards}");
-                assert_eq!(sh.mem, seq.mem, "{st:?} shards={shards}");
-                assert_eq!(sh.per_region, seq.per_region, "{st:?} shards={shards}");
-                assert_eq!(sh.total_refs, seq.total_refs, "{st:?} shards={shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn engine_journal_shards() {
-        assert_eq!(Engine::Sequential.journal_shards(), 0);
-        assert_eq!(Engine::Sharded(4).journal_shards(), 4);
-        assert_eq!(Engine::auto(), Engine::Sequential);
-    }
-
-    #[test]
     fn sim_cache_memoizes() {
         let cache = SimCache::new();
-        let a = cache.get(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel, SEQ);
-        let b = cache.get(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel, SEQ);
+        let a = cache.get(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel, FULL);
+        let b = cache.get(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel, FULL);
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
     }
@@ -1440,7 +1334,7 @@ mod tests {
         let barrier = std::sync::Barrier::new(2);
         let fetch = |sts: &[Structure]| {
             barrier.wait();
-            cache.fetch(&HASH, &scale(), sts, SEQ, 1)
+            cache.fetch(&HASH, &scale(), sts, FULL, 1)
         };
         let (ra, rb) = std::thread::scope(|s| {
             let ha = s.spawn(|| fetch(&a));
@@ -1466,24 +1360,24 @@ mod tests {
         let cache = SimCache::new();
         // 3000-byte pages fail `CacheConfig::validate` (not a power of two)
         let bad = l4(3000);
-        let runs = cache.fetch(&HASH, &scale(), &[Structure::ThreeLevel, bad], SEQ, 1);
+        let runs = cache.fetch(&HASH, &scale(), &[Structure::ThreeLevel, bad], FULL, 1);
         let good = fetched(&runs, Structure::ThreeLevel);
-        let serial = simulate_structure(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel, SEQ);
+        let serial = simulate_structure(WorkloadKind::Hash, &scale(), &Structure::ThreeLevel, FULL);
         assert_eq!(good.caches, serial.caches);
         let err = runs[1].run.as_ref().unwrap_err();
         assert!(err.contains("power of two"), "{err}");
         // the failed claim left the memo, so a later request claims and
         // walks it again instead of blocking on a dead cell
         assert_eq!(cache.len(), 1);
-        let again = cache.fetch(&HASH, &scale(), &[bad], SEQ, 1);
+        let again = cache.fetch(&HASH, &scale(), &[bad], FULL, 1);
         assert!(again[0].run.is_err());
         assert_eq!(cache.len(), 1);
 
         // A request already waiting on the claim when it fails is woken
         // by the release and retries the walk itself, rather than
         // blocking forever on the dead cell.
-        let owner = cache.claim(&HASH, &scale(), SEQ, &[bad]);
-        let waiter = cache.claim(&HASH, &scale(), SEQ, &[bad]);
+        let owner = cache.claim(&HASH, &scale(), FULL, &[bad]);
+        let waiter = cache.claim(&HASH, &scale(), FULL, &[bad]);
         assert!(waiter.owned().next().is_none(), "the second request waits");
         std::thread::scope(|s| {
             let waiting = s.spawn(|| cache.collect(&waiter, Vec::new(), 1, false));
@@ -1499,8 +1393,8 @@ mod tests {
         // the one walk — a memo miss, never also a hit — and a later
         // request is served the run.
         let st = l4(512);
-        let owner = cache.claim(&HASH, &scale(), SEQ, &[st]);
-        let waiter = cache.claim(&HASH, &scale(), SEQ, &[st]);
+        let owner = cache.claim(&HASH, &scale(), FULL, &[st]);
+        let waiter = cache.claim(&HASH, &scale(), FULL, &[st]);
         let retried = std::thread::scope(|s| {
             let waiting = s.spawn(|| cache.collect(&waiter, Vec::new(), 1, false));
             cache.release(&owner);
@@ -1509,7 +1403,7 @@ mod tests {
         assert_eq!(retried.len(), 1);
         assert!(retried[0].walked, "the retrying request walked it");
         let run = Arc::clone(retried[0].run.as_ref().expect("walked"));
-        let later = cache.fetch(&HASH, &scale(), &[st], SEQ, 1);
+        let later = cache.fetch(&HASH, &scale(), &[st], FULL, 1);
         assert!(!later[0].walked, "served, not walked again");
         assert!(Arc::ptr_eq(&run, later[0].run.as_ref().unwrap()));
         assert_eq!(cache.len(), 2);
@@ -1530,14 +1424,14 @@ mod tests {
                 },
             ),
         ];
-        let ctx = crate::journal::SweepCtx::fresh(&scale(), &journal, SEQ).unwrap();
+        let ctx = crate::journal::SweepCtx::fresh(&scale(), &journal, FULL).unwrap();
         let cache = SimCache::new();
-        let fresh = evaluate_grid_sweep(&points, &scale(), &cache, Some(2), Some(&ctx), SEQ);
+        let fresh = evaluate_grid_sweep(&points, &scale(), &cache, Some(2), Some(&ctx), FULL);
         assert_eq!(fresh.completed().len(), 2);
 
-        let (ctx, _) = crate::journal::SweepCtx::resume(&scale(), &journal, SEQ).unwrap();
+        let (ctx, _) = crate::journal::SweepCtx::resume(&scale(), &journal, FULL).unwrap();
         let cache = SimCache::new();
-        let resumed = evaluate_grid_sweep(&points, &scale(), &cache, Some(2), Some(&ctx), SEQ);
+        let resumed = evaluate_grid_sweep(&points, &scale(), &cache, Some(2), Some(&ctx), FULL);
         assert_eq!(resumed.skipped, 2);
         assert!(cache.is_empty(), "a journaled point claimed a walk");
         std::fs::remove_dir_all(&dir).ok();
@@ -1546,7 +1440,7 @@ mod tests {
     #[test]
     fn evaluate_baseline_and_nmm() {
         let cache = SimCache::new();
-        let base = evaluate_cached(WorkloadKind::Cg, &scale(), &Design::Baseline, &cache, SEQ);
+        let base = evaluate_cached(WorkloadKind::Cg, &scale(), &Design::Baseline, &cache, FULL);
         let nmm = evaluate_cached(
             WorkloadKind::Cg,
             &scale(),
@@ -1555,7 +1449,7 @@ mod tests {
                 config: n_configs()[2],
             },
             &cache,
-            SEQ,
+            FULL,
         );
         let norm = nmm.metrics.normalized_to(&base.metrics);
         // PCM behind a DRAM cache costs some time but is in a sane band
@@ -1583,7 +1477,7 @@ mod tests {
                 config: eh,
             },
             &cache,
-            SEQ,
+            FULL,
         );
         let b = evaluate_cached(
             WorkloadKind::Hash,
@@ -1594,7 +1488,7 @@ mod tests {
                 config: eh,
             },
             &cache,
-            SEQ,
+            FULL,
         );
         assert!(
             Arc::ptr_eq(&a.run, &b.run),
@@ -1622,16 +1516,13 @@ mod tests {
             interval: 1_000_000,
             clusters: 16,
         };
-        let sampled = RunOpts {
-            sample: SampleMode::On(spec),
-            ..SEQ
-        };
-        let grid = |opts| {
-            evaluate_grid_sweep(&points, &scale(), &SimCache::new(), Some(2), None, opts)
+        let sampled = SampleMode::On(spec);
+        let grid = |sample| {
+            evaluate_grid_sweep(&points, &scale(), &SimCache::new(), Some(2), None, sample)
                 .into_result()
                 .unwrap()
         };
-        let full = grid(SEQ);
+        let full = grid(FULL);
         let first = grid(sampled);
 
         let store = crate::sampling::trace_store().unwrap();
@@ -1671,11 +1562,10 @@ mod tests {
         ];
         // Both groups are smaller than the lane budget, so they run side
         // by side: at 3 threads with one lane each, at 6 with three lanes
-        // each (and three replicas per structure).
-        for (threads, engine) in [(3, Engine::Sequential), (6, Engine::Sharded(3))] {
+        // each.
+        for threads in [3, 6] {
             let cache = SimCache::new();
-            let opts = RunOpts { engine, ..SEQ };
-            let grid = evaluate_grid_sweep(&points, &scale(), &cache, Some(threads), None, opts)
+            let grid = evaluate_grid_sweep(&points, &scale(), &cache, Some(threads), None, FULL)
                 .into_result()
                 .expect("every point completes");
             assert_eq!(grid.len(), 3);
@@ -1684,7 +1574,7 @@ mod tests {
                 let k = source.kind();
                 assert_eq!(r.workload, k);
                 assert_eq!(r.design, *d);
-                let serial = evaluate_cached(k, &scale(), d, &SimCache::new(), SEQ);
+                let serial = evaluate_cached(k, &scale(), d, &SimCache::new(), FULL);
                 assert_eq!(r.run.caches, serial.run.caches, "{k:?} {d:?} {threads}");
                 assert_eq!(r.run.mem, serial.run.mem, "{k:?} {d:?} {threads}");
                 assert_eq!(r.run.per_region, serial.run.per_region);

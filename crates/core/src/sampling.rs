@@ -22,8 +22,8 @@
 //! The plan is a window schedule in front of the grid's one group walk
 //! ([`crate::runner`]): the source decodes only the window chunks and
 //! sends a mark through the walk's lanes at every representative's
-//! bounds ([`memsim_cache::ShardedHierarchy::mark`]), so a group of
-//! structures shares one decode of the windows and any engine walks them.
+//! bounds ([`memsim_cache::GroupWalk::mark`]), so a group of structures
+//! shares one decode of the windows.
 //! Live entry points record the workload's stream once into a
 //! [`TraceStore`] keyed by workload, scale and build (shared across all
 //! structures and processes) and sample that. The interval plan is itself
@@ -34,10 +34,10 @@
 
 use crate::design::{Structure, MEM_NAME};
 use crate::model::{LevelCost, Metrics};
-use crate::runner::{Engine, Group, RawRun, Source};
+use crate::runner::{Group, RawRun, Source};
 use crate::scale::Scale;
 use crate::store::TraceStore;
-use memsim_cache::{LevelStats, ShardedRun};
+use memsim_cache::{LevelStats, WalkRun};
 use memsim_memory::{PartitionedMemory, RegionTraffic};
 use memsim_trace::{Region, SignatureBuilder, TraceEvent, TraceSink, SIGNATURE_DIMS};
 use memsim_tracefile::{ChunkStep, TraceError, TraceReader, TRACE_CHUNK_EVENTS};
@@ -610,8 +610,8 @@ pub fn publish_ci_summary(cis: &[SampleCi]) {
 // sampled walks
 // ---------------------------------------------------------------------------
 
-/// A walker's merged counters at one mark, or its finals.
-type Counters = ShardedRun<PartitionedMemory>;
+/// A walk's counters at one mark, or its finals.
+type Counters = WalkRun<PartitionedMemory>;
 
 fn stats_delta(end: &LevelStats, start: &LevelStats) -> LevelStats {
     LevelStats {
@@ -680,7 +680,7 @@ fn snap_delta(end: &Counters, start: &Counters) -> ClusterRun {
 pub(crate) enum Window<'a> {
     /// Events inside a window, for every walker.
     Events(&'a [TraceEvent]),
-    /// A mark ([`memsim_cache::ShardedHierarchy::mark`]).
+    /// A mark ([`memsim_cache::GroupWalk::mark`]).
     Mark,
 }
 
@@ -773,6 +773,12 @@ pub(crate) fn feed_windows<R: Read + Seek>(
         reg.counter("sample.events_simulated")
             .store(plan.simulated_events());
         reg.counter("sample.events_total").store(plan.total_events);
+        // the seek-skip decode: chunks decoded for the windows, and
+        // chunks stepped over without decoding
+        reg.counter("sample.chunks_read")
+            .store(reader.chunks_read());
+        reg.counter("sample.chunks_skipped")
+            .store(reader.chunks_skipped());
     }
     Ok(())
 }
@@ -851,7 +857,6 @@ pub fn replay_structure_sampled(
         source: &source,
         scale,
         structures: std::slice::from_ref(structure),
-        engine: Engine::Sequential,
         lanes: 1,
     };
     group

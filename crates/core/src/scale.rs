@@ -60,7 +60,7 @@ impl Scale {
     }
 
     /// Figure-regeneration scale: capacities ÷ 32 (L3 640 KB, eDRAM 512 KB,
-    /// DRAM cache 4–16 MB) against `Class::Demo` footprints (25–128 MiB),
+    /// DRAM cache 4–16 MB) against `Class::Demo` footprints (20–205 MiB),
     /// preserving the paper's footprint : capacity ratios.
     pub fn demo() -> Self {
         Self {

@@ -7,7 +7,7 @@
 //! analytically without re-simulating, because routing does not change the
 //! cache behaviour above.
 
-use memsim_cache::{LevelStats, MainMemory, ShardMerge};
+use memsim_cache::{LevelStats, MainMemory};
 use memsim_tech::Technology;
 use memsim_trace::Region;
 
@@ -177,34 +177,6 @@ impl MainMemory for PartitionedMemory {
         };
         stats.stores += 1;
         stats.bytes_stored += u64::from(bytes);
-    }
-}
-
-impl ShardMerge for PartitionedMemory {
-    /// Fold a sibling shard replica's traffic into this one. Configuration
-    /// (region table, NVM technology, placement — uniformly DRAM at
-    /// simulation time) is identical across replicas cloned from one
-    /// prototype, so only the counters add.
-    fn merge_shard(&mut self, other: &Self) {
-        debug_assert_eq!(self.starts, other.starts, "shard replicas diverged");
-        debug_assert_eq!(self.placement, other.placement, "shard replicas diverged");
-        debug_assert_eq!(self.nvm_tech, other.nvm_tech, "shard replicas diverged");
-        for (t, o) in self.traffic.iter_mut().zip(other.traffic.iter()) {
-            t.merge(o);
-        }
-        self.unattributed.merge(&other.unattributed);
-        self.dram.merge(&other.dram);
-        self.nvm.merge(&other.nvm);
-    }
-}
-
-impl RegionTraffic {
-    /// Saturating element-wise accumulation (used by the shard merge).
-    pub fn merge(&mut self, other: &Self) {
-        self.loads = self.loads.saturating_add(other.loads);
-        self.stores = self.stores.saturating_add(other.stores);
-        self.bytes_loaded = self.bytes_loaded.saturating_add(other.bytes_loaded);
-        self.bytes_stored = self.bytes_stored.saturating_add(other.bytes_stored);
     }
 }
 

@@ -9,10 +9,10 @@
 //!   power-of-two-bucket histograms. Workers update lock-free through
 //!   `Arc` handles; readers snapshot consistently.
 //! * [`span!`] — scoped span timers building a hierarchical phase-timing
-//!   tree (trace generation → cache simulation → grid evaluation → replay
-//!   shards) with monotonic wall times and per-span event counts.
+//!   tree (trace generation → cache simulation → grid evaluation → replay)
+//!   with monotonic wall times and per-span event counts.
 //! * [`ProgressSampler`] — a sampler thread rendering live `--progress`
-//!   (rate, ETA, per-shard lag) from epoch-published `progress.*`
+//!   (rate, ETA, structures walked) from epoch-published `progress.*`
 //!   counters, never touching the hot path.
 //! * [`export_json`] — the run manifest plus a full metrics dump as
 //!   deterministic JSON (`--metrics-out`), and [`render_summary`] for the

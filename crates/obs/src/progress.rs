@@ -9,16 +9,13 @@
 //! Counter conventions (all under the global registry):
 //! * `progress.events` — cumulative demand events processed, all workers.
 //! * `progress.chunks` — cumulative trace chunks consumed/produced.
-//! * `progress.shard<i>.events` — per-replica cumulative events of the
-//!   set-sharded engine.
 //! * `progress.shards_total` / `progress.shards_done` — gauge/counter pair
 //!   of a grid's structures to walk and walked, used for the ETA
 //!   extrapolation and the `shards a/b` display.
 //! * `progress.total` — gauge of the `progress.events` count at which the
 //!   work in flight is done, when known (a trace walk reads it from the
-//!   trace's footer); the ETA falls back to it while no shard is done.
+//!   trace's footer); the ETA falls back to it while no structure is done.
 
-use crate::registry::MetricValue;
 use std::io::IsTerminal;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -152,31 +149,14 @@ fn render_line(
     }
     line.push_str(&format!(" | {:.1} Mev/s", rate / 1e6));
 
-    // Per-shard lag: spread between slowest and fastest shard.
-    let mut shard_events: Vec<u64> = Vec::new();
-    for (name, value) in reg.snapshot() {
-        match value {
-            MetricValue::Counter(v)
-                if name.starts_with("progress.shard") && name.ends_with(".events") =>
-            {
-                shard_events.push(v);
-            }
-            _ => {}
-        }
-    }
     let shards_total = reg.gauge_value("progress.shards_total").unwrap_or(0);
     let shards_done = reg.counter_value("progress.shards_done").unwrap_or(0);
     if shards_total > 0 {
         line.push_str(&format!(" | shards {shards_done}/{shards_total}"));
-        if let (Some(&min), Some(&max)) = (shard_events.iter().min(), shard_events.iter().max()) {
-            if max > min {
-                line.push_str(&format!(" (lag {})", human(max - min)));
-            }
-        }
     }
-    // ETA by extrapolating completed-shard cost over remaining shards, or
-    // from the event total when one is known (shards that finish together
-    // give no partial completion to extrapolate).
+    // ETA by extrapolating walked structures' cost over the remaining
+    // ones, or from the event total when one is known (structures that
+    // finish together give no partial completion to extrapolate).
     let total = reg.gauge_value("progress.total").unwrap_or(0);
     if avg_rate > 0.0 {
         if shards_done > 0 && shards_done < shards_total {
@@ -228,8 +208,6 @@ mod tests {
         let reg = crate::global();
         reg.counter("progress.events").add(1_234_567);
         reg.counter("progress.chunks").add(300);
-        reg.counter("progress.shard0.events").add(600_000);
-        reg.counter("progress.shard1.events").add(634_567);
         reg.gauge("progress.shards_total").set(4);
         reg.counter("progress.shards_done").inc();
         let t0 = Instant::now();

@@ -9,11 +9,11 @@
 //! overwritten and counted in [`Lane::dropped`] — recording never blocks
 //! and never grows without bound.
 //!
-//! Events carry the recording thread's name as their *lane*: shard
-//! workers (`memsim-shard0`, ...) each get their own timeline lane in the
+//! Events carry the recording thread's name as their *lane*: walk lanes
+//! (`memsim-walk-Hash-0`, ...) each get their own timeline lane in the
 //! Chrome-trace export. Successive threads with the same name (for
-//! example, shard workers re-spawned per sweep point) append to the same
-//! lane in registration order.
+//! example, the walk lanes of successive groups) append to the same lane
+//! in registration order.
 //!
 //! # Determinism
 //!

@@ -29,11 +29,12 @@
 //! `sim.memo.hits` counter observes this), and one [`TraceStore`], so a
 //! workload+scale trace is recorded at most once.
 
+use memsim_cache::panic_text;
 use memsim_core::experiments::ExperimentCtx;
 use memsim_core::runner::evaluate_grid_sweep;
 use memsim_core::store::{digest, TraceStore};
 use memsim_core::{
-    build_artifact, parse_design_list, Design, Engine, EvalResult, RunOpts, SampleMode, Scale,
+    build_artifact, check_shards, parse_design_list, Design, EvalResult, SampleMode, Scale,
     SimCache, Source, SweepCtx, SweepError, JOURNAL_FILE,
 };
 use memsim_obs::json;
@@ -58,20 +59,6 @@ pub fn parse_scale(name: &str) -> Result<Scale, String> {
         "demo" => Ok(Scale::demo()),
         "paper" => Ok(Scale::paper()),
         other => Err(format!("unknown scale '{other}'")),
-    }
-}
-
-/// Resolve an engine spec (`"seq"`, `"auto"`, or a shard count) — the
-/// same grammar as the CLI's `--shards`.
-pub fn parse_engine(spec: &str) -> Result<Engine, String> {
-    match spec {
-        "auto" => Ok(Engine::auto()),
-        "seq" => Ok(Engine::Sequential),
-        n => match n.parse::<usize>() {
-            Ok(0) => Err("shards must be at least 1 (or 'auto'/'seq')".into()),
-            Ok(n) => Ok(Engine::Sharded(n)),
-            Err(_) => Err(format!("bad shard count '{n}' (want N, 'auto', or 'seq')")),
-        },
     }
 }
 
@@ -101,8 +88,10 @@ pub struct JobSpec {
     pub scale_name: String,
     /// Benchmark set for artifact jobs (canonicalized; ignored by replay).
     pub workloads: Vec<WorkloadKind>,
-    /// Engine spec string (`seq` / `auto` / shard count).
-    pub engine_spec: String,
+    /// The `shards` value as given (`seq`, `auto` or `1`, all naming the
+    /// one group walk), echoed in the canonical form so job ids stay
+    /// stable; [`check_shards`] refuses any other.
+    pub shards: String,
     /// Interval-sampling mode (`off` or `interval=N,clusters=K,...`).
     pub sample: SampleMode,
 }
@@ -111,15 +100,6 @@ impl JobSpec {
     /// The scale preset this spec names. Valid by construction.
     pub fn scale(&self) -> Scale {
         parse_scale(&self.scale_name).expect("spec validated at parse")
-    }
-
-    /// The engine and sampling mode this spec names. Valid by
-    /// construction.
-    pub fn opts(&self) -> RunOpts {
-        RunOpts {
-            engine: parse_engine(&self.engine_spec).expect("spec validated at parse"),
-            sample: self.sample,
-        }
     }
 
     /// Canonical JSON — byte-stable across parse/serialize round trips.
@@ -141,7 +121,7 @@ impl JobSpec {
             }
         }
         o.str("scale", &self.scale_name);
-        o.str("shards", &self.engine_spec);
+        o.str("shards", &self.shards);
         o.str("sample", &self.sample.canon());
         o.finish()
     }
@@ -178,8 +158,8 @@ pub fn parse_spec(v: &memsim_core::jsontext::JVal) -> Result<JobSpec, String> {
 
     let scale_name = field_str("scale")?.unwrap_or_else(|| "mini".into());
     parse_scale(&scale_name)?;
-    let engine_spec = field_str("shards")?.unwrap_or_else(|| "seq".into());
-    parse_engine(&engine_spec)?;
+    let shards = field_str("shards")?.unwrap_or_else(|| "seq".into());
+    check_shards(&shards)?;
     let sample = match field_str("sample")? {
         None => SampleMode::Off,
         Some(s) => SampleMode::parse(&s)?,
@@ -223,7 +203,7 @@ pub fn parse_spec(v: &memsim_core::jsontext::JVal) -> Result<JobSpec, String> {
         kind,
         scale_name,
         workloads,
-        engine_spec,
+        shards,
         sample,
     })
 }
@@ -719,11 +699,7 @@ impl Registry {
         let out = match out {
             Ok(r) => r,
             Err(panic) => {
-                let msg = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "job panicked".into());
+                let msg = panic_text(&panic);
                 // Post-mortem: when the flight recorder is armed (the
                 // daemon arms it at startup), freeze its tail into the
                 // job's state dir so the timeline leading up to the
@@ -795,14 +771,14 @@ enum RunOutcome {
 
 fn run_inner(reg: &Arc<Registry>, job: &Arc<Job>) -> Result<RunOutcome, String> {
     let scale = job.spec.scale();
-    let opts = job.spec.opts();
+    let sample = job.spec.sample;
     match &job.spec.kind {
         JobKind::Artifact(name) => {
             let journal = job.dir.join(JOURNAL_FILE);
             let mut sweep = if journal.exists() {
-                SweepCtx::resume(&scale, &journal, opts)?.0
+                SweepCtx::resume(&scale, &journal, sample)?.0
             } else {
-                SweepCtx::fresh(&scale, &journal, opts)?
+                SweepCtx::fresh(&scale, &journal, sample)?
             };
             sweep.set_interrupt(Arc::clone(&job.cancel));
             let sweep = Arc::new(sweep);
@@ -811,7 +787,7 @@ fn run_inner(reg: &Arc<Registry>, job: &Arc<Job>) -> Result<RunOutcome, String> 
             let ctx = ExperimentCtx::new(scale, &reg.cache)
                 .with_workloads(&job.spec.workloads)
                 .with_sweep(&sweep)
-                .with_opts(opts);
+                .with_sample(sample);
             let built = build_artifact(&ctx, name);
             lock(&job.progress).points_done = sweep.persisted_points();
             match built {
@@ -837,7 +813,7 @@ fn run_inner(reg: &Arc<Registry>, job: &Arc<Job>) -> Result<RunOutcome, String> 
             let mut grid = vec![Design::Baseline];
             grid.extend(wanted.iter().filter(|d| **d != Design::Baseline).copied());
             let points: Vec<(Source, Design)> = grid.iter().map(|d| (source.clone(), *d)).collect();
-            let evaluated = evaluate_grid_sweep(&points, &scale, &reg.cache, None, None, opts)
+            let evaluated = evaluate_grid_sweep(&points, &scale, &reg.cache, None, None, sample)
                 .into_result()
                 .map_err(|e| e.to_string())?;
             let results: Vec<(Design, &EvalResult)> =
@@ -935,7 +911,7 @@ mod tests {
         let s = spec(r#"{"artifact":"table4"}"#).unwrap();
         assert_eq!(s.kind, JobKind::Artifact("table4".into()));
         assert_eq!(s.scale_name, "mini");
-        assert_eq!(s.engine_spec, "seq");
+        assert_eq!(s.shards, "seq");
         assert_eq!(s.workloads, WorkloadKind::PAPER_SET.to_vec());
     }
 
@@ -969,8 +945,25 @@ mod tests {
 
     #[test]
     fn numeric_shards_accepted() {
-        let s = spec(r#"{"artifact":"fig1","shards":2}"#).unwrap();
-        assert_eq!(s.opts().engine, Engine::Sharded(2));
+        // every value that names the one group walk is accepted and echoed
+        for (given, echoed) in [
+            ("\"seq\"", "seq"),
+            ("\"auto\"", "auto"),
+            ("\"1\"", "1"),
+            ("1", "1"),
+        ] {
+            let s = spec(&format!(r#"{{"artifact":"fig1","shards":{given}}}"#)).unwrap();
+            assert_eq!(s.shards, echoed);
+            assert!(s.canonical().contains(&format!(r#""shards":"{echoed}""#)));
+        }
+        // anything else asked for the removed set-sharded engine
+        for refused in ["\"0\"", "2", "\"2\"", "\"many\""] {
+            let err = spec(&format!(r#"{{"artifact":"fig1","shards":{refused}}}"#)).unwrap_err();
+            assert!(
+                err.contains("set-sharded engine was removed"),
+                "{refused}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!
 //! The signature deliberately reuses the same event→block splitting as
 //! the oracle: size-0 events touch no blocks, and an event straddling a
-//! block boundary touches every block it covers — exactly the shapes the
-//! sharded-engine audit (PR 6) pinned for the simulation path.
+//! block boundary touches every block it covers, as in the simulation
+//! path's straddler split.
 
 use crate::event::{AccessKind, TraceEvent, TraceSink};
 use crate::reuse::ReuseDistance;

@@ -11,7 +11,8 @@
 //! ```
 
 use memsim_core::configs::n_configs;
-use memsim_core::runner::{evaluate_cached, RunOpts, SimCache};
+use memsim_core::runner::{evaluate_cached, SimCache};
+use memsim_core::SampleMode;
 use memsim_core::{Design, Scale};
 use memsim_examples::{human_bytes, pct};
 use memsim_tech::Technology;
@@ -19,14 +20,14 @@ use memsim_workloads::WorkloadKind;
 
 fn main() {
     let scale = Scale::mini();
-    let (cache, opts) = (SimCache::new(), RunOpts::default());
+    let (cache, sample) = (SimCache::new(), SampleMode::Off);
     let workload = WorkloadKind::Graph500;
 
     println!(
         "sweeping NMM DRAM-cache configurations for {} + PCM\n",
         workload.name()
     );
-    let base = evaluate_cached(workload, &scale, &Design::Baseline, &cache, opts);
+    let base = evaluate_cached(workload, &scale, &Design::Baseline, &cache, sample);
     println!(
         "baseline: footprint {}, runtime {:.1} ms, energy {:.1} mJ",
         human_bytes(base.run.footprint_bytes),
@@ -45,7 +46,7 @@ fn main() {
             nvm: Technology::Pcm,
             config: *config,
         };
-        let r = evaluate_cached(workload, &scale, &design, &cache, opts);
+        let r = evaluate_cached(workload, &scale, &design, &cache, sample);
         let norm = r.metrics.normalized_to(&base.metrics);
         let l4_hit = r.run.caches[3].hit_rate() * 100.0;
         println!(

@@ -13,7 +13,7 @@ use memsim_core::partition::{
     cost_placement, merge_into_ranges, ndm_dram_budget, oracle, Placement,
 };
 use memsim_core::runner::evaluate_cached;
-use memsim_core::{Design, RunOpts, Scale, SimCache, Structure};
+use memsim_core::{Design, SampleMode, Scale, SimCache, Structure};
 use memsim_examples::{human_bytes, pct};
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -28,8 +28,8 @@ fn main() {
         workload.name()
     );
     // the baseline shares this structure, so its costing below reuses the walk
-    let (cache, opts) = (SimCache::new(), RunOpts::default());
-    let run = cache.get(workload, &scale, &Structure::ThreeLevel, opts);
+    let (cache, sample) = (SimCache::new(), SampleMode::Off);
+    let run = cache.get(workload, &scale, &Structure::ThreeLevel, sample);
 
     println!(
         "{:<12} {:>10} {:>12} {:>12} {:>10}",
@@ -109,7 +109,7 @@ fn main() {
     }
 
     let choice = oracle(&run, nvm, &scale);
-    let base = evaluate_cached(workload, &scale, &Design::Baseline, &cache, opts);
+    let base = evaluate_cached(workload, &scale, &Design::Baseline, &cache, sample);
     let norm = choice.metrics.normalized_to(&base.metrics);
     println!(
         "\noracle choice: {} in DRAM, {} in {} — runtime {}, energy {} vs baseline",

@@ -11,7 +11,7 @@
 
 use memsim_core::configs::n_by_name;
 use memsim_core::runner::evaluate_cached;
-use memsim_core::{Design, RunOpts, Scale, SimCache};
+use memsim_core::{Design, SampleMode, Scale, SimCache};
 use memsim_examples::{human_bytes, pct};
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -26,9 +26,9 @@ fn main() {
     };
 
     println!("simulating CG through {} ...", design.label());
-    let (cache, opts) = (SimCache::new(), RunOpts::default());
-    let result = evaluate_cached(WorkloadKind::Cg, &scale, &design, &cache, opts);
-    let base = evaluate_cached(WorkloadKind::Cg, &scale, &Design::Baseline, &cache, opts);
+    let (cache, sample) = (SimCache::new(), SampleMode::Off);
+    let result = evaluate_cached(WorkloadKind::Cg, &scale, &design, &cache, sample);
+    let base = evaluate_cached(WorkloadKind::Cg, &scale, &Design::Baseline, &cache, sample);
 
     println!(
         "\nworkload footprint: {}",

@@ -13,7 +13,7 @@
 use memsim_core::configs::n_configs;
 use memsim_core::replay::record_workload;
 use memsim_core::runner::evaluate_grid_sweep;
-use memsim_core::{Design, EvalResult, RunOpts, Scale, SimCache, Source};
+use memsim_core::{Design, EvalResult, SampleMode, Scale, SimCache, Source};
 use memsim_examples::human_bytes;
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
@@ -49,9 +49,9 @@ fn main() {
     // the same grid over either source, timed
     let grid = |source: Source| -> (Vec<EvalResult>, f64) {
         let points: Vec<(Source, Design)> = designs.iter().map(|d| (source.clone(), *d)).collect();
-        let (cache, opts) = (SimCache::new(), RunOpts::default());
+        let (cache, sample) = (SimCache::new(), SampleMode::Off);
         let t = Instant::now();
-        let results = evaluate_grid_sweep(&points, &scale, &cache, None, None, opts)
+        let results = evaluate_grid_sweep(&points, &scale, &cache, None, None, sample)
             .into_result()
             .expect("grid");
         (results, t.elapsed().as_secs_f64())

@@ -1,7 +1,7 @@
 //! Cross-crate conservation invariants: counters must balance between
 //! every pair of adjacent levels, for real workload streams.
 
-use memsim_core::{simulate_structure, RunOpts, Structure};
+use memsim_core::{simulate_structure, SampleMode, Structure};
 use memsim_integration_tests::{fast_workloads, test_scale};
 
 /// Fills at level i+1 equal misses at level i; memory loads equal the last
@@ -17,7 +17,7 @@ fn inter_level_flow_balance() {
                 page_bytes: 512,
             },
         ] {
-            let run = simulate_structure(kind, &scale, &structure, RunOpts::default());
+            let run = simulate_structure(kind, &scale, &structure, SampleMode::Off);
             for (i, w) in run.caches.windows(2).enumerate() {
                 let (upper, lower) = (&w[0], &w[1]);
                 // every demand miss above triggers exactly one load below.
@@ -54,7 +54,7 @@ fn inter_level_flow_balance() {
 fn dirty_data_reaches_memory() {
     let scale = test_scale();
     for kind in fast_workloads() {
-        let run = simulate_structure(kind, &scale, &Structure::ThreeLevel, RunOpts::default());
+        let run = simulate_structure(kind, &scale, &Structure::ThreeLevel, SampleMode::Off);
         // L1 absorbed `stores`; after drain, those dirty lines must appear
         // as memory stores. With write-back caching, memory stores can be
         // fewer than CPU stores (coalescing) but never zero when stores
@@ -77,7 +77,7 @@ fn dirty_data_reaches_memory() {
 fn region_attribution_is_total() {
     let scale = test_scale();
     for kind in fast_workloads() {
-        let run = simulate_structure(kind, &scale, &Structure::ThreeLevel, RunOpts::default());
+        let run = simulate_structure(kind, &scale, &Structure::ThreeLevel, SampleMode::Off);
         let region_loads: u64 = run.per_region.iter().map(|t| t.loads).sum();
         let region_stores: u64 = run.per_region.iter().map(|t| t.stores).sum();
         assert_eq!(
@@ -111,7 +111,7 @@ fn bigger_l4_filters_no_less() {
                 capacity_bytes: 512 << 10,
                 page_bytes: 1024,
             },
-            RunOpts::default(),
+            SampleMode::Off,
         );
         let big = simulate_structure(
             kind,
@@ -120,7 +120,7 @@ fn bigger_l4_filters_no_less() {
                 capacity_bytes: 4 << 20,
                 page_bytes: 1024,
             },
-            RunOpts::default(),
+            SampleMode::Off,
         );
         // set-associative LRU is not a strict stack algorithm (set counts
         // differ), so allow a sliver of noise

@@ -1,7 +1,8 @@
 //! Determinism and parallel/serial equivalence.
 
 use memsim_core::configs::n_configs;
-use memsim_core::runner::{evaluate_cached, evaluate_grid_sweep, RunOpts, SimCache};
+use memsim_core::runner::{evaluate_cached, evaluate_grid_sweep, SimCache};
+use memsim_core::SampleMode;
 use memsim_core::{Design, Source};
 use memsim_integration_tests::test_scale;
 use memsim_tech::Technology;
@@ -16,10 +17,10 @@ fn independent_evaluations_are_identical() {
         nvm: Technology::FeRam,
         config: n_configs()[4],
     };
-    let opts = RunOpts::default();
+    let sample = SampleMode::Off;
     let (a_cache, b_cache) = (SimCache::new(), SimCache::new());
-    let a = evaluate_cached(WorkloadKind::Velvet, &scale, &design, &a_cache, opts);
-    let b = evaluate_cached(WorkloadKind::Velvet, &scale, &design, &b_cache, opts);
+    let a = evaluate_cached(WorkloadKind::Velvet, &scale, &design, &a_cache, sample);
+    let b = evaluate_cached(WorkloadKind::Velvet, &scale, &design, &b_cache, sample);
     assert_eq!(a.run.total_refs, b.run.total_refs);
     assert_eq!(a.run.mem, b.run.mem);
     for (x, y) in a.run.caches.iter().zip(&b.run.caches) {
@@ -48,16 +49,20 @@ fn parallel_grid_equals_serial() {
         points.push((WorkloadKind::Lu, *d));
     }
 
-    let (cache, opts) = (SimCache::new(), RunOpts::default());
+    let (cache, sample) = (SimCache::new(), SampleMode::Off);
     let serial: Vec<f64> = points
         .iter()
-        .map(|(k, d)| evaluate_cached(*k, &scale, d, &cache, opts).metrics.time_s)
+        .map(|(k, d)| {
+            evaluate_cached(*k, &scale, d, &cache, sample)
+                .metrics
+                .time_s
+        })
         .collect();
 
     let points: Vec<(Source, Design)> = points.iter().map(|&(k, d)| (k.into(), d)).collect();
     for threads in [1, 2, 8] {
         let cache = SimCache::new();
-        let grid = evaluate_grid_sweep(&points, &scale, &cache, Some(threads), None, opts)
+        let grid = evaluate_grid_sweep(&points, &scale, &cache, Some(threads), None, sample)
             .into_result()
             .expect("every point completes");
         for (r, expect) in grid.iter().zip(&serial) {

@@ -1,8 +1,9 @@
 //! Full-pipeline integration: every workload through every design.
 
 use memsim_core::configs::{eh_configs, n_configs};
-use memsim_core::runner::{evaluate_cached, RunOpts, SimCache};
+use memsim_core::runner::{evaluate_cached, SimCache};
 use memsim_core::Design;
+use memsim_core::SampleMode;
 use memsim_integration_tests::test_scale;
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -41,11 +42,11 @@ fn every_workload_through_every_design() {
         },
     ];
     for kind in WorkloadKind::ALL {
-        let base = evaluate_cached(kind, &scale, &Design::Baseline, &cache, RunOpts::default());
+        let base = evaluate_cached(kind, &scale, &Design::Baseline, &cache, SampleMode::Off);
         assert!(base.metrics.time_s > 0.0);
         assert!(base.metrics.energy_j() > 0.0);
         for design in &designs {
-            let r = evaluate_cached(kind, &scale, design, &cache, RunOpts::default());
+            let r = evaluate_cached(kind, &scale, design, &cache, SampleMode::Off);
             let norm = r.metrics.normalized_to(&base.metrics);
             assert!(
                 norm.time > 0.5 && norm.time < 5.0,
@@ -97,7 +98,7 @@ fn simulation_reuse_across_designs() {
             config: n3,
         },
     ] {
-        evaluate_cached(kind, &scale, &design, &cache, RunOpts::default());
+        evaluate_cached(kind, &scale, &design, &cache, SampleMode::Off);
     }
     assert_eq!(cache.len(), 2, "expected exactly two simulated structures");
 }
@@ -110,7 +111,7 @@ fn random_access_workloads_have_higher_amat() {
     let scale = test_scale();
     let cache = SimCache::new();
     let amat = |k: WorkloadKind| {
-        evaluate_cached(k, &scale, &Design::Baseline, &cache, RunOpts::default())
+        evaluate_cached(k, &scale, &Design::Baseline, &cache, SampleMode::Off)
             .metrics
             .amat_ns
     };

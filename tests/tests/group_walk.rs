@@ -1,6 +1,6 @@
 //! Group-walk parity: one kernel run fanned out to several hierarchies at
 //! once must leave each of them exactly as a dedicated sequential walk
-//! would, at any lane count and with either engine.
+//! would, at any lane count.
 //!
 //! The structure set covers a three-level hierarchy, unsectored L4 levels
 //! (64 B pages) and sectored ones (512 B to 4 KiB pages). The reference
@@ -10,7 +10,7 @@
 use memsim_cache::{Hierarchy, LevelStats};
 use memsim_core::configs::{eh_by_name, n_by_name};
 use memsim_core::runner::{build_caches, evaluate_grid_sweep};
-use memsim_core::{Design, Engine, RunOpts, SampleMode, Scale, SimCache, Source, Structure};
+use memsim_core::{Design, SampleMode, Scale, SimCache, Source, Structure};
 use memsim_integration_tests::test_scale;
 use memsim_memory::{PartitionedMemory, RegionTraffic};
 use memsim_tech::Technology;
@@ -72,31 +72,30 @@ fn group_walk_matches_dedicated_sequential_walks() {
         .collect();
     let points: Vec<(Source, Design)> = designs.iter().map(|d| (kind.into(), *d)).collect();
 
-    for engine in [Engine::Sequential, Engine::Sharded(2)] {
-        for lanes in 1..=3 {
-            memsim_obs::reset();
-            memsim_obs::set_enabled(true);
-            // six structures of one workload and at most three threads:
-            // the grid walks the whole set as one group over `lanes` lanes
-            let opts = RunOpts {
-                engine,
-                sample: SampleMode::Off,
-            };
-            let outcome =
-                evaluate_grid_sweep(&points, &scale, &SimCache::new(), Some(lanes), None, opts);
-            memsim_obs::set_enabled(false);
-            let runs = memsim_obs::global().counter_value("sim.workload_runs");
-            assert_eq!(runs, Some(1), "{engine} lanes={lanes}: one kernel run");
-            assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-            for (r, (caches, mem, per_region, total_refs)) in
-                outcome.completed().iter().zip(&expected)
-            {
-                let what = format!("{} {engine} lanes={lanes}", r.design.label());
-                assert_eq!(&r.run.caches, caches, "{what}");
-                assert_eq!(&r.run.mem, mem, "{what}");
-                assert_eq!(&r.run.per_region, per_region, "{what}");
-                assert_eq!(r.run.total_refs, *total_refs, "{what}");
-            }
+    for lanes in 1..=3 {
+        memsim_obs::reset();
+        memsim_obs::set_enabled(true);
+        // six structures of one workload and at most three threads: the
+        // grid walks the whole set as one group over `lanes` lanes
+        let outcome = evaluate_grid_sweep(
+            &points,
+            &scale,
+            &SimCache::new(),
+            Some(lanes),
+            None,
+            SampleMode::Off,
+        );
+        memsim_obs::set_enabled(false);
+        let runs = memsim_obs::global().counter_value("sim.workload_runs");
+        assert_eq!(runs, Some(1), "lanes={lanes}: one kernel run");
+        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
+        for (r, (caches, mem, per_region, total_refs)) in outcome.completed().iter().zip(&expected)
+        {
+            let what = format!("{} lanes={lanes}", r.design.label());
+            assert_eq!(&r.run.caches, caches, "{what}");
+            assert_eq!(&r.run.mem, mem, "{what}");
+            assert_eq!(&r.run.per_region, per_region, "{what}");
+            assert_eq!(r.run.total_refs, *total_refs, "{what}");
         }
     }
     memsim_obs::reset();

@@ -12,7 +12,7 @@ use memsim_core::configs::n_by_name;
 use memsim_core::experiments::{fig_nmm, ExperimentCtx, Metric};
 use memsim_core::jsontext::{get_u64, parse_json};
 use memsim_core::runner::{evaluate_cached, evaluate_grid_sweep};
-use memsim_core::{Design, RunOpts, SampleMode, Scale, SimCache, Source, Structure};
+use memsim_core::{Design, SampleMode, Scale, SimCache, Source, Structure};
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::PathBuf;
@@ -57,13 +57,13 @@ fn live_run_registry_counters_match_final_level_stats() {
     let _lock = memsim_obs::test_lock();
     memsim_obs::reset();
     memsim_obs::set_enabled(true);
-    let (cache, opts) = (SimCache::new(), RunOpts::default());
+    let (cache, sample) = (SimCache::new(), SampleMode::Off);
     let res = evaluate_cached(
         WorkloadKind::Hash,
         &Scale::mini(),
         &Design::Baseline,
         &cache,
-        opts,
+        sample,
     );
     memsim_obs::set_enabled(false);
 
@@ -85,7 +85,7 @@ fn replay_export_json_is_bit_identical_to_level_stats() {
     memsim_obs::set_enabled(true);
     let st = Structure::ThreeLevel;
     let trace = memsim_core::Source::trace(&path).unwrap();
-    let run = memsim_core::simulate_structure(trace, &scale, &st, RunOpts::default());
+    let run = memsim_core::simulate_structure(trace, &scale, &st, SampleMode::Off);
     memsim_obs::set_enabled(false);
 
     // the acceptance criterion: the values in the exported JSON document
@@ -127,8 +127,8 @@ fn deterministic_export_is_byte_stable_across_identical_runs() {
         memsim_obs::reset();
         memsim_obs::set_enabled(true);
         memsim_obs::set_deterministic(true);
-        let (cache, opts) = (SimCache::new(), RunOpts::default());
-        let _ = evaluate_cached(WorkloadKind::Cg, &scale, &Design::Baseline, &cache, opts);
+        let (cache, sample) = (SimCache::new(), SampleMode::Off);
+        let _ = evaluate_cached(WorkloadKind::Cg, &scale, &Design::Baseline, &cache, sample);
         memsim_obs::set_enabled(false);
         docs.push(memsim_obs::export_json(&manifest, memsim_obs::global()));
     }
@@ -188,8 +188,8 @@ fn a_trace_grid_decodes_the_file_once_per_group() {
     memsim_obs::reset();
     memsim_obs::set_enabled(true);
     let cache = SimCache::new();
-    let opts = RunOpts::default();
-    let outcome = evaluate_grid_sweep(&points, &Scale::mini(), &cache, Some(2), None, opts);
+    let sample = SampleMode::Off;
+    let outcome = evaluate_grid_sweep(&points, &Scale::mini(), &cache, Some(2), None, sample);
     memsim_obs::set_enabled(false);
     assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
 
@@ -239,14 +239,14 @@ fn a_trace_grid_counts_each_event_once_toward_progress() {
 
     memsim_obs::reset();
     memsim_obs::set_enabled(true);
-    let opts = RunOpts::default();
+    let sample = SampleMode::Off;
     let outcome = evaluate_grid_sweep(
         &points,
         &Scale::mini(),
         &SimCache::new(),
         Some(2),
         None,
-        opts,
+        sample,
     );
     memsim_obs::set_enabled(false);
     assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
@@ -278,17 +278,14 @@ fn a_sampled_trace_grid_decodes_its_windows_once_per_group() {
 
     memsim_obs::reset();
     memsim_obs::set_enabled(true);
-    let opts = RunOpts {
-        sample: SampleMode::parse("interval=1m,clusters=3").unwrap(),
-        ..RunOpts::default()
-    };
+    let sample = SampleMode::parse("interval=1m,clusters=3").unwrap();
     let outcome = evaluate_grid_sweep(
         &points,
         &Scale::mini(),
         &SimCache::new(),
         Some(2),
         None,
-        opts,
+        sample,
     );
     memsim_obs::set_enabled(false);
     assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);

@@ -5,7 +5,7 @@
 
 use memsim_cache::{Cache, CacheConfig, Hierarchy};
 use memsim_core::partition::{cost_placement, oracle, Placement};
-use memsim_core::{simulate_structure, RunOpts, Structure};
+use memsim_core::{simulate_structure, SampleMode, Structure};
 use memsim_integration_tests::test_scale;
 use memsim_memory::PartitionedMemory;
 use memsim_tech::Technology;
@@ -18,7 +18,7 @@ use memsim_workloads::{Class, WorkloadKind};
 fn analytic_placement_equals_resimulation() {
     let scale = test_scale();
     let kind = WorkloadKind::Cg;
-    let run = simulate_structure(kind, &scale, &Structure::ThreeLevel, RunOpts::default());
+    let run = simulate_structure(kind, &scale, &Structure::ThreeLevel, SampleMode::Off);
     let choice = oracle(&run, Technology::Pcm, &scale);
 
     // physical re-simulation with the placement routed in the terminal
@@ -82,8 +82,8 @@ fn analytic_placement_equals_resimulation() {
 #[test]
 fn moving_hot_region_to_nvm_increases_time() {
     let scale = test_scale();
-    let opts = RunOpts::default();
-    let run = simulate_structure(WorkloadKind::Hash, &scale, &Structure::ThreeLevel, opts);
+    let sample = SampleMode::Off;
+    let run = simulate_structure(WorkloadKind::Hash, &scale, &Structure::ThreeLevel, sample);
     // find the hottest region
     let hottest = run
         .per_region
@@ -110,8 +110,8 @@ fn moving_hot_region_to_nvm_increases_time() {
 #[test]
 fn oracle_is_locally_optimal() {
     let scale = test_scale();
-    let opts = RunOpts::default();
-    let run = simulate_structure(WorkloadKind::Cg, &scale, &Structure::ThreeLevel, opts);
+    let sample = SampleMode::Off;
+    let run = simulate_structure(WorkloadKind::Cg, &scale, &Structure::ThreeLevel, sample);
     let choice = oracle(&run, Technology::SttRam, &scale);
     let base_edp = choice.metrics.edp();
     let budget = memsim_core::partition::ndm_dram_budget(&scale, run.footprint_bytes);

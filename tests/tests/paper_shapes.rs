@@ -4,7 +4,8 @@
 
 use memsim_core::configs::{eh_configs, n_configs};
 use memsim_core::experiments::{self, ExperimentCtx, Metric};
-use memsim_core::runner::{evaluate_cached, RunOpts, SimCache};
+use memsim_core::runner::{evaluate_cached, SimCache};
+use memsim_core::SampleMode;
 use memsim_core::{Design, Scale};
 use memsim_integration_tests::{fast_workloads, test_scale};
 use memsim_tech::Technology;
@@ -59,13 +60,13 @@ fn nmm_capacity_helps_runtime() {
     let cache = SimCache::new();
     let scale = test_scale();
     for kind in fast_workloads() {
-        let base = evaluate_cached(kind, &scale, &Design::Baseline, &cache, RunOpts::default());
+        let base = evaluate_cached(kind, &scale, &Design::Baseline, &cache, SampleMode::Off);
         let time = |idx: usize| {
             let d = Design::Nmm {
                 nvm: Technology::Pcm,
                 config: n_configs()[idx],
             };
-            evaluate_cached(kind, &scale, &d, &cache, RunOpts::default())
+            evaluate_cached(kind, &scale, &d, &cache, SampleMode::Off)
                 .metrics
                 .normalized_to(&base.metrics)
                 .time
@@ -92,7 +93,7 @@ fn nmm_small_pages_move_fewer_bits() {
                 nvm: Technology::Pcm,
                 config: n_configs()[idx],
             };
-            evaluate_cached(kind, &scale, &d, &cache, RunOpts::default()).run
+            evaluate_cached(kind, &scale, &d, &cache, SampleMode::Off).run
         };
         let n3 = run_for(2);
         let n9 = run_for(8);
@@ -115,7 +116,7 @@ fn fourlcnvm_beats_fourlc_on_energy() {
     let scale = test_scale();
     let eh1 = eh_configs()[0];
     for kind in fast_workloads() {
-        let base = evaluate_cached(kind, &scale, &Design::Baseline, &cache, RunOpts::default());
+        let base = evaluate_cached(kind, &scale, &Design::Baseline, &cache, SampleMode::Off);
         let flc = evaluate_cached(
             kind,
             &scale,
@@ -124,7 +125,7 @@ fn fourlcnvm_beats_fourlc_on_energy() {
                 config: eh1,
             },
             &cache,
-            RunOpts::default(),
+            SampleMode::Off,
         );
         let flcnvm = evaluate_cached(
             kind,
@@ -135,7 +136,7 @@ fn fourlcnvm_beats_fourlc_on_energy() {
                 config: eh1,
             },
             &cache,
-            RunOpts::default(),
+            SampleMode::Off,
         );
         let e_flc = flc.metrics.normalized_to(&base.metrics).energy;
         let e_flcnvm = flcnvm.metrics.normalized_to(&base.metrics).energy;
@@ -164,10 +165,10 @@ fn ndm_has_runtime_overhead_and_real_nvm_traffic() {
     let cache = SimCache::new();
     let scale = test_scale();
     for kind in fast_workloads() {
-        let opts = RunOpts::default();
-        let base = evaluate_cached(kind, &scale, &Design::Baseline, &cache, opts);
+        let sample = SampleMode::Off;
+        let base = evaluate_cached(kind, &scale, &Design::Baseline, &cache, sample);
         for nvm in Technology::NVM {
-            let r = evaluate_cached(kind, &scale, &Design::Ndm { nvm }, &cache, opts);
+            let r = evaluate_cached(kind, &scale, &Design::Ndm { nvm }, &cache, sample);
             let norm = r.metrics.normalized_to(&base.metrics);
             assert!(
                 norm.time >= 1.0 - 1e-9,

@@ -8,7 +8,7 @@
 
 use memsim_core::configs::{eh_by_name, n_by_name};
 use memsim_core::replay::record_workload;
-use memsim_core::{simulate_structure, Design, RawRun, RunOpts, Scale, Source};
+use memsim_core::{simulate_structure, Design, RawRun, SampleMode, Scale, Source};
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::PathBuf;
@@ -52,8 +52,8 @@ fn golden_roundtrip(kind: WorkloadKind) {
     let trace = Source::trace(&path).unwrap();
     for design in designs_under_test() {
         let structure = design.structure(&scale);
-        let live = simulate_structure(kind, &scale, &structure, RunOpts::default());
-        let replayed = simulate_structure(trace.clone(), &scale, &structure, RunOpts::default());
+        let live = simulate_structure(kind, &scale, &structure, SampleMode::Off);
+        let replayed = simulate_structure(trace.clone(), &scale, &structure, SampleMode::Off);
         assert_bit_identical(
             &live,
             &replayed,

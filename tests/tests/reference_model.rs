@@ -4,15 +4,15 @@
 //! The model keeps each set as a `Vec` of optional lines with explicit
 //! timestamps, walks every request level by level, and has none of the
 //! engine's shortcuts: no packed tag words, no MRU ring, no line buffer, no
-//! batched hit probe, no shard filter. It covers LRU and FIFO replacement,
+//! batched hit probe, no request hand-off between lanes. It covers LRU and FIFO replacement,
 //! write-back with write-allocate demand stores, bypassed or allocated
 //! writeback misses, dirty-sector writebacks from sectored page caches,
 //! straddler splits and size-0 probes. Random, tree-PLRU and SRRIP are not
 //! modeled yet.
 
 use memsim_cache::{
-    Cache, CacheConfig, CountingMemory, Hierarchy, LevelStats, ReplacementPolicy, ShardedHierarchy,
-    Walk, WritebackMissPolicy,
+    Cache, CacheConfig, CountingMemory, GroupWalk, Hierarchy, LevelStats, ReplacementPolicy, Walk,
+    WritebackMissPolicy,
 };
 use memsim_trace::{AccessKind, TraceEvent, TraceSink};
 use proptest::prelude::*;
@@ -338,16 +338,15 @@ fn events() -> impl Strategy<Value = Vec<TraceEvent>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     /// The sequential engine and the group walk (a shared prefix with no
-    /// suffix levels, an unsectored L4 and a sectored L4, at one and two
-    /// replicas over one to three lanes) both match the model's counters
-    /// at every mark and after the drain.
+    /// suffix levels, an unsectored L4 and a sectored L4, over one to
+    /// three lanes) both match the model's counters at every mark and
+    /// after the drain.
     #[test]
     fn engines_match_the_reference_model(
         prefix in proptest::collection::vec(cache_level(), 1..4),
         l4 in (cache_level(), 1u32..4),
         events in events(),
         cuts in proptest::collection::vec(0usize..1200, 0..4),
-        shards in 1usize..3,
         lanes in 1usize..4,
     ) {
         let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(events.len())).collect();
@@ -385,7 +384,7 @@ proptest! {
             });
             wants.push(want);
         }
-        let mut sh = ShardedHierarchy::group(build(&prefix, 0), walks, shards, lanes, "memsim-ref");
+        let mut sh = GroupWalk::group(build(&prefix, 0), walks, lanes, "memsim-ref");
         let mut at = 0;
         for &cut in &cuts {
             sh.access_chunk(&events[at..cut]);

@@ -5,8 +5,8 @@
 //! interval (clusters ≥ intervals) must be bit-identical to the full
 //! walk — sampling with nothing left out is not allowed to perturb a
 //! single counter. A sampled grid must measure exactly what a naive
-//! per-event walk of the plan's windows measures, whatever its lanes and
-//! engine. Journals written in one fidelity mode must refuse to resume a
+//! per-event walk of the plan's windows measures, whatever its lanes.
+//! Journals written in one fidelity mode must refuse to resume a
 //! sweep in the other.
 
 use memsim_cache::{Hierarchy, LevelStats};
@@ -16,8 +16,8 @@ use memsim_core::runner::evaluate_cached;
 use memsim_core::runner::{build_caches, evaluate_grid_sweep, evaluate_run, EvalResult};
 use memsim_core::sampling::{build_plan, replay_structure_sampled, SampleSpec};
 use memsim_core::{
-    simulate_structure, Design, Engine, RunOpts, SampleMode, SamplePlan, Scale, SimCache, Source,
-    Structure, SweepCtx, JOURNAL_FILE,
+    simulate_structure, Design, SampleMode, SamplePlan, Scale, SimCache, Source, Structure,
+    SweepCtx, JOURNAL_FILE,
 };
 use memsim_memory::{PartitionedMemory, RegionTraffic};
 use memsim_tech::Technology;
@@ -77,7 +77,7 @@ fn golden_accuracy(kind: WorkloadKind) {
     let trace = Source::trace(&path).unwrap();
     for design in paper_designs() {
         let structure = design.structure(&scale);
-        let full = simulate_structure(trace.clone(), &scale, &structure, RunOpts::default());
+        let full = simulate_structure(trace.clone(), &scale, &structure, SampleMode::Off);
         let sampled = replay_structure_sampled(&path, &scale, &structure, &plan).unwrap();
         let what = format!("{} × {}", kind.name(), design.label());
 
@@ -151,7 +151,7 @@ fn clusters_at_least_intervals_is_bit_identical_to_full_run() {
     let trace = Source::trace(&path).unwrap();
     for design in paper_designs() {
         let structure = design.structure(&scale);
-        let full = simulate_structure(trace.clone(), &scale, &structure, RunOpts::default());
+        let full = simulate_structure(trace.clone(), &scale, &structure, SampleMode::Off);
         let sampled = replay_structure_sampled(&path, &scale, &structure, &plan).unwrap();
         let what = design.label();
         assert_eq!(full.caches, sampled.caches, "{what}: cache LevelStats");
@@ -170,11 +170,8 @@ fn clusters_at_least_intervals_is_bit_identical_to_full_run() {
 #[test]
 fn journal_refuses_cross_fidelity_resume_in_both_directions() {
     let scale = Scale::mini();
-    let full = RunOpts::default();
-    let on = RunOpts {
-        sample: SampleMode::parse("interval=65536,clusters=4").unwrap(),
-        ..full
-    };
+    let full = SampleMode::Off;
+    let on = SampleMode::parse("interval=65536,clusters=4").unwrap();
     // one real point to journal in each mode — refusal is per recorded
     // line, so an empty journal legitimately resumes either way
     let cache = SimCache::new();
@@ -406,81 +403,28 @@ fn a_sampled_grid_measures_what_a_per_event_walk_of_the_windows_measures() {
             .map(|(_, d)| schedule_reference(&path, &scale, &d.structure(&scale), &plan))
             .collect();
         for threads in [1usize, 2, 3] {
-            for engine in [Engine::Sequential, Engine::Sharded(2)] {
-                let opts = RunOpts {
-                    engine,
-                    sample: SampleMode::On(spec),
-                };
-                let grid = evaluate_grid_sweep(
-                    &points,
-                    &scale,
-                    &SimCache::new(),
-                    Some(threads),
-                    None,
-                    opts,
-                )
-                .into_result()
-                .unwrap();
-                for (r, (clusters, drain)) in grid.iter().zip(&references) {
-                    let what = format!(
-                        "{} × {} threads={threads} {engine}",
-                        kind.name(),
-                        r.design.label()
-                    );
-                    let detail = r.run.sample.as_ref().unwrap();
-                    for (run, cluster) in detail.cluster_runs.iter().zip(&plan.clusters) {
-                        assert_eq!(run.representative, cluster.representative, "{what}");
-                        assert_eq!(run.weight, cluster.weight, "{what}");
-                    }
-                    let (grid_clusters, grid_drain) = grid_schedule(r);
-                    assert_eq!(&grid_clusters, clusters, "{what}: cluster deltas");
-                    assert_eq!(&grid_drain, drain, "{what}: drain delta");
+            let grid = evaluate_grid_sweep(
+                &points,
+                &scale,
+                &SimCache::new(),
+                Some(threads),
+                None,
+                SampleMode::On(spec),
+            )
+            .into_result()
+            .unwrap();
+            for (r, (clusters, drain)) in grid.iter().zip(&references) {
+                let what = format!("{} × {} threads={threads}", kind.name(), r.design.label());
+                let detail = r.run.sample.as_ref().unwrap();
+                for (run, cluster) in detail.cluster_runs.iter().zip(&plan.clusters) {
+                    assert_eq!(run.representative, cluster.representative, "{what}");
+                    assert_eq!(run.weight, cluster.weight, "{what}");
                 }
+                let (grid_clusters, grid_drain) = grid_schedule(r);
+                assert_eq!(&grid_clusters, clusters, "{what}: cluster deltas");
+                assert_eq!(&grid_drain, drain, "{what}: drain delta");
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
-}
-
-#[test]
-fn sampled_grids_are_engine_independent() {
-    let scale = Scale::mini();
-    let dir = tmp_dir("engines");
-    let path = dir.join("w.trace");
-    let summary = record_workload(WorkloadKind::Hash, Class::Mini, &path).unwrap();
-    let spec = SampleSpec {
-        interval: (summary.events / 12).max(1),
-        clusters: 4,
-    };
-    let designs = three_structure_designs();
-    let trace = Source::trace(&path).unwrap();
-    let live = Source::Live(WorkloadKind::Hash);
-    for source in [trace, live] {
-        let points: Vec<(Source, Design)> = designs.iter().map(|d| (source.clone(), *d)).collect();
-        let grid = |engine| {
-            let opts = RunOpts {
-                engine,
-                sample: SampleMode::On(spec),
-            };
-            evaluate_grid_sweep(&points, &scale, &SimCache::new(), Some(3), None, opts)
-                .into_result()
-                .unwrap()
-        };
-        let seq = grid(Engine::Sequential);
-        for engine in [Engine::Sharded(2), Engine::Sharded(3)] {
-            for (s, q) in grid(engine).iter().zip(&seq) {
-                let what = format!("{source:?} × {} {engine}", q.design.label());
-                assert_eq!(s.run.caches, q.run.caches, "{what}");
-                assert_eq!(s.run.mem, q.run.mem, "{what}");
-                assert_eq!(s.run.per_region, q.run.per_region, "{what}");
-                assert_eq!(s.run.total_refs, q.run.total_refs, "{what}");
-                let bits = |r: &EvalResult| {
-                    let m = &r.metrics;
-                    [m.amat_ns, m.time_s, m.dynamic_j, m.static_j].map(f64::to_bits)
-                };
-                assert_eq!(bits(s), bits(q), "{what}");
-            }
-        }
-    }
-    let _ = std::fs::remove_dir_all(&dir);
 }

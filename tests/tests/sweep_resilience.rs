@@ -9,7 +9,7 @@ use memsim_core::configs::n_by_name;
 use memsim_core::journal::load_journal;
 use memsim_core::runner::evaluate_grid_sweep;
 use memsim_core::{
-    sweep_fingerprint, Design, RunOpts, SampleMode, Scale, SimCache, Source, SweepCtx, JOURNAL_FILE,
+    sweep_fingerprint, Design, SampleMode, Scale, SimCache, Source, SweepCtx, JOURNAL_FILE,
 };
 use memsim_tech::Technology;
 use memsim_workloads::WorkloadKind;
@@ -56,8 +56,8 @@ fn poisoned_grid_completes_every_other_point() {
     let mut points = good_grid();
     points.insert(2, (WorkloadKind::Cg.into(), poison()));
 
-    let opts = RunOpts::default();
-    let outcome = evaluate_grid_sweep(&points, &scale, &cache, Some(2), None, opts);
+    let sample = SampleMode::Off;
+    let outcome = evaluate_grid_sweep(&points, &scale, &cache, Some(2), None, sample);
     assert!(!outcome.interrupted);
     assert_eq!(outcome.failures.len(), 1, "exactly the poison point fails");
     let f = &outcome.failures[0];
@@ -88,9 +88,9 @@ fn poisoned_sweep_journals_survivors_and_resume_skips_them() {
     let mut points = good_grid();
     points.push((WorkloadKind::Hash.into(), poison()));
 
-    let opts = RunOpts::default();
-    let ctx = SweepCtx::fresh(&scale, &journal, opts).unwrap();
-    let outcome = evaluate_grid_sweep(&points, &scale, &cache, Some(2), Some(&ctx), opts);
+    let sample = SampleMode::Off;
+    let ctx = SweepCtx::fresh(&scale, &journal, sample).unwrap();
+    let outcome = evaluate_grid_sweep(&points, &scale, &cache, Some(2), Some(&ctx), sample);
     assert_eq!(outcome.failures.len(), 1);
     assert_eq!(ctx.persisted_points(), 4);
 
@@ -104,10 +104,10 @@ fn poisoned_sweep_journals_survivors_and_resume_skips_them() {
 
     // resuming serves all four survivors from disk and re-attempts (and
     // re-fails) only the poison point
-    let (ctx2, rec2) = SweepCtx::resume(&scale, &journal, opts).unwrap();
+    let (ctx2, rec2) = SweepCtx::resume(&scale, &journal, sample).unwrap();
     assert_eq!(rec2.points.len(), 4);
     let cache2 = SimCache::new();
-    let outcome2 = evaluate_grid_sweep(&points, &scale, &cache2, Some(2), Some(&ctx2), opts);
+    let outcome2 = evaluate_grid_sweep(&points, &scale, &cache2, Some(2), Some(&ctx2), sample);
     assert_eq!(outcome2.skipped, 4, "all survivors served from the journal");
     assert_eq!(outcome2.failures.len(), 1);
     assert_eq!(outcome2.completed().len(), 4);
@@ -123,13 +123,14 @@ fn resumed_points_are_bit_identical() {
     let scale = Scale::mini();
     let points = good_grid();
 
-    let (cache, opts) = (SimCache::new(), RunOpts::default());
-    let ctx = SweepCtx::fresh(&scale, &journal, opts).unwrap();
-    let fresh = evaluate_grid_sweep(&points, &scale, &cache, Some(2), Some(&ctx), opts).completed();
+    let (cache, sample) = (SimCache::new(), SampleMode::Off);
+    let ctx = SweepCtx::fresh(&scale, &journal, sample).unwrap();
+    let fresh =
+        evaluate_grid_sweep(&points, &scale, &cache, Some(2), Some(&ctx), sample).completed();
 
     let cache2 = SimCache::new();
-    let (ctx2, _) = SweepCtx::resume(&scale, &journal, opts).unwrap();
-    let outcome = evaluate_grid_sweep(&points, &scale, &cache2, Some(2), Some(&ctx2), opts);
+    let (ctx2, _) = SweepCtx::resume(&scale, &journal, sample).unwrap();
+    let outcome = evaluate_grid_sweep(&points, &scale, &cache2, Some(2), Some(&ctx2), sample);
     assert_eq!(outcome.skipped, points.len(), "nothing re-simulated");
     let resumed = outcome.completed();
 
@@ -163,8 +164,8 @@ fn pristine_journal() -> &'static Pristine {
         let journal = dir.join(JOURNAL_FILE);
         std::fs::remove_file(&journal).ok();
         let scale = Scale::mini();
-        let (cache, opts) = (SimCache::new(), RunOpts::default());
-        let ctx = SweepCtx::fresh(&scale, &journal, opts).unwrap();
+        let (cache, sample) = (SimCache::new(), SampleMode::Off);
+        let ctx = SweepCtx::fresh(&scale, &journal, sample).unwrap();
         let points = [
             (WorkloadKind::Cg.into(), Design::Baseline),
             (
@@ -176,7 +177,7 @@ fn pristine_journal() -> &'static Pristine {
             ),
         ];
         let results =
-            evaluate_grid_sweep(&points, &scale, &cache, Some(1), Some(&ctx), opts).completed();
+            evaluate_grid_sweep(&points, &scale, &cache, Some(1), Some(&ctx), sample).completed();
         let expected = results
             .iter()
             .map(|r| {
