@@ -11,6 +11,13 @@ cargo fmt --all --check
 echo "== cargo clippy -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "== cargo doc -D warnings (broken intra-doc links)"
+# the workspace's own crates; the vendored stand-ins are not this gate's
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline -q \
+    -p memsim-obs -p memsim-trace -p memsim-tracefile -p memsim-cache \
+    -p memsim-tech -p memsim-memory -p memsim-workloads -p memsim-core \
+    -p memsim-server -p memsim-cli
+
 echo "== tracefile round-trip property tests"
 cargo test -p memsim-tracefile --offline -q
 

@@ -2,12 +2,13 @@
 //! the two streams the overhead budget is specified against (`l1_hits`
 //! and `streaming` from `simulator_throughput`).
 //!
-//! "Plain" is the production default — probes compiled in but not
-//! attached, so each event pays one `Option` discriminant branch.
-//! "Probed" attaches registered [`HierarchyProbes`] with the global
-//! registry enabled, so each event additionally pays the epoch countdown
-//! and every `PROBE_EPOCH`th event a publication (~30 relaxed atomic
-//! stores).
+//! Both passes deliver event by event, and each per-event `access` is a
+//! one-event chunk. "Plain" is the production default — probes compiled
+//! in but not attached, so each chunk pays one `Option` discriminant
+//! branch. "Probed" attaches registered [`HierarchyProbes`] with the
+//! global registry enabled, so each chunk (here each event) additionally
+//! pays a `progress.chunks` increment and the epoch countdown, and every
+//! `PROBE_EPOCH`th event a publication (~30 relaxed atomic stores).
 //!
 //! Besides the criterion samples, the harness prints an interleaved
 //! min-of-12 A/B comparison (`OBS_OVERHEAD ...` lines) — minima are

@@ -11,10 +11,10 @@ use memsim_trace::{AccessKind, TraceEvent, TraceSink};
 /// wear-leveling NVM front end, … (see `memsim-memory`).
 pub trait MainMemory {
     /// A block-fetch read of `bytes` at `addr` (a fill request from the
-    /// last cache level, or a demand read when there are no caches).
+    /// last cache level).
     fn load(&mut self, addr: u64, bytes: u32);
     /// A write of `bytes` at `addr` (a dirty writeback from the last cache
-    /// level, or a demand write when there are no caches).
+    /// level).
     fn store(&mut self, addr: u64, bytes: u32);
     /// Write back whatever dirty state the memory holds itself, once every
     /// level above has drained into it. Terminals hold none; a [`Below`]
@@ -177,6 +177,10 @@ impl<M: MainMemory> MainMemory for Below<M> {
 /// size) and dirty evictions propagate downward as *stores* — including,
 /// transitively, evictions triggered by those writebacks themselves.
 ///
+/// Every delivery takes one path: the L1 batched hit probe, then the walk
+/// for the first event it rejects. A per-event [`TraceSink::access`] is a
+/// one-event chunk.
+///
 /// Call [`Hierarchy::flush`] (or drop the stream) at end of trace to drain
 /// resident dirty blocks to memory, so that "dirty cache lines eventually
 /// make their way to the main memory and count as write operations".
@@ -185,32 +189,9 @@ pub struct Hierarchy<M: MainMemory> {
     /// Every level, L1 first, over the terminal: L1 is probed here, and a
     /// miss continues through the stack's walk from L2 down.
     stack: Below<M>,
-    /// Demand references consumed (after line splitting) when there are no
-    /// cache levels. With caches present the count is derived from L1's
-    /// counters instead — every post-split reference reaches L1 exactly
-    /// once and writebacks never do — so the per-event path carries no
-    /// separate counter.
-    uncached_refs: u64,
-    /// Demand bytes moved when there are no cache levels (see above).
-    uncached_bytes: u64,
     drained: bool,
-    /// `log2` of L1's block size, for shift/mask splitting (0 if no caches).
+    /// `log2` of L1's block size, for shift/mask splitting.
     l1_shift: u32,
-    /// L1 block id of the most recent demand reference — the one-entry
-    /// "line buffer". A consecutive reference to the same block is a
-    /// guaranteed L1 hit at the set's MRU way and skips the walk entirely.
-    lb_block: u64,
-    /// Line buffer armed: at least one cache with a block of ≥ 2 bytes
-    /// (so a real block id can never equal the `u64::MAX` sentinel).
-    lb_enabled: bool,
-    /// Demand references filtered by the line buffer (skipped the walk).
-    lb_hits: u64,
-    /// Events until the next probe publication. Kept inline (not in
-    /// [`ProbeState`]) so the per-event tick touches only this already-hot
-    /// struct, never the probe allocation: without probes it starts at
-    /// `u64::MAX` and can never reach zero, so the uninstrumented path
-    /// pays one decrement and one never-taken branch.
-    probe_countdown: u64,
     /// Observability hook, absent unless telemetry was requested.
     probes: Option<Box<ProbeState>>,
 }
@@ -221,29 +202,24 @@ struct ProbeState {
     probes: HierarchyProbes,
     /// Cumulative events already added into the shared progress counters.
     published_events: u64,
+    /// Events until the next publication.
+    countdown: u64,
 }
 
 impl<M: MainMemory> Hierarchy<M> {
     /// Build a hierarchy; `levels[0]` is closest to the CPU.
+    ///
+    /// # Panics
+    ///
+    /// If `levels` is empty: a hierarchy has an L1.
     pub fn new(levels: Vec<Cache>, memory: M) -> Self {
-        let l1_shift = levels
+        let l1 = levels
             .first()
-            .map(|c| c.block_bytes().trailing_zeros())
-            .unwrap_or(0);
-        let lb_enabled = levels
-            .first()
-            .map(|c| c.block_bytes() >= 2)
-            .unwrap_or(false);
+            .expect("a Hierarchy needs at least one cache level (L1)");
         Self {
+            l1_shift: l1.block_bytes().trailing_zeros(),
             stack: Below::new(levels, memory),
-            uncached_refs: 0,
-            uncached_bytes: 0,
             drained: false,
-            l1_shift,
-            lb_block: u64::MAX,
-            lb_enabled,
-            lb_hits: 0,
-            probe_countdown: u64::MAX,
             probes: None,
         }
     }
@@ -258,37 +234,18 @@ impl<M: MainMemory> Hierarchy<M> {
             self.stack.levels.len(),
             "probes must cover every cache level"
         );
-        self.probe_countdown = PROBE_EPOCH;
         self.probes = Some(Box::new(ProbeState {
             probes,
             published_events: 0,
+            countdown: PROBE_EPOCH,
         }));
     }
 
-    /// Demand references answered by the one-entry line buffer (the
-    /// filter's short-circuit count; a subset of L1 hits).
+    /// Always 0. The one-entry L1 line buffer this counted is gone: every
+    /// reference takes the batched L1 probe. Kept for callers that still
+    /// report the count.
     pub fn line_buffer_hits(&self) -> u64 {
-        self.lb_hits
-    }
-
-    /// Publish exact cumulative counter values to the attached probes
-    /// (no-op when none are attached). Called automatically at drain.
-    pub fn publish_probes(&mut self) {
-        if self.probes.is_some() {
-            self.probe_publish();
-        }
-    }
-
-    /// Epoch boundary reached by the per-event tick: republish and re-arm
-    /// the countdown (to "never" when no probes are attached).
-    #[cold]
-    fn probe_epoch(&mut self) {
-        if self.probes.is_some() {
-            self.probe_countdown = PROBE_EPOCH;
-            self.probe_publish();
-        } else {
-            self.probe_countdown = u64::MAX;
-        }
+        0
     }
 
     /// Per-chunk probe tick: bumps chunk counters, then publishes if the
@@ -298,20 +255,20 @@ impl<M: MainMemory> Hierarchy<M> {
             return;
         };
         state.probes.chunks.inc();
-        if self.probe_countdown <= events_in_chunk {
-            self.probe_countdown = PROBE_EPOCH;
+        if state.countdown <= events_in_chunk {
+            state.countdown = PROBE_EPOCH;
             self.probe_publish();
         } else {
-            self.probe_countdown -= events_in_chunk;
+            state.countdown -= events_in_chunk;
         }
     }
 
-    /// Publish cumulative values: per-level counters by absolute store,
-    /// shared progress counters by delta.
+    /// Publish cumulative values to the attached probes (none: a no-op):
+    /// per-level counters by absolute store, shared progress counters by
+    /// delta.
     #[cold]
     fn probe_publish(&mut self) {
         let total = self.total_refs();
-        let lb_hits = self.lb_hits;
         let Some(state) = self.probes.as_deref_mut() else {
             return;
         };
@@ -319,9 +276,6 @@ impl<M: MainMemory> Hierarchy<M> {
         state.published_events = total;
         if delta > 0 {
             state.probes.events.add(delta);
-        }
-        for c in &state.probes.lb_hits {
-            c.store(lb_hits);
         }
         for (probes, cache) in state.probes.levels.iter().zip(self.stack.levels.iter()) {
             let values = cache.counter_values();
@@ -347,20 +301,16 @@ impl<M: MainMemory> Hierarchy<M> {
     }
 
     /// Total demand references consumed (the paper's "Total Number of
-    /// References" denominator in Equation 2).
+    /// References" denominator in Equation 2): L1's request count, since
+    /// every post-split reference reaches L1 exactly once and writebacks
+    /// never do.
     pub fn total_refs(&self) -> u64 {
-        match self.stack.levels.first() {
-            Some(l1) => l1.demand_refs(),
-            None => self.uncached_refs,
-        }
+        self.stack.levels[0].demand_refs()
     }
 
     /// Total demand bytes moved by the CPU reference stream.
     pub fn demand_bytes(&self) -> u64 {
-        match self.stack.levels.first() {
-            Some(l1) => l1.demand_bytes(),
-            None => self.uncached_bytes,
-        }
+        self.stack.levels[0].demand_bytes()
     }
 
     /// Consume the hierarchy, returning the terminal memory.
@@ -368,25 +318,13 @@ impl<M: MainMemory> Hierarchy<M> {
         self.stack.memory
     }
 
-    /// Process one demand reference already confined to a single L1 block.
-    /// Callers guarantee at least one cache level. The L1 lookup is
-    /// inlined; the multi-level miss walk lives out of line so the
-    /// (dominant) hit path stays small.
+    /// Process one demand reference already confined to a single L1 block:
+    /// the L1 access inline, the multi-level miss walk out of line.
     #[inline]
     fn demand(&mut self, addr: u64, kind: AccessKind, size: u32) {
         if let AccessOutcome::Miss { evicted_dirty } = self.stack.levels[0].access(addr, kind, size)
         {
             self.demand_miss(addr, evicted_dirty);
-        }
-    }
-
-    /// Demand path of a cache-less hierarchy: forward straight to memory.
-    fn demand_uncached(&mut self, addr: u64, kind: AccessKind, size: u32) {
-        self.uncached_refs += 1;
-        self.uncached_bytes += u64::from(size);
-        match kind {
-            AccessKind::Load => self.stack.memory.load(addr, size),
-            AccessKind::Store => self.stack.memory.store(addr, size),
         }
     }
 
@@ -402,45 +340,19 @@ impl<M: MainMemory> Hierarchy<M> {
         self.stack.fetch(1, addr, block);
     }
 
-    /// Process one demand event: line-buffer fast path for a repeat of the
-    /// previous L1 block, split-and-walk otherwise.
+    /// Walk one demand event the batched hit probe rejected. An event
+    /// within one L1 block walks as one reference; a straddler splits at
+    /// block boundaries. A size-0 event probes the block holding `addr`,
+    /// unless `addr` sits on a block boundary (address 0 included), where
+    /// it touches nothing: its "last byte" `addr - 1` (wrapping at 0) lies
+    /// in another block, and the split loop has no bytes to walk.
     #[inline]
-    fn process_event(&mut self, ev: TraceEvent) {
-        debug_assert!(!self.drained, "stream continued after flush()");
-        if self.stack.levels.is_empty() {
-            self.demand_uncached(ev.addr, ev.kind, ev.size);
-            return;
-        }
+    fn demand_event(&mut self, ev: TraceEvent) {
         let shift = self.l1_shift;
-        let first = ev.addr >> shift;
-        let last = ev.end().saturating_sub(1) >> shift;
-        if first == last {
-            if self.lb_enabled && first == self.lb_block {
-                // Consecutive reference to the same L1 block: it is
-                // resident (write-allocate installs on every miss) and
-                // most-recent in its set, so apply the hit bookkeeping
-                // directly without walking the level.
-                self.lb_hits += 1;
-                self.stack.levels[0].rehit(ev.addr, ev.kind, ev.size);
-                return;
-            }
+        if ev.addr >> shift == ev.end().wrapping_sub(1) >> shift {
             self.demand(ev.addr, ev.kind, ev.size);
         } else {
             self.demand_split(ev);
-        }
-        // A size-0 event must not arm the buffer: when it sits at a block
-        // boundary the split loop touches nothing, so `last` (the block
-        // *before* the address) was not necessarily referenced. It must
-        // clear the buffer instead of leaving it: a size-0 probe can still
-        // miss and install, evicting the very block the buffer points at,
-        // and a stale buffer would then count a false re-hit. Clearing a
-        // *valid* buffer is free (the probe path books the same counters),
-        // so the invariant stays simple: an armed buffer is always
-        // resident and most-recent.
-        if ev.size > 0 {
-            self.lb_block = last;
-        } else {
-            self.lb_block = u64::MAX;
         }
     }
 
@@ -468,11 +380,10 @@ impl<M: MainMemory> Hierarchy<M> {
             return;
         }
         self.drained = true;
-        self.lb_block = u64::MAX;
         self.stack.drain();
         // Authoritative final publication: after this, registry values are
         // exact, not one-epoch-stale.
-        self.publish_probes();
+        self.probe_publish();
     }
 
     /// Run a consistency check over every level's counters, panicking
@@ -483,51 +394,28 @@ impl<M: MainMemory> Hierarchy<M> {
 }
 
 impl<M: MainMemory> TraceSink for Hierarchy<M> {
+    /// A one-event chunk: the same probe and walk as every stream.
     #[inline]
     fn access(&mut self, ev: TraceEvent) {
-        self.process_event(ev);
-        // probe tick: countdown is u64::MAX-armed without probes, so this
-        // is one decrement plus a never-taken branch on the plain path
-        self.probe_countdown -= 1;
-        if self.probe_countdown == 0 {
-            self.probe_epoch();
-        }
+        self.access_chunk(std::slice::from_ref(&ev));
     }
 
     /// Batched delivery: one virtual call, then alternating runs of the L1
-    /// batched hit probe and the scalar walk. `access_hit_batch` consumes
-    /// leading events while each stays in one L1 block and hits; the first
-    /// event it rejects (miss, straddler, or size 0) takes the scalar path,
-    /// and the loop resumes batching behind it. Per-event bookkeeping is
-    /// identical to the scalar path, so `LevelStats` are bit-equal to
-    /// event-at-a-time delivery; only the line-buffer/MRU-ring telemetry
-    /// split differs (batched events probe the ring instead of the buffer).
+    /// batched hit probe and the walk. `access_hit_batch` consumes leading
+    /// events while each stays in one L1 block and hits; the first event it
+    /// rejects (a miss, a straddler, or size 0) takes the walk, and the
+    /// loop resumes batching behind it.
     fn access_chunk(&mut self, events: &[TraceEvent]) {
-        if self.stack.levels.is_empty() {
-            for &ev in events {
-                self.process_event(ev);
-            }
-        } else {
-            debug_assert!(!self.drained, "stream continued after flush()");
-            let mut i = 0;
-            while i < events.len() {
-                let n = self.stack.levels[0].access_hit_batch(&events[i..]);
-                if n > 0 {
-                    i += n;
-                    // every batched event is a size>0 single-block hit, so
-                    // re-arming from the last one mirrors the scalar path:
-                    // its block is resident and most-recent in its set
-                    self.lb_block = events[i - 1].addr >> self.l1_shift;
-                }
-                if i < events.len() {
-                    self.process_event(events[i]);
-                    i += 1;
-                }
+        debug_assert!(!self.drained, "stream continued after flush()");
+        let mut i = 0;
+        while i < events.len() {
+            i += self.stack.levels[0].access_hit_batch(&events[i..]);
+            if let Some(&ev) = events.get(i) {
+                self.demand_event(ev);
+                i += 1;
             }
         }
-        if self.probes.is_some() {
-            self.probe_chunk(events.len() as u64);
-        }
+        self.probe_chunk(events.len() as u64);
     }
 
     fn flush(&mut self) {
@@ -538,6 +426,7 @@ impl<M: MainMemory> TraceSink for Hierarchy<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CounterValues;
     use crate::config::CacheConfig;
 
     fn two_level() -> Hierarchy<CountingMemory> {
@@ -619,14 +508,29 @@ mod tests {
     }
 
     #[test]
-    fn no_cache_hierarchy_forwards_directly() {
-        let mut h = Hierarchy::new(vec![], CountingMemory::default());
-        h.access(TraceEvent::load(0x0, 8));
-        h.access(TraceEvent::store(0x8, 8));
+    #[should_panic(expected = "at least one cache level")]
+    fn a_hierarchy_needs_an_l1() {
+        Hierarchy::new(vec![], CountingMemory::default());
+    }
+
+    #[test]
+    fn size_zero_events_probe_only_inside_a_block() {
+        let mut h = two_level();
+        // on a block boundary, address 0 included, a size-0 event touches
+        // nothing, whichever way it is delivered
+        h.access(TraceEvent::load(0, 0));
+        h.access(TraceEvent::store(64, 0));
+        h.access_chunk(&[TraceEvent::load(0, 0), TraceEvent::store(64, 0)]);
+        for c in h.levels() {
+            assert_eq!(c.counter_values(), CounterValues::default());
+        }
+        assert_eq!(*h.memory(), CountingMemory::default());
+        // inside a block it probes that block: a 0-byte miss of block 1
+        h.access(TraceEvent::load(65, 0));
+        let l1 = h.levels()[0].stats();
+        assert_eq!((l1.loads, l1.load_misses, l1.bytes_loaded), (1, 1, 0));
+        assert!(h.levels()[0].contains(64));
         assert_eq!(h.memory().loads, 1);
-        assert_eq!(h.memory().stores, 1);
-        assert_eq!(h.memory().bytes_loaded, 8);
-        assert_eq!(h.memory().bytes_stored, 8);
     }
 
     #[test]
@@ -693,11 +597,9 @@ mod tests {
         );
         let l2 = h.levels()[1].stats();
         assert_eq!(reg.counter_value("t.L2.loads"), Some(l2.loads));
-        assert_eq!(
-            reg.counter_value("t.l1_line_buffer_hits"),
-            Some(h.line_buffer_hits())
-        );
         assert_eq!(reg.counter_value("progress.events"), Some(h.total_refs()));
+        // each per-event delivery is a one-event chunk
+        assert_eq!(reg.counter_value("progress.chunks"), Some(101));
     }
 
     #[test]

@@ -14,11 +14,11 @@ use crate::cache::CounterValues;
 use memsim_obs::{Counter, MetricsRegistry};
 use std::sync::Arc;
 
-/// Events between probe publications. Chosen to make the per-event cost
-/// one predictable decrement-and-branch, with the ~30 atomic stores of a
-/// publication amortized to noise (<2% even on the L1-resident stream,
-/// where a reference costs only a few nanoseconds); at simulation rates
-/// the registry still refreshes hundreds of times per sampler tick.
+/// Events between probe publications. The per-chunk tick is one
+/// `progress.chunks` increment and one subtract-and-branch, and the ~30
+/// atomic stores of a publication amortize to noise (<2% even on the L1-resident stream, where a
+/// reference costs only a few nanoseconds); at simulation rates the
+/// registry still refreshes hundreds of times per sampler tick.
 pub const PROBE_EPOCH: u64 = 32 * 1024;
 
 /// Registry handles for one cache level's counters.
@@ -84,8 +84,6 @@ impl LevelProbes {
 pub struct HierarchyProbes {
     pub(crate) events: Arc<Counter>,
     pub(crate) chunks: Arc<Counter>,
-    /// `{prefix}.l1_line_buffer_hits`, one per prefix.
-    pub(crate) lb_hits: Vec<Arc<Counter>>,
     /// Per cache level (top-down), that level's probes under every prefix.
     pub(crate) levels: Vec<Vec<LevelProbes>>,
 }
@@ -93,8 +91,7 @@ pub struct HierarchyProbes {
 impl HierarchyProbes {
     /// Register probes under `prefix` for a hierarchy whose cache levels
     /// are named `level_names` (top-down). Creates
-    /// `{prefix}.{level}.{field}` counters per level,
-    /// `{prefix}.l1_line_buffer_hits`, and hooks the shared
+    /// `{prefix}.{level}.{field}` counters per level and hooks the shared
     /// `progress.events` / `progress.chunks` counters.
     pub fn register(reg: &MetricsRegistry, prefix: &str, level_names: &[&str]) -> Self {
         Self::register_shared(reg, &[prefix], level_names)
@@ -108,10 +105,6 @@ impl HierarchyProbes {
         Self {
             events: reg.counter("progress.events"),
             chunks: reg.counter("progress.chunks"),
-            lb_hits: prefixes
-                .iter()
-                .map(|p| reg.counter(&format!("{p}.l1_line_buffer_hits")))
-                .collect(),
             levels: level_names
                 .iter()
                 .map(|name| {

@@ -1531,6 +1531,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), CliError> {
     for id in server.resumed() {
         println!("resumed job {id}");
     }
+    for (id, error) in server.skipped() {
+        println!("skipped job {id}: {error}");
+    }
 
     let stop = interrupt::install();
     let dump = interrupt::install_usr1();

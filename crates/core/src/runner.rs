@@ -1318,12 +1318,12 @@ mod tests {
         }
     }
 
-    fn find(runs: &[Fetched], st: Structure) -> &Fetched {
+    fn by_structure(runs: &[Fetched], st: Structure) -> &Fetched {
         runs.iter().find(|f| f.structure == st).expect("requested")
     }
 
     fn fetched(runs: &[Fetched], st: Structure) -> Arc<RawRun> {
-        Arc::clone(find(runs, st).run.as_ref().expect("walked"))
+        Arc::clone(by_structure(runs, st).run.as_ref().expect("walked"))
     }
 
     #[test]
@@ -1349,9 +1349,12 @@ mod tests {
         // handed that run (a hit)
         for st in [Structure::ThreeLevel, l4(1024)] {
             assert!(Arc::ptr_eq(&fetched(&ra, st), &fetched(&rb, st)), "{st:?}");
-            assert!(find(&ra, st).walked != find(&rb, st).walked, "{st:?}");
+            assert!(
+                by_structure(&ra, st).walked != by_structure(&rb, st).walked,
+                "{st:?}"
+            );
         }
-        assert!(find(&ra, l4(512)).walked && find(&rb, l4(2048)).walked);
+        assert!(by_structure(&ra, l4(512)).walked && by_structure(&rb, l4(2048)).walked);
         assert_eq!(cache.len(), 4);
     }
 

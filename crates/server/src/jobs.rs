@@ -411,6 +411,16 @@ pub enum SubmitError {
     Full,
 }
 
+/// What [`Registry::open`] recovered from a previous daemon's jobs.
+#[derive(Debug, Default)]
+pub struct Recovered {
+    /// Ids of incomplete jobs, re-enqueued.
+    pub resumed: Vec<String>,
+    /// Ids of jobs whose `job.json` no longer parses, with the error. Their
+    /// directories stay in place.
+    pub skipped: Vec<(String, String)>,
+}
+
 /// The registry: durable state root, shared simulation memo and trace
 /// store, the bounded queue, and every known job.
 pub struct Registry {
@@ -434,11 +444,8 @@ pub struct Registry {
 impl Registry {
     /// Open the registry rooted at `state_dir`, creating directories as
     /// needed and recovering any jobs a previous daemon left behind.
-    /// Returns the registry and the ids of re-enqueued (resumed) jobs.
-    pub fn open(
-        state_dir: &Path,
-        queue_cap: usize,
-    ) -> Result<(Arc<Registry>, Vec<String>), String> {
+    /// Returns the registry and what it recovered.
+    pub fn open(state_dir: &Path, queue_cap: usize) -> Result<(Arc<Registry>, Recovered), String> {
         let jobs_dir = state_dir.join("jobs");
         std::fs::create_dir_all(&jobs_dir).map_err(|e| format!("creating {jobs_dir:?}: {e}"))?;
         let store = TraceStore::open(&state_dir.join("traces"))
@@ -457,21 +464,23 @@ impl Registry {
             drain_millis: AtomicU64::new(0),
             drained_jobs: AtomicU64::new(0),
         });
-        let resumed = reg.recover()?;
-        Ok((reg, resumed))
+        let recovered = reg.recover()?;
+        Ok((reg, recovered))
     }
 
     /// Scan the jobs directory and rebuild state. Terminal jobs become
     /// queryable again; incomplete ones re-enqueue (their journal makes
-    /// the re-run skip every completed point).
-    fn recover(self: &Arc<Self>) -> Result<Vec<String>, String> {
+    /// the re-run skip every completed point). A job whose spec no longer
+    /// parses (say, one an older daemon accepted with an option since
+    /// removed) is reported as skipped and left on disk.
+    fn recover(self: &Arc<Self>) -> Result<Recovered, String> {
         let mut entries: Vec<PathBuf> = std::fs::read_dir(&self.jobs_dir)
             .map_err(|e| format!("scanning jobs: {e}"))?
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| p.is_dir())
             .collect();
         entries.sort(); // deterministic recovery order
-        let mut resumed = Vec::new();
+        let mut recovered = Recovered::default();
         let mut max_seq = 0u64;
         for dir in entries {
             let id = match dir.file_name().and_then(|n| n.to_str()) {
@@ -496,7 +505,10 @@ impl Registry {
             })();
             let spec = match spec {
                 Ok(s) => s,
-                Err(_) => continue, // corrupt spec: not recoverable
+                Err(e) => {
+                    recovered.skipped.push((id, e));
+                    continue;
+                }
             };
             let state = if dir.join("result.json").exists() {
                 JobState::Done
@@ -521,11 +533,11 @@ impl Registry {
                 // Recovery ignores the capacity bound: these jobs were
                 // already accepted by a previous daemon.
                 lock(&self.queue).push_back(job);
-                resumed.push(id);
+                recovered.resumed.push(id);
             }
         }
         self.next_seq.store(max_seq + 1, Ordering::SeqCst);
-        Ok(resumed)
+        Ok(recovered)
     }
 
     /// Submit a spec: persist it, enqueue it, return the job. `Full`
@@ -970,8 +982,8 @@ mod tests {
     fn submit_run_and_result_round_trip() {
         let dir = std::env::temp_dir().join(format!("memsim-jobs-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let (reg, resumed) = Registry::open(&dir, 4).unwrap();
-        assert!(resumed.is_empty());
+        let (reg, recovered) = Registry::open(&dir, 4).unwrap();
+        assert!(recovered.resumed.is_empty() && recovered.skipped.is_empty());
         let s = spec(r#"{"artifact":"table4","workloads":"hash","scale":"mini"}"#).unwrap();
         let job = reg.submit(s).unwrap();
         assert_eq!(job.state(), JobState::Queued);
@@ -1034,10 +1046,39 @@ mod tests {
             done_id = done.id.clone();
             pending_id = reg.submit(s).unwrap().id.clone();
         }
-        let (reg2, resumed) = Registry::open(&dir, 4).unwrap();
-        assert_eq!(resumed, vec![pending_id.clone()]);
+        let (reg2, recovered) = Registry::open(&dir, 4).unwrap();
+        assert_eq!(recovered.resumed, vec![pending_id.clone()]);
         assert_eq!(reg2.get(&done_id).unwrap().state(), JobState::Done);
         assert_eq!(reg2.get(&pending_id).unwrap().state(), JobState::Queued);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn recovery_reports_jobs_whose_spec_no_longer_parses() {
+        let dir = std::env::temp_dir().join(format!("memsim-jobs-skip-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let queued_id;
+        {
+            let (reg, _) = Registry::open(&dir, 4).unwrap();
+            let s = spec(r#"{"artifact":"table4","workloads":"hash"}"#).unwrap();
+            queued_id = reg.submit(s).unwrap().id.clone();
+        }
+        // a job an older daemon accepted for the removed set-sharded engine
+        let old = dir.join("jobs").join("j7-0ld5hard");
+        std::fs::create_dir_all(&old).unwrap();
+        std::fs::write(
+            old.join("job.json"),
+            r#"{"id":"j7-0ld5hard","spec":{"artifact":"table4","workloads":"hash","shards":"2"}}"#,
+        )
+        .unwrap();
+        let (reg, recovered) = Registry::open(&dir, 4).unwrap();
+        assert_eq!(recovered.resumed, vec![queued_id.clone()]);
+        assert_eq!(recovered.skipped.len(), 1, "{:?}", recovered.skipped);
+        let (id, error) = &recovered.skipped[0];
+        assert_eq!(id, "j7-0ld5hard");
+        assert!(error.contains("--shards 2 is not available"), "{error}");
+        assert!(reg.get(id).is_none());
+        assert!(old.join("job.json").exists(), "user state is never deleted");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

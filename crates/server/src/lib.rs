@@ -32,7 +32,7 @@ pub mod http;
 pub mod jobs;
 
 use http::{read_request, Method, Request, Response};
-use jobs::{CancelOutcome, JobState, Registry, SubmitError};
+use jobs::{CancelOutcome, JobState, Recovered, Registry, SubmitError};
 use memsim_obs::json;
 use std::io::BufReader;
 use std::net::{TcpListener, TcpStream};
@@ -76,7 +76,7 @@ pub struct Server {
     addr: std::net::SocketAddr,
     accept: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    resumed: Vec<String>,
+    recovered: Recovered,
 }
 
 impl Server {
@@ -84,7 +84,7 @@ impl Server {
     /// is also written to `<state>/server.port` so scripts can find an
     /// ephemeral port.
     pub fn start(config: ServerConfig) -> Result<Server, String> {
-        let (registry, resumed) = Registry::open(&config.state_dir, config.queue_depth)?;
+        let (registry, recovered) = Registry::open(&config.state_dir, config.queue_depth)?;
         let listener = TcpListener::bind(("127.0.0.1", config.port))
             .map_err(|e| format!("binding port {}: {e}", config.port))?;
         let addr = listener
@@ -120,7 +120,7 @@ impl Server {
             addr,
             accept: Some(accept),
             workers,
-            resumed,
+            recovered,
         })
     }
 
@@ -131,7 +131,13 @@ impl Server {
 
     /// Ids of jobs recovered from the journal-backed store at startup.
     pub fn resumed(&self) -> &[String] {
-        self.resumed.as_slice()
+        &self.recovered.resumed
+    }
+
+    /// Ids of persisted jobs not recovered at startup because their spec
+    /// no longer parses, with the parse error.
+    pub fn skipped(&self) -> &[(String, String)] {
+        &self.recovered.skipped
     }
 
     /// The shared registry (tests submit through it directly).

@@ -12,8 +12,8 @@
 //!   Every element access both performs the real operation *and* emits a
 //!   [`TraceEvent`] into a [`TraceSink`], so the address stream is exactly
 //!   the access pattern of the algorithm being run.
-//! * [`sinks`] — composable stream consumers: counting, recording, sampling,
-//!   teeing, and per-region profiling.
+//! * [`sinks`] — stream consumers: chunk batching, counting, recording,
+//!   per-region profiling and working-set measurement.
 //!
 //! The stream is consumed as it is produced; nothing forces buffering. This
 //! mirrors the paper's framework, which "avoids the need to store and

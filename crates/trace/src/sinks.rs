@@ -1,26 +1,12 @@
 //! Composable consumers of the address stream.
 //!
 //! These mirror the utility passes of the paper's PEBIL-based framework:
-//! counting references, sampling the stream, profiling accesses per data
-//! region (the input to the NDM oracle partitioner), and fanning one stream
-//! out to several consumers.
+//! batching the stream, counting and recording references, profiling
+//! accesses per data region (the input to the NDM oracle partitioner), and
+//! measuring the working set.
 
 use crate::event::{AccessKind, TraceEvent, TraceSink};
 use crate::space::{AddressSpace, Region, RegionId};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// Discards every event. Useful to run a workload untraced.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn access(&mut self, _: TraceEvent) {}
-
-    #[inline]
-    fn access_chunk(&mut self, _: &[TraceEvent]) {}
-}
 
 /// Number of events [`ChunkBuffer`] accumulates before delivering a batch.
 pub const CHUNK_EVENTS: usize = 64;
@@ -175,94 +161,6 @@ impl TraceSink for RecordingSink {
     }
 }
 
-/// Forwards each event to two sinks.
-pub struct TeeSink<A, B>(pub A, pub B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for TeeSink<A, B> {
-    #[inline]
-    fn access(&mut self, ev: TraceEvent) {
-        self.0.access(ev);
-        self.1.access(ev);
-    }
-
-    fn access_chunk(&mut self, events: &[TraceEvent]) {
-        self.0.access_chunk(events);
-        self.1.access_chunk(events);
-    }
-
-    fn flush(&mut self) {
-        self.0.flush();
-        self.1.flush();
-    }
-}
-
-/// Forwards an unbiased ~`1/period` systematic sample of the stream to an
-/// inner sink, with random phase to avoid aliasing against loop strides.
-pub struct SamplingSink<S> {
-    inner: S,
-    period: u64,
-    countdown: u64,
-    rng: SmallRng,
-    seen: u64,
-    forwarded: u64,
-}
-
-impl<S: TraceSink> SamplingSink<S> {
-    /// Sample roughly one in `period` events (`period >= 1`).
-    pub fn new(inner: S, period: u64, seed: u64) -> Self {
-        assert!(period >= 1, "sampling period must be at least 1");
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let countdown = rng.random_range(0..period);
-        Self {
-            inner,
-            period,
-            countdown,
-            rng,
-            seen: 0,
-            forwarded: 0,
-        }
-    }
-
-    /// Events observed so far.
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Events forwarded to the inner sink so far.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Access the inner sink.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Consume the sampler, returning the inner sink.
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: TraceSink> TraceSink for SamplingSink<S> {
-    #[inline]
-    fn access(&mut self, ev: TraceEvent) {
-        self.seen += 1;
-        if self.countdown == 0 {
-            self.inner.access(ev);
-            self.forwarded += 1;
-            // re-randomize the gap so periodic access patterns do not alias
-            self.countdown = self.rng.random_range(0..self.period.max(1)) + self.period / 2;
-        } else {
-            self.countdown -= 1;
-        }
-    }
-
-    fn flush(&mut self) {
-        self.inner.flush();
-    }
-}
-
 /// Per-region load/store profile — the measurement behind the NDM design's
 /// address-space partitioning ("identify a contiguous range of addresses
 /// that accounts for the bulk of the memory references").
@@ -413,36 +311,6 @@ mod tests {
     }
 
     #[test]
-    fn tee_forwards_to_both() {
-        let mut tee = TeeSink(CountingSink::new(), RecordingSink::new());
-        tee.access(ev(0, AccessKind::Store));
-        tee.flush();
-        assert_eq!(tee.0.stores, 1);
-        assert_eq!(tee.1.events.len(), 1);
-    }
-
-    #[test]
-    fn sampler_rate_is_approximately_one_over_period() {
-        let mut s = SamplingSink::new(CountingSink::new(), 100, 42);
-        for i in 0..200_000u64 {
-            s.access(ev(i * 8, AccessKind::Load));
-        }
-        let rate = s.forwarded() as f64 / s.seen() as f64;
-        // randomized gap averages ~period, allow generous tolerance
-        assert!(rate > 0.004 && rate < 0.02, "rate = {rate}");
-    }
-
-    #[test]
-    fn sampler_period_one_forwards_everything_roughly() {
-        let mut s = SamplingSink::new(CountingSink::new(), 1, 7);
-        for i in 0..1000u64 {
-            s.access(ev(i, AccessKind::Load));
-        }
-        // with period 1 the randomized gap is 0..1 + 0, so every event forwards
-        assert!(s.forwarded() >= 500);
-    }
-
-    #[test]
     fn region_profiler_attributes_accesses() {
         let mut space = AddressSpace::new();
         let a = space.alloc("a", 4096);
@@ -532,19 +400,6 @@ mod tests {
             }
             let attributed: u64 = p.loads.iter().sum::<u64>() + p.stores.iter().sum::<u64>();
             prop_assert_eq!(attributed + p.unattributed, addrs.len() as u64);
-        }
-
-        /// Sampling preserves the load/store mix to within statistical noise.
-        #[test]
-        fn sampler_preserves_mix(store_period in 2u64..10) {
-            let mut s = SamplingSink::new(CountingSink::new(), 50, 3);
-            for i in 0..100_000u64 {
-                let kind = if i % store_period == 0 { AccessKind::Store } else { AccessKind::Load };
-                s.access(ev(i * 8, kind));
-            }
-            let expected = 1.0 / store_period as f64;
-            let got = s.inner().store_fraction();
-            prop_assert!((got - expected).abs() < 0.05, "expected {expected}, got {got}");
         }
     }
 }

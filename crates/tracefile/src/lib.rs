@@ -13,8 +13,7 @@
 //!   LEB128 against the previous address) framed with event counts and
 //!   CRC32. Sequential streams cost ≈2 bytes per event.
 //! * [`TraceWriter`] — a [`TraceSink`](memsim_trace::TraceSink), so any
-//!   workload records by simply running with it (or a `TeeSink`) as its
-//!   sink.
+//!   workload records by simply running with it as its sink.
 //! * [`TraceReader`] — a buffered streaming reader: chunk-at-a-time
 //!   decode with bounded memory, corruption surfaced as typed
 //!   [`TraceError`]s (truncation, CRC mismatch, malformed frames), never

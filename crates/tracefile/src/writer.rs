@@ -13,8 +13,7 @@ use std::sync::Arc;
 /// Streams [`TraceEvent`]s to a writer in the chunked delta-varint format.
 ///
 /// Implements [`TraceSink`], so recording a workload is just running it
-/// with the writer as its sink (or behind a `TeeSink` to record and
-/// simulate in one pass). Events are buffered into chunks of
+/// with the writer as its sink. Events are buffered into chunks of
 /// [`TRACE_CHUNK_EVENTS`] and framed with a count and CRC32; a sequential
 /// 8-byte stream encodes to ≈2 bytes per event.
 ///

@@ -4,10 +4,11 @@
 //! sectored hierarchy — plus the terminal memory counters — for (a) a
 //! fixed-seed synthetic access stream and (b) a real mini workload. The
 //! pinned values were produced by the straightforward pre-optimization
-//! walk (linear way scan, per-event dispatch, no line buffer), so any
-//! fast-path change that is not observation-equivalent (MRU probe order,
-//! the L1 line-buffer filter, chunked event delivery) fails here with the
-//! first diverging counter.
+//! walk (linear way scan, per-event dispatch), so any fast-path change that
+//! is not observation-equivalent (the block lookup's probe order, the
+//! batched hit probe, chunked event delivery) fails here with the first
+//! diverging counter. The synthetic stream arrives event by event, so it
+//! runs through one-event chunks; the CG kernel emits 64-event chunks.
 
 use memsim_cache::{Cache, CacheConfig, CountingMemory, Hierarchy, ReplacementPolicy};
 use memsim_trace::{TraceEvent, TraceSink};
@@ -65,7 +66,7 @@ fn fingerprint(h: &Hierarchy<CountingMemory>) -> String {
 /// Mixed random + streaming accesses over an 8 MiB footprint: random sized
 /// loads/stores (including block-straddling 256 B references that the sink
 /// must split), interleaved with sequential 8-byte bursts that stay within
-/// one 64 B line — the exact pattern the L1 line-buffer filter targets.
+/// one 64 B line — same-block repeats, which the MRU ring answers.
 fn drive_synthetic(sink: &mut dyn TraceSink) {
     let mut rng = SmallRng::seed_from_u64(0x00C0_FFEE);
     const FOOTPRINT: u64 = 8 << 20;

@@ -1,14 +1,16 @@
 //! An independent, deliberately naive model of the cache hierarchy, and
 //! proptests of both walk engines against it.
 //!
-//! The model keeps each set as a `Vec` of optional lines with explicit
-//! timestamps, walks every request level by level, and has none of the
-//! engine's shortcuts: no packed tag words, no MRU ring, no line buffer, no
-//! batched hit probe, no request hand-off between lanes. It covers LRU and FIFO replacement,
-//! write-back with write-allocate demand stores, bypassed or allocated
-//! writeback misses, dirty-sector writebacks from sectored page caches,
-//! straddler splits and size-0 probes. Random, tree-PLRU and SRRIP are not
-//! modeled yet.
+//! The model keeps each set as a `Vec` of optional lines, walks every
+//! request level by level, and has none of the engine's shortcuts: no
+//! packed tag words, no MRU ring, no batched hit probe, no request hand-off
+//! between lanes. It writes every replacement policy from its definition:
+//! LRU and FIFO by explicit timestamps, tree-PLRU by one bit per internal
+//! node of a per-set tree, SRRIP by a 2-bit re-reference value per line,
+//! and Random by the engine's seeded draw. It covers write-back with
+//! write-allocate demand stores, bypassed or allocated writeback misses,
+//! dirty-sector writebacks from sectored page caches, straddler splits and
+//! size-0 probes, delivered event by event and in chunks.
 
 use memsim_cache::{
     Cache, CacheConfig, CountingMemory, GroupWalk, Hierarchy, LevelStats, ReplacementPolicy, Walk,
@@ -16,6 +18,12 @@ use memsim_cache::{
 };
 use memsim_trace::{AccessKind, TraceEvent, TraceSink};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// The seed of every level's Random draws: part of the engine's contract,
+/// so a run is reproducible.
+const RANDOM_SEED: u64 = 0x5eed_cafe;
 
 /// One level's geometry and policies.
 #[derive(Debug, Clone, Copy)]
@@ -24,17 +32,14 @@ struct Spec {
     sets: u32,
     ways: u32,
     sector: Option<u32>,
-    fifo: bool,
+    policy: ReplacementPolicy,
     allocate_writebacks: bool,
 }
 
 impl Spec {
     fn cache(&self, name: &str) -> Cache {
         let bytes = u64::from(self.block) * u64::from(self.sets) * u64::from(self.ways);
-        let mut cfg = CacheConfig::new(name, bytes, self.block, self.ways);
-        if self.fifo {
-            cfg = cfg.with_policy(ReplacementPolicy::Fifo);
-        }
+        let mut cfg = CacheConfig::new(name, bytes, self.block, self.ways).with_policy(self.policy);
         if self.allocate_writebacks {
             cfg = cfg.with_writeback_miss(WritebackMissPolicy::Allocate);
         }
@@ -53,11 +58,20 @@ struct Line {
     sectors: u64,
     /// Last use (LRU) or insertion (FIFO); the smallest is evicted.
     stamp: u64,
+    /// SRRIP's re-reference value: 2 on install, 0 on a hit; a line at 3
+    /// is evicted.
+    rrpv: u8,
 }
 
 struct Level {
     spec: Spec,
     sets: Vec<Vec<Option<Line>>>,
+    /// Tree-PLRU: per set, one bit per internal node of a binary tree over
+    /// the ways, in heap order (node `n` has children `2n` and `2n + 1`;
+    /// index 0 is unused). A set bit points right, a clear one left: at
+    /// the side to evict from.
+    tree: Vec<Vec<bool>>,
+    rng: SmallRng,
     clock: u64,
     stats: LevelStats,
 }
@@ -67,6 +81,8 @@ impl Level {
         Level {
             spec,
             sets: vec![vec![None; spec.ways as usize]; spec.sets as usize],
+            tree: vec![vec![false; spec.ways as usize]; spec.sets as usize],
+            rng: SmallRng::seed_from_u64(RANDOM_SEED),
             clock: 0,
             stats: LevelStats::new(name),
         }
@@ -103,46 +119,100 @@ impl Level {
         }
     }
 
+    /// Tree-PLRU: point every node on the path from the root to `way`
+    /// away from it.
+    fn point_away(&mut self, set: usize, way: usize) {
+        let (mut node, mut lo, mut hi) = (1, 0, self.spec.ways as usize);
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            let right = way >= mid;
+            self.tree[set][node] = !right;
+            (node, lo, hi) = if right {
+                (2 * node + 1, mid, hi)
+            } else {
+                (2 * node, lo, mid)
+            };
+        }
+    }
+
+    /// The way a full set evicts under the level's policy.
+    fn victim(&mut self, set: usize) -> usize {
+        let ways = self.spec.ways as usize;
+        let mut lines: Vec<&mut Line> = self.sets[set].iter_mut().flatten().collect();
+        assert_eq!(lines.len(), ways, "only a full set evicts");
+        match self.spec.policy {
+            ReplacementPolicy::Lru | ReplacementPolicy::Fifo => {
+                (0..ways).min_by_key(|&w| lines[w].stamp).unwrap()
+            }
+            ReplacementPolicy::Random => self.rng.random_range(0..ways),
+            ReplacementPolicy::TreePlru => {
+                let (mut node, mut lo, mut hi) = (1, 0, ways);
+                while hi - lo > 1 {
+                    let mid = (lo + hi) / 2;
+                    (node, lo, hi) = if self.tree[set][node] {
+                        (2 * node + 1, mid, hi)
+                    } else {
+                        (2 * node, lo, mid)
+                    };
+                }
+                lo
+            }
+            ReplacementPolicy::Srrip => loop {
+                if let Some(w) = lines.iter().position(|l| l.rrpv == 3) {
+                    break w;
+                }
+                for l in &mut lines {
+                    l.rrpv += 1;
+                }
+            },
+        }
+    }
+
     /// A hit touches the line (dirtying it for a write) and returns true.
     fn hit(&mut self, addr: u64, write: bool, bytes: u32) -> bool {
         let (set, block) = self.locate(addr);
         let sectors = self.sectors(addr, bytes);
         let stamp = self.tick();
-        let fifo = self.spec.fifo;
-        let Some(line) = self.sets[set]
-            .iter_mut()
-            .flatten()
-            .find(|l| l.block == block)
+        let policy = self.spec.policy;
+        let Some(way) = self.sets[set]
+            .iter()
+            .position(|l| l.as_ref().is_some_and(|l| l.block == block))
         else {
             return false;
         };
+        let line = self.sets[set][way].as_mut().unwrap();
         if write {
             line.dirty = true;
             line.sectors |= sectors;
         }
-        if !fifo {
-            line.stamp = stamp;
+        match policy {
+            ReplacementPolicy::Lru => line.stamp = stamp,
+            ReplacementPolicy::Srrip => line.rrpv = 0,
+            ReplacementPolicy::TreePlru => self.point_away(set, way),
+            ReplacementPolicy::Fifo | ReplacementPolicy::Random => {}
         }
         true
     }
 
-    /// Install `addr`'s block in the first empty way, or over the oldest
-    /// stamp; returns the displaced dirty line's writeback, if any.
+    /// Install `addr`'s block in the first empty way, or over the policy's
+    /// victim; returns the displaced dirty line's writeback, if any.
     fn install(&mut self, addr: u64, dirty: bool, sectors: u64) -> Option<(u64, u32)> {
         let (set, block) = self.locate(addr);
         let stamp = self.tick();
-        let lines = &self.sets[set];
-        let way = lines.iter().position(Option::is_none).unwrap_or_else(|| {
-            (0..lines.len())
-                .min_by_key(|&w| lines[w].as_ref().map_or(0, |l| l.stamp))
-                .unwrap()
-        });
+        let way = match self.sets[set].iter().position(Option::is_none) {
+            Some(empty) => empty,
+            None => self.victim(set),
+        };
         let new = Line {
             block,
             dirty,
             sectors,
             stamp,
+            rrpv: 2,
         };
+        if self.spec.policy == ReplacementPolicy::TreePlru {
+            self.point_away(set, way);
+        }
         self.stats.fills += 1;
         let old = self.sets[set][way].replace(new)?;
         old.dirty.then(|| {
@@ -236,15 +306,14 @@ impl Model {
     }
 
     /// A demand reference: split at L1 block boundaries; a size-0 one
-    /// probes the block holding `addr` unless it sits on a block boundary
-    /// other than address 0 (the engines probe block 0 there).
+    /// probes the block holding `addr` unless it sits on a block boundary.
     fn event(&mut self, ev: TraceEvent) {
         let (block, write) = (
             u64::from(self.levels[0].spec.block),
             ev.kind == AccessKind::Store,
         );
         if ev.size == 0 {
-            if !ev.addr.is_multiple_of(block) || ev.addr == 0 {
+            if !ev.addr.is_multiple_of(block) {
                 self.access(0, ev.addr, write, 0);
             }
             return;
@@ -301,16 +370,16 @@ fn reference(specs: &[Spec], events: &[TraceEvent], cuts: &[usize]) -> Vec<Snaps
 }
 
 fn cache_level() -> impl Strategy<Value = Spec> {
-    (0u32..4, 0u32..3, proptest::bool::ANY, proptest::bool::ANY).prop_map(
-        |(sets, ways, fifo, alloc)| Spec {
+    (0u32..4, 0u32..3, 0usize..5, proptest::bool::ANY).prop_map(|(sets, ways, policy, alloc)| {
+        Spec {
             block: 64,
             sets: 1 << sets,
             ways: 1 << ways,
             sector: None,
-            fifo,
+            policy: ReplacementPolicy::ALL[policy],
             allocate_writebacks: alloc,
-        },
-    )
+        }
+    })
 }
 
 fn events() -> impl Strategy<Value = Vec<TraceEvent>> {
@@ -337,10 +406,11 @@ fn events() -> impl Strategy<Value = Vec<TraceEvent>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-    /// The sequential engine and the group walk (a shared prefix with no
-    /// suffix levels, an unsectored L4 and a sectored L4, over one to
-    /// three lanes) both match the model's counters at every mark and
-    /// after the drain.
+    /// The sequential engine (fed in chunks and event by event) and the
+    /// group walk (a shared prefix with no suffix levels, an unsectored L4
+    /// and a sectored L4, over one to three lanes) all match the model's
+    /// counters at every mark and after the drain, under every replacement
+    /// policy.
     #[test]
     fn engines_match_the_reference_model(
         prefix in proptest::collection::vec(cache_level(), 1..4),
@@ -363,19 +433,27 @@ proptest! {
         for suffix in &suffixes {
             let specs: Vec<Spec> = prefix.iter().chain(suffix).copied().collect();
             let want = reference(&specs, &events, &cuts);
-            // the sequential engine, chunk by chunk, drained at the end
-            let mut h = Hierarchy::new(build(&specs, 0), CountingMemory::default());
-            let mut at = 0;
-            for (i, &cut) in cuts.iter().enumerate() {
-                h.access_chunk(&events[at..cut]);
-                at = cut;
-                let stats: Vec<LevelStats> = h.levels().iter().map(|c| c.stats()).collect();
-                prop_assert_eq!(&(stats, *h.memory()), &want[i], "mark {}", i);
+            // the sequential engine, in chunks and event by event, drained
+            // at the end
+            for per_event in [false, true] {
+                let mut h = Hierarchy::new(build(&specs, 0), CountingMemory::default());
+                let mut at = 0;
+                for (i, &end) in cuts.iter().chain([&events.len()]).enumerate() {
+                    if per_event {
+                        events[at..end].iter().for_each(|&ev| h.access(ev));
+                    } else {
+                        h.access_chunk(&events[at..end]);
+                    }
+                    at = end;
+                    if i == cuts.len() {
+                        h.flush();
+                    }
+                    let stats: Vec<LevelStats> = h.levels().iter().map(|c| c.stats()).collect();
+                    prop_assert_eq!(
+                        &(stats, *h.memory()), &want[i], "mark {} per-event {}", i, per_event
+                    );
+                }
             }
-            h.access_chunk(&events[at..]);
-            h.flush();
-            let stats: Vec<LevelStats> = h.levels().iter().map(|c| c.stats()).collect();
-            prop_assert_eq!(&(stats, *h.memory()), want.last().unwrap());
             walks.push(Walk {
                 levels: build(suffix, prefix.len()),
                 memory: CountingMemory::default(),
