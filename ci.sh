@@ -65,43 +65,67 @@ else
     echo "python3 not found; skipping metrics JSON cross-check"
 fi
 
-echo "== crash-resilient reproduce: interrupt mid-flight, resume, compare bytes"
+echo "== crash-resilient reproduce: interrupt after the first journaled workload, resume, compare bytes"
 cargo build --release --offline -q -p memsim-cli
 BIN=target/release/memsim
 # reference: one uninterrupted run
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" reproduce --out "$smoke_dir/clean" \
-    --scale mini --workloads cg,hash --threads 2 2>"$smoke_dir/clean.log"
+    --scale mini --workloads cg,hash,lu --threads 2 \
+    --metrics-out "$smoke_dir/clean-metrics.json" 2>"$smoke_dir/clean.log"
 # results must not depend on the lane count: one lane walks every
 # structure of a group, three lanes split them three ways
 for threads in 1 3; do
     MEMSIM_OBS_DETERMINISTIC=1 "$BIN" reproduce --out "$smoke_dir/threads-$threads" \
-        --scale mini --workloads cg,hash --threads "$threads" 2>/dev/null
+        --scale mini --workloads cg,hash,lu --threads "$threads" 2>/dev/null
     for f in "$smoke_dir"/clean/*.md "$smoke_dir"/clean/*.csv; do
         cmp "$f" "$smoke_dir/threads-$threads/$(basename "$f")"
     done
 done
 echo "reproduce artifacts byte-identical at --threads 1/2/3"
-# same sweep again, SIGINT mid-flight (the binary runs directly, not under
-# `cargo run`, so the signal reaches the simulator process itself)
+# same sweep again (the binary runs directly, not under `cargo run`, so the
+# signal reaches the simulator process itself). A reproduce journals each
+# workload's points before the next workload's kernel starts, so SIGINT
+# shortly after the journal turns non-empty lands while Hash walks; Hash
+# finishes and is journaled, and LU never starts. CG's last point lands
+# about 2 ms after its first and Hash walks for about 2 s at mini: the
+# 0.1 s settle keeps the signal out of the gap before Hash's walk.
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" reproduce --out "$smoke_dir/resumed" \
-    --scale mini --workloads cg,hash --threads 2 2>"$smoke_dir/interrupt.log" &
+    --scale mini --workloads cg,hash,lu --threads 2 2>"$smoke_dir/interrupt.log" &
 repro_pid=$!
-sleep 0.4
+for _ in $(seq 1 1000); do
+    [ -s "$smoke_dir/resumed/sweep.journal.jsonl" ] && break
+    sleep 0.01
+done
+sleep 0.1
 kill -INT "$repro_pid" 2>/dev/null || true
 if wait "$repro_pid"; then
-    echo "note: the run finished before the interrupt landed; resume is a no-op revalidation"
-else
-    grep -q "resume with:" "$smoke_dir/interrupt.log"
+    echo "error: the reproduction finished before the interrupt landed" >&2
+    exit 1
 fi
-test -f "$smoke_dir/resumed/sweep.journal.jsonl"
+grep -q "resume with:" "$smoke_dir/interrupt.log"
 # finish the interrupted sweep from its journal
 MEMSIM_OBS_DETERMINISTIC=1 "$BIN" reproduce --out "$smoke_dir/resumed" \
-    --scale mini --workloads cg,hash --threads 2 --resume 2>"$smoke_dir/resume.log"
+    --scale mini --workloads cg,hash,lu --threads 2 --resume \
+    --metrics-out "$smoke_dir/resume-metrics.json" 2>"$smoke_dir/resume.log"
 # the interrupted-then-resumed reproduction is byte-identical to the clean one
 for f in "$smoke_dir"/clean/*.md "$smoke_dir"/clean/*.csv; do
     cmp "$f" "$smoke_dir/resumed/$(basename "$f")"
 done
 echo "interrupt/resume reproduction is byte-identical ($(ls "$smoke_dir"/clean/*.md | wc -l) artifacts)"
+if command -v python3 >/dev/null 2>&1; then
+    # one kernel run per workload; the resume runs LU's alone and serves
+    # CG's and Hash's 79 points each from the journal
+    python3 - "$smoke_dir/clean-metrics.json" "$smoke_dir/resume-metrics.json" <<'PY'
+import json, sys
+clean, resume = (json.load(open(p))["counters"] for p in sys.argv[1:3])
+assert clean["sim.workload_runs"] == 3, clean["sim.workload_runs"]
+assert resume["sim.workload_runs"] == 1, resume["sim.workload_runs"]
+assert resume["sweep.points_skipped"] == 158, resume["sweep.points_skipped"]
+print("one kernel run per workload; the resume ran 1 and skipped 158 journaled points")
+PY
+else
+    echo "python3 not found; skipping the kernel-run count check"
+fi
 
 echo "== shared prefix: one L1-L3 walk per group feeds every structure's L4 and terminal"
 if command -v python3 >/dev/null 2>&1; then
@@ -326,7 +350,7 @@ test -s "$server_state/server.port"
 addr="127.0.0.1:$(cat "$server_state/server.port")"
 # submit the same grid the batch stage reproduced, fetch the result into
 # the reproduce --out layout, and demand byte-identical artifacts
-"$BIN" submit --addr "$addr" --artifact table4 --workloads cg,hash --scale mini \
+"$BIN" submit --addr "$addr" --artifact table4 --workloads cg,hash,lu --scale mini \
     --out "$smoke_dir/served" --quiet
 cmp "$smoke_dir/clean/table4.md" "$smoke_dir/served/table4.md"
 cmp "$smoke_dir/clean/table4.csv" "$smoke_dir/served/table4.csv"

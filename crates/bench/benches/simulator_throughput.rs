@@ -2,6 +2,11 @@
 //! hierarchy, on synthetic streams with controlled hit rates and on a real
 //! workload stream. This is the cost of the "online simulation" the
 //! paper's framework performs during application execution.
+//!
+//! The per-event rows (`l1_hits`, `streaming`, `random`) call
+//! `Hierarchy::access` once per event, so they time one-event chunks.
+//! `l1_hits_chunked` and `chunked_stream` deliver their streams through
+//! `ChunkBuffer`, the way every production stream arrives.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use memsim_bench::bench_scale;
@@ -156,7 +161,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator_throughput");
     g.throughput(Throughput::Elements(N));
 
-    // L1-resident stream: the simulator's fast path
+    // L1-resident stream: the simulator's fast path, one-event chunks
     g.bench_function("l1_hits", |b| {
         let mut h = full_hierarchy(&scale);
         b.iter(|| {
@@ -186,6 +191,7 @@ fn bench(c: &mut Criterion) {
     });
 
     // sequential sweep over a large range: every level fills steadily
+    // (one-event chunks)
     g.bench_function("streaming", |b| {
         let mut h = full_hierarchy(&scale);
         let mut pos = 0u64;
@@ -198,7 +204,8 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    // uniform random over 256 MiB: the adversarial path (misses everywhere)
+    // uniform random over 256 MiB: the adversarial path (misses
+    // everywhere), one-event chunks
     g.bench_function("random", |b| {
         let mut h = full_hierarchy(&scale);
         let mut rng = SmallRng::seed_from_u64(1);

@@ -1049,7 +1049,8 @@ fn human_capacity(bytes: u64) -> String {
 }
 
 /// Regenerate every table and figure into `--out DIR` (markdown + CSV),
-/// sharing one simulation memo across all of them.
+/// sharing one simulation memo across all of them: each workload's kernel
+/// runs once, over every artifact's points, before any artifact renders.
 ///
 /// Crash-resilient: every completed (workload, design) point is journaled
 /// to `DIR/sweep.journal.jsonl` as it finishes, `--resume` restores those
@@ -1078,13 +1079,20 @@ fn cmd_reproduce(opts: &Opts) -> Result<(), CliError> {
     let t1 = experiments::table1();
     write("table1", t1.to_markdown(), t1.to_csv())?;
 
+    // Walk each workload once over every artifact's points, journaling
+    // workload by workload, so that each builder below renders from the
+    // memo and runs no kernel. Its failures surface in the loop.
+    let mut interrupted = matches!(
+        memsim_core::walk_artifacts(&ctx, &memsim_core::ARTIFACT_NAMES),
+        Err(SweepError::Interrupted)
+    );
+
     // A failed artifact does not abort the reproduction: the failure is
     // journaled and every artifact the failed point does not feed still
     // builds. Only an interrupt stops the loop.
     let mut failed: Vec<String> = Vec::new();
-    let mut interrupted = false;
     for name in memsim_core::ARTIFACT_NAMES {
-        if sweep.interrupted() {
+        if interrupted || sweep.interrupted() {
             interrupted = true;
             break;
         }

@@ -7,13 +7,22 @@
 //! meaningful: a grid submitted to the server must produce bytes
 //! identical to the batch run, which is only testable if both render
 //! through one function.
+//!
+//! Each artifact also names its points (`artifact_points`), from the
+//! same design lists its builder evaluates. A reproduction uses them to
+//! walk each workload once over every artifact's points
+//! ([`walk_artifacts`]) before it builds any artifact: every builder's
+//! grid is then served from the memo (or the journal) and walks nothing,
+//! so each kernel runs once per reproduction instead of once per
+//! artifact family.
 
 use crate::design::Design;
 use crate::experiments::{self, ExperimentCtx, Metric};
-use crate::heatmap::HeatmapData;
+use crate::heatmap::{self, HeatmapData};
 use crate::report::{heatmap_to_csv, heatmap_to_markdown, FigureData};
 use crate::runner::SweepError;
 use memsim_tech::Technology;
+use memsim_workloads::WorkloadKind;
 
 /// The simulated artifacts `reproduce` (and server jobs) can build, in
 /// the order the reproduction writes them. `table1` is static and handled
@@ -59,11 +68,64 @@ pub fn build_artifact(ctx: &ExperimentCtx, name: &str) -> Result<(String, String
         "fig9" => heat(experiments::fig9(ctx)),
         "fig10" => heat(experiments::fig10(ctx)),
         other => Err(SweepError::Failed(vec![crate::runner::FailedPoint {
-            workload: memsim_workloads::WorkloadKind::Cg,
+            workload: WorkloadKind::Cg,
             design: Design::Baseline,
             message: format!("unknown artifact '{other}'"),
         }])),
     }
+}
+
+/// The designs artifact `name` evaluates besides each workload's
+/// baseline (none for Table 4), or `None` for an unknown name.
+fn artifact_designs(name: &str) -> Option<Vec<Design>> {
+    Some(match name {
+        "table4" => Vec::new(),
+        "fig1" | "fig2" | "fig1_edp" => experiments::nmm_designs(),
+        "fig3" | "fig4" => experiments::fourlc_designs(),
+        "fig5" | "fig6" => experiments::fourlcnvm_designs(),
+        "fig7" | "fig8" => experiments::ndm_designs(),
+        "fig9" | "fig10" => vec![heatmap::heatmap_design()],
+        _ => return None,
+    })
+}
+
+/// The (workload, design) points [`build_artifact`] evaluates for `name`
+/// under `ctx`: each workload's baseline followed by the artifact's
+/// designs (Table 4: the baseline only). Empty for an unknown name.
+pub(crate) fn artifact_points(ctx: &ExperimentCtx, name: &str) -> Vec<(WorkloadKind, Design)> {
+    artifact_designs(name).map_or_else(Vec::new, |designs| ctx.points(&designs))
+}
+
+/// Walk every workload of `ctx` once, in order, over the union of the
+/// points of the artifacts `names` (deduplicated in first-seen order):
+/// one grid per workload, so each workload's points are journaled before
+/// the next workload's kernel starts, and an interrupt loses at most the
+/// workload in flight. Building those artifacts afterwards walks nothing:
+/// their grids are served from the memo, or from the journal on a resume.
+///
+/// Stops with [`SweepError::Interrupted`] before the first workload that
+/// starts after the sweep's interrupt flag was raised (or when a grid
+/// reports the interrupt). A failed point is not reported here: the
+/// builders that need it report it, and its structure, released by the
+/// failed walk, is walked again by each of them.
+pub fn walk_artifacts(ctx: &ExperimentCtx, names: &[&str]) -> Result<(), SweepError> {
+    for &workload in &ctx.workloads {
+        if ctx.sweep.is_some_and(|sweep| sweep.interrupted()) {
+            return Err(SweepError::Interrupted);
+        }
+        let mut points: Vec<(WorkloadKind, Design)> = Vec::new();
+        for name in names {
+            for point in artifact_points(ctx, name) {
+                if point.0 == workload && !points.contains(&point) {
+                    points.push(point);
+                }
+            }
+        }
+        if let Err(SweepError::Interrupted) = ctx.grid(&points) {
+            return Err(SweepError::Interrupted);
+        }
+    }
+    Ok(())
 }
 
 /// The named representative designs (one per architecture family, at the
@@ -123,7 +185,6 @@ mod tests {
     use super::*;
     use crate::runner::SimCache;
     use crate::scale::Scale;
-    use memsim_workloads::WorkloadKind;
 
     #[test]
     fn artifact_names_are_buildable_and_unknown_rejected() {
@@ -144,6 +205,40 @@ mod tests {
         let direct = experiments::table4(&ctx).unwrap();
         assert_eq!(md, direct.to_markdown());
         assert_eq!(csv, direct.to_csv());
+    }
+
+    #[test]
+    fn artifact_points_union_covers_the_design_space_once() {
+        let cache = SimCache::new();
+        let ctx = ExperimentCtx::new(Scale::mini(), &cache)
+            .with_workloads(&[WorkloadKind::Cg, WorkloadKind::Hash]);
+        let base = |w| (w, Design::Baseline);
+        assert_eq!(
+            artifact_points(&ctx, "table4"),
+            vec![base(WorkloadKind::Cg), base(WorkloadKind::Hash)]
+        );
+        assert!(artifact_points(&ctx, "nope").is_empty());
+        // each workload: baseline, 27 NMM, 16 4LC, 32 4LCNVM and 3 NDM
+        // points over 18 structures (3L, N1–N9, EH1–EH8)
+        let mut union: Vec<(WorkloadKind, Design)> = Vec::new();
+        for name in ARTIFACT_NAMES {
+            let points = artifact_points(&ctx, name);
+            assert_eq!(points[0], base(WorkloadKind::Cg), "{name}");
+            for p in points {
+                if !union.contains(&p) {
+                    union.push(p);
+                }
+            }
+        }
+        assert_eq!(union.len(), 2 * 79);
+        let mut structures: Vec<crate::Structure> = Vec::new();
+        for (w, d) in &union {
+            let st = d.structure(&ctx.scale);
+            if *w == WorkloadKind::Cg && !structures.contains(&st) {
+                structures.push(st);
+            }
+        }
+        assert_eq!(structures.len(), 18);
     }
 
     #[test]

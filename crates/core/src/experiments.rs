@@ -85,6 +85,19 @@ impl<'a> ExperimentCtx<'a> {
         )
         .into_result()
     }
+
+    /// Each workload's baseline followed by `designs`, workload by
+    /// workload: the points of every builder's grid.
+    pub(crate) fn points(&self, designs: &[Design]) -> Vec<(WorkloadKind, Design)> {
+        self.workloads
+            .iter()
+            .flat_map(|&w| {
+                std::iter::once(Design::Baseline)
+                    .chain(designs.iter().copied())
+                    .map(move |d| (w, d))
+            })
+            .collect()
+    }
 }
 
 /// Which normalized metric a figure plots.
@@ -114,14 +127,7 @@ pub fn norm_grid(
     ctx: &ExperimentCtx,
     designs: &[Design],
 ) -> Result<HashMap<(WorkloadKind, String), NormMetrics>, SweepError> {
-    let mut points: Vec<(WorkloadKind, Design)> = Vec::new();
-    for &w in &ctx.workloads {
-        points.push((w, Design::Baseline));
-        for d in designs {
-            points.push((w, *d));
-        }
-    }
-    let results = ctx.grid(&points)?;
+    let results = ctx.grid(&ctx.points(designs))?;
     let mut base: HashMap<WorkloadKind, EvalResult> = HashMap::new();
     for r in &results {
         if matches!(r.design, Design::Baseline) {
@@ -161,6 +167,64 @@ fn averaged_series(
         .collect()
 }
 
+/// The NMM designs of Figures 1 and 2: N1–N9 × each NVM technology.
+pub fn nmm_designs() -> Vec<Design> {
+    n_configs()
+        .iter()
+        .flat_map(|c| {
+            Technology::NVM.iter().map(|t| Design::Nmm {
+                nvm: *t,
+                config: *c,
+            })
+        })
+        .collect()
+}
+
+/// The 4LC designs of Figures 3 and 4: EH1–EH8 × each fast LLC technology.
+pub fn fourlc_designs() -> Vec<Design> {
+    eh_configs()
+        .iter()
+        .flat_map(|c| {
+            Technology::FAST_LLC.iter().map(|t| Design::FourLc {
+                llc: *t,
+                config: *c,
+            })
+        })
+        .collect()
+}
+
+/// The (LLC, NVM) pairs of Figures 5 and 6, one series each: both LLC
+/// technologies with PCM, then eDRAM with the other NVMs.
+const FOURLCNVM_COMBOS: [(Technology, Technology); 4] = [
+    (Technology::Edram, Technology::Pcm),
+    (Technology::Hmc, Technology::Pcm),
+    (Technology::Edram, Technology::SttRam),
+    (Technology::Edram, Technology::FeRam),
+];
+
+/// The 4LCNVM designs of Figures 5 and 6: EH1–EH8 × each pair of
+/// `FOURLCNVM_COMBOS`.
+pub fn fourlcnvm_designs() -> Vec<Design> {
+    eh_configs()
+        .iter()
+        .flat_map(|c| {
+            FOURLCNVM_COMBOS.iter().map(|(l, n)| Design::FourLcNvm {
+                llc: *l,
+                nvm: *n,
+                config: *c,
+            })
+        })
+        .collect()
+}
+
+/// The NDM designs of Figures 7 and 8: one per NVM technology.
+pub fn ndm_designs() -> Vec<Design> {
+    Technology::NVM
+        .iter()
+        .map(|t| Design::Ndm { nvm: *t })
+        .collect()
+}
+
 /// Table 1: the technology characterization (verbatim from `memsim-tech`).
 pub fn table1() -> FigureData {
     let rows = Technology::ALL;
@@ -188,12 +252,7 @@ pub fn table1() -> FigureData {
 
 /// Table 4: workload characteristics (footprint and modeled reference time).
 pub fn table4(ctx: &ExperimentCtx) -> Result<FigureData, SweepError> {
-    let points: Vec<(WorkloadKind, Design)> = ctx
-        .workloads
-        .iter()
-        .map(|w| (*w, Design::Baseline))
-        .collect();
-    let results = ctx.grid(&points)?;
+    let results = ctx.grid(&ctx.points(&[]))?;
     Ok(FigureData {
         id: "table4".into(),
         title: "Characteristics of the benchmarks (model scale)".into(),
@@ -221,16 +280,7 @@ pub fn table4(ctx: &ExperimentCtx) -> Result<FigureData, SweepError> {
 /// Figures 1 and 2: NMM normalized runtime/energy across N1–N9, averaged
 /// over the benchmarks, one series per NVM technology.
 pub fn fig_nmm(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepError> {
-    let designs: Vec<Design> = n_configs()
-        .iter()
-        .flat_map(|c| {
-            Technology::NVM.iter().map(|t| Design::Nmm {
-                nvm: *t,
-                config: *c,
-            })
-        })
-        .collect();
-    let grid = norm_grid(ctx, &designs)?;
+    let grid = norm_grid(ctx, &nmm_designs())?;
     let x_labels: Vec<String> = n_configs().iter().map(|c| c.name.to_string()).collect();
     let series = Technology::NVM
         .iter()
@@ -267,16 +317,7 @@ pub fn fig_nmm(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepE
 /// Figures 3 and 4: 4LC normalized runtime/energy across EH1–EH8, one
 /// series per LLC technology.
 pub fn fig_4lc(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepError> {
-    let designs: Vec<Design> = eh_configs()
-        .iter()
-        .flat_map(|c| {
-            Technology::FAST_LLC.iter().map(|t| Design::FourLc {
-                llc: *t,
-                config: *c,
-            })
-        })
-        .collect();
-    let grid = norm_grid(ctx, &designs)?;
+    let grid = norm_grid(ctx, &fourlc_designs())?;
     let x_labels: Vec<String> = eh_configs().iter().map(|c| c.name.to_string()).collect();
     let series = Technology::FAST_LLC
         .iter()
@@ -314,25 +355,9 @@ pub fn fig_4lc(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepE
 /// series cover both LLC technologies with PCM plus eDRAM with the other
 /// NVMs.
 pub fn fig_4lcnvm(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepError> {
-    let combos: Vec<(Technology, Technology)> = vec![
-        (Technology::Edram, Technology::Pcm),
-        (Technology::Hmc, Technology::Pcm),
-        (Technology::Edram, Technology::SttRam),
-        (Technology::Edram, Technology::FeRam),
-    ];
-    let designs: Vec<Design> = eh_configs()
-        .iter()
-        .flat_map(|c| {
-            combos.iter().map(|(l, n)| Design::FourLcNvm {
-                llc: *l,
-                nvm: *n,
-                config: *c,
-            })
-        })
-        .collect();
-    let grid = norm_grid(ctx, &designs)?;
+    let grid = norm_grid(ctx, &fourlcnvm_designs())?;
     let x_labels: Vec<String> = eh_configs().iter().map(|c| c.name.to_string()).collect();
-    let series = combos
+    let series = FOURLCNVM_COMBOS
         .iter()
         .map(|(l, n)| {
             let labels: Vec<String> = eh_configs()
@@ -368,11 +393,7 @@ pub fn fig_4lcnvm(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, Swe
 /// Figures 7 and 8: NDM normalized runtime/energy per benchmark, one
 /// series per NVM technology.
 pub fn fig_ndm(ctx: &ExperimentCtx, metric: Metric) -> Result<FigureData, SweepError> {
-    let designs: Vec<Design> = Technology::NVM
-        .iter()
-        .map(|t| Design::Ndm { nvm: *t })
-        .collect();
-    let grid = norm_grid(ctx, &designs)?;
+    let grid = norm_grid(ctx, &ndm_designs())?;
     let x_labels: Vec<String> = ctx.workloads.iter().map(|w| w.name().to_string()).collect();
     let series = Technology::NVM
         .iter()

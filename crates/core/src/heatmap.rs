@@ -6,14 +6,13 @@
 //! workload supplies the execution profile; every (read ×, write ×) cell
 //! is then costed analytically.
 
-use crate::configs::n_by_name;
+use crate::configs::{n_by_name, NConfig};
 use crate::design::{sram_costs, Design, MEM_NAME};
 use crate::experiments::ExperimentCtx;
 use crate::model::{LevelCost, Metrics};
 use crate::runner::SweepError;
 use memsim_cache::LevelStats;
 use memsim_tech::{Multipliers, TechParams, Technology};
-use memsim_workloads::WorkloadKind;
 
 /// Which per-operation cost the two heat-map axes scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +49,20 @@ pub fn default_multipliers() -> Vec<f64> {
     vec![1.0, 2.0, 5.0, 10.0, 15.0, 20.0]
 }
 
+/// The DRAM page cache both maps profile: N6 (512 MB, 512 B pages).
+fn profiled_config() -> NConfig {
+    n_by_name("N6").expect("N6 exists")
+}
+
+/// The one design both maps simulate besides the baseline: NMM at N6.
+/// Its execution profile is what every cell re-costs.
+pub fn heatmap_design() -> Design {
+    Design::Nmm {
+        nvm: Technology::Pcm,
+        config: profiled_config(),
+    }
+}
+
 /// Compute a heat map for `axis`, averaging over the context's workloads.
 ///
 /// The hypothetical memory is DRAM with the given axis scaled; the DRAM
@@ -69,18 +82,9 @@ pub fn heatmap(
     read_mults: &[f64],
     write_mults: &[f64],
 ) -> Result<HeatmapData, SweepError> {
-    let n6 = n_by_name("N6").expect("N6 exists");
-    let nmm = Design::Nmm {
-        nvm: Technology::Pcm,
-        config: n6,
-    };
+    let n6 = profiled_config();
     // one simulation (structure of NMM@N6) + baseline per workload
-    let points: Vec<(WorkloadKind, Design)> = ctx
-        .workloads
-        .iter()
-        .flat_map(|k| [(*k, Design::Baseline), (*k, nmm)])
-        .collect();
-    let results = ctx.grid(&points)?;
+    let results = ctx.grid(&ctx.points(&[heatmap_design()]))?;
     let mut grid = vec![vec![0.0f64; read_mults.len()]; write_mults.len()];
     for pair in results.chunks(2) {
         let (base, nmm) = (&pair[0], &pair[1]);
@@ -134,6 +138,7 @@ mod tests {
 
     use crate::runner::SimCache;
     use crate::scale::Scale;
+    use memsim_workloads::WorkloadKind;
 
     fn cg_map(axis: Axis, ladder: &[f64]) -> HeatmapData {
         let cache = SimCache::new();

@@ -67,7 +67,9 @@ pub mod sampling;
 mod scale;
 pub mod store;
 
-pub use artifacts::{build_artifact, named_designs, parse_design_list, ARTIFACT_NAMES};
+pub use artifacts::{
+    build_artifact, named_designs, parse_design_list, walk_artifacts, ARTIFACT_NAMES,
+};
 pub use design::{Design, Structure};
 pub use journal::{sweep_fingerprint, JournalRecovery, SweepCtx, SweepJournal, JOURNAL_FILE};
 pub use model::{breakdown, LevelBreakdown, LevelCost, Metrics, NormMetrics};

@@ -1111,11 +1111,15 @@ type WalkedRuns = HashMap<(Source, Structure), Walked>;
 /// A group owning at least `threads` structures takes every lane, one
 /// group at a time. Smaller groups run side by side and share the lanes:
 /// up to `threads` groups at once, each with `threads / in_flight` lanes.
-/// So a grid of many one-structure groups (Table 4) overlaps workloads as
-/// far as `threads` allows, and a grid of a few small groups still gets
-/// every lane. (Running every group side by side instead — one lane each
-/// at `--threads 2` — made a three-workload mini reproduce about 11%
-/// faster but raised its peak RSS by 44%, two kernels' data at once.)
+/// So a grid of many one-structure groups (Table 4 built alone) overlaps
+/// workloads as far as `threads` allows, and a grid of a few small groups
+/// still gets every lane. (Running every group side by side instead — one
+/// lane each at `--threads 2` — made a three-workload mini reproduce about
+/// 11% faster but raised its peak RSS by 44%, two kernels' data at once.
+/// That was measured when a reproduce ran one grid per artifact, and
+/// Table 4's one-structure groups ran side by side; a reproduce now walks
+/// each workload's 18 structures as one group
+/// ([`crate::artifacts::walk_artifacts`]) and has no such groups.)
 /// Once interrupted, no further group starts; structures left unwalked
 /// are absent from the map.
 ///

@@ -65,6 +65,19 @@ impl TraceEvent {
     pub fn end(&self) -> u64 {
         self.addr + u64::from(self.size)
     }
+
+    /// The numbers of the `1 << block_shift`-byte blocks the event
+    /// touches: every block holding one of its bytes. A size-0 event
+    /// touches the block holding `addr`, unless `addr` sits on a block
+    /// boundary (address 0 included), where it touches nothing. That is
+    /// the rule the cache hierarchy walks by, so the stream analyses that
+    /// count blocks with this range count the references it walks.
+    #[inline]
+    pub fn blocks(&self, block_shift: u32) -> std::ops::Range<u64> {
+        let end = self.end();
+        let partial = end & ((1u64 << block_shift) - 1) != 0;
+        (self.addr >> block_shift)..(end >> block_shift) + u64::from(partial)
+    }
 }
 
 /// A consumer of the online address stream.
@@ -139,6 +152,26 @@ mod tests {
         let s = TraceEvent::store(0x200, 4);
         assert_eq!(s.kind, AccessKind::Store);
         assert_eq!(s.end(), 0x204);
+    }
+
+    #[test]
+    fn blocks_cover_every_touched_byte_and_size_zero_follows_the_hierarchy() {
+        let blocks = |ev: TraceEvent| ev.blocks(6).collect::<Vec<u64>>();
+        assert_eq!(blocks(TraceEvent::load(0, 8)), vec![0]);
+        assert_eq!(blocks(TraceEvent::load(56, 8)), vec![0]);
+        assert_eq!(blocks(TraceEvent::store(60, 8)), vec![0, 1]);
+        assert_eq!(blocks(TraceEvent::load(64, 129)), vec![1, 2, 3]);
+        // size 0: nothing on a block boundary, address 0 included
+        assert!(blocks(TraceEvent::load(0, 0)).is_empty());
+        assert!(blocks(TraceEvent::load(64, 0)).is_empty());
+        assert_eq!(blocks(TraceEvent::load(65, 0)), vec![1]);
+        assert_eq!(blocks(TraceEvent::load(127, 0)), vec![1]);
+        // the highest byte an event can touch (its end is u64::MAX),
+        // with one-byte blocks
+        assert_eq!(
+            TraceEvent::load(u64::MAX - 1, 1).blocks(0),
+            u64::MAX - 1..u64::MAX
+        );
     }
 
     #[test]

@@ -103,9 +103,10 @@ impl TraceSink for SignatureBuilder {
         if ev.kind == AccessKind::Store {
             self.stores += 1;
         }
-        // ReuseDistance splits the event into the blocks it covers:
-        // size-0 events touch nothing, straddlers touch every covered
-        // block — identical accounting to the simulation path.
+        // ReuseDistance splits the event into the blocks it covers
+        // (`TraceEvent::blocks`): straddlers touch every covered block,
+        // and a size-0 event touches its block unless it sits on a block
+        // boundary — identical accounting to the simulation path.
         self.reuse.access(ev);
     }
 }

@@ -173,9 +173,7 @@ impl ReuseDistance {
 impl TraceSink for ReuseDistance {
     #[inline]
     fn access(&mut self, ev: TraceEvent) {
-        let first = ev.addr >> self.block_shift;
-        let last = (ev.end().saturating_sub(1)) >> self.block_shift;
-        for b in first..=last {
+        for b in ev.blocks(self.block_shift) {
             self.touch(b);
         }
     }
@@ -263,6 +261,19 @@ mod tests {
         assert_eq!(r.distinct_blocks(), 100);
         // all repeats at distance 99
         assert_eq!(r.predicted_lru_hits(128), 4900);
+    }
+
+    #[test]
+    fn size_zero_events_touch_their_block_only_off_a_boundary() {
+        let mut r = ReuseDistance::new(64);
+        r.access(TraceEvent::load(0, 0));
+        r.access(TraceEvent::load(64, 0));
+        assert_eq!(r.total_refs(), 0);
+        r.access(TraceEvent::load(65, 0));
+        assert_eq!((r.total_refs(), r.distinct_blocks()), (1, 1));
+        // a later touch of block 1 is a reuse, not a first touch
+        r.access(TraceEvent::load(64, 8));
+        assert_eq!((r.total_refs(), r.cold_misses()), (2, 1));
     }
 
     #[test]

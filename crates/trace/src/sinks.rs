@@ -269,11 +269,7 @@ impl WorkingSetSink {
 impl TraceSink for WorkingSetSink {
     #[inline]
     fn access(&mut self, ev: TraceEvent) {
-        let first = ev.addr >> self.block_shift;
-        let last = (ev.end().saturating_sub(1)) >> self.block_shift;
-        for b in first..=last {
-            self.blocks.insert(b);
-        }
+        self.blocks.extend(ev.blocks(self.block_shift));
     }
 }
 
@@ -385,6 +381,18 @@ mod tests {
         w.access(TraceEvent::load(60, 8)); // straddles lines 0 and 1
         assert_eq!(w.unique_blocks(), 2);
         assert_eq!(w.touched_bytes(), 128);
+    }
+
+    #[test]
+    fn working_set_skips_size_zero_events_on_block_boundaries() {
+        let mut w = WorkingSetSink::new(64);
+        w.access(TraceEvent::load(0, 0));
+        w.access(TraceEvent::load(64, 0));
+        assert_eq!(w.unique_blocks(), 0);
+        w.access(TraceEvent::load(65, 0));
+        assert_eq!(w.unique_blocks(), 1);
+        w.access(TraceEvent::store(100, 8)); // block 1 again
+        assert_eq!(w.unique_blocks(), 1);
     }
 
     proptest! {

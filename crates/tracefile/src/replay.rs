@@ -111,11 +111,7 @@ pub fn summarize<R: Read>(reader: &mut TraceReader<R>) -> Result<TraceSummary, T
             }
             s.min_addr = s.min_addr.min(ev.addr);
             s.max_addr = s.max_addr.max(ev.end());
-            let first = ev.addr >> 6;
-            let last = ev.end().saturating_sub(1) >> 6;
-            for line in first..=last {
-                lines.insert(line);
-            }
+            lines.extend(ev.blocks(6));
         }
     }
     s.events = reader.events_read();
@@ -185,6 +181,19 @@ mod tests {
         assert!(min_ev >= 1 && max_ev <= crate::format::TRACE_CHUNK_EVENTS as u64);
         let (min_b, max_b) = s.chunk_payload_range.unwrap();
         assert!(min_b >= 1 && min_b <= max_b);
+    }
+
+    #[test]
+    fn summary_skips_size_zero_events_on_line_boundaries() {
+        let header = TraceHeader::anonymous(0);
+        let boundary = [TraceEvent::load(0, 0), TraceEvent::load(64, 0)];
+        let buf = encode_to_vec(&header, &boundary).unwrap();
+        let s = summarize(&mut TraceReader::new(buf.as_slice()).unwrap()).unwrap();
+        assert_eq!((s.events, s.touched_lines), (2, 0));
+        let inside = [TraceEvent::load(65, 0)];
+        let buf = encode_to_vec(&header, &inside).unwrap();
+        let s = summarize(&mut TraceReader::new(buf.as_slice()).unwrap()).unwrap();
+        assert_eq!((s.events, s.touched_lines), (1, 1));
     }
 
     #[test]

@@ -12,10 +12,15 @@ use memsim_core::configs::n_by_name;
 use memsim_core::experiments::{fig_nmm, ExperimentCtx, Metric};
 use memsim_core::jsontext::{get_u64, parse_json};
 use memsim_core::runner::{evaluate_cached, evaluate_grid_sweep};
-use memsim_core::{Design, SampleMode, Scale, SimCache, Source, Structure};
+use memsim_core::{
+    build_artifact, walk_artifacts, Design, SampleMode, Scale, SimCache, Source, Structure,
+    SweepCtx, SweepError, ARTIFACT_NAMES,
+};
 use memsim_tech::Technology;
 use memsim_workloads::{Class, WorkloadKind};
 use std::path::PathBuf;
+use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 
 fn counter(name: &str) -> u64 {
     memsim_obs::global()
@@ -163,6 +168,102 @@ fn a_figure_grid_runs_each_kernel_once() {
     assert_eq!(counter("sim.memo.misses"), 20);
     assert_eq!(counter("sim.memo.hits"), 36);
     memsim_obs::reset();
+}
+
+/// A context over CG and Hash at mini.
+fn cg_hash(cache: &SimCache) -> ExperimentCtx<'_> {
+    ExperimentCtx::new(Scale::mini(), cache).with_workloads(&[WorkloadKind::Cg, WorkloadKind::Hash])
+}
+
+fn counter_or_zero(name: &str) -> u64 {
+    memsim_obs::global().counter_value(name).unwrap_or(0)
+}
+
+#[test]
+fn a_reproduce_walk_runs_each_kernel_once_and_the_builders_walk_nothing() {
+    let _lock = memsim_obs::test_lock();
+    memsim_obs::reset();
+    memsim_obs::set_enabled(true);
+    let cache = SimCache::new();
+    let ctx = cg_hash(&cache);
+    walk_artifacts(&ctx, &ARTIFACT_NAMES).unwrap();
+
+    // one group per workload over all 18 structures (3L, N1-N9, EH1-EH8)
+    assert_eq!(counter("sim.workload_runs"), 2);
+    assert_eq!(cache.len(), 36);
+    assert_eq!(counter("sim.memo.misses"), 36);
+
+    // every builder's grid is served from the memo: no kernel runs, so
+    // `artifact_points` and the builders name the same points
+    let built: Vec<(String, String)> = ARTIFACT_NAMES
+        .iter()
+        .map(|name| build_artifact(&ctx, name).unwrap())
+        .collect();
+    assert_eq!(counter("sim.workload_runs"), 2);
+    assert_eq!(counter("sim.memo.misses"), 36);
+    assert_eq!(cache.len(), 36);
+    memsim_obs::set_enabled(false);
+    memsim_obs::reset();
+
+    // and each artifact is byte-identical to the same artifact built alone
+    for (name, walked) in ARTIFACT_NAMES.iter().zip(&built) {
+        let fresh = SimCache::new();
+        assert_eq!(
+            &build_artifact(&cg_hash(&fresh), name).unwrap(),
+            walked,
+            "{name}"
+        );
+    }
+}
+
+#[test]
+fn an_interrupted_reproduce_walk_walks_nothing() {
+    let _lock = memsim_obs::test_lock();
+    let journal = temp_trace("interrupted.journal.jsonl");
+    let mut sweep = SweepCtx::fresh(&Scale::mini(), &journal, SampleMode::Off).unwrap();
+    sweep.set_interrupt(Arc::new(AtomicBool::new(true)));
+    memsim_obs::reset();
+    memsim_obs::set_enabled(true);
+    let cache = SimCache::new();
+    let walked = walk_artifacts(&cg_hash(&cache).with_sweep(&sweep), &ARTIFACT_NAMES);
+    memsim_obs::set_enabled(false);
+    assert!(matches!(walked, Err(SweepError::Interrupted)), "{walked:?}");
+    assert_eq!(counter_or_zero("sim.workload_runs"), 0);
+    assert!(cache.is_empty());
+    assert_eq!(sweep.persisted_points(), 0);
+    memsim_obs::reset();
+    std::fs::remove_file(&journal).ok();
+}
+
+#[test]
+fn resuming_a_reproduce_walk_runs_only_the_unjournaled_kernels() {
+    let _lock = memsim_obs::test_lock();
+    let (scale, sample) = (Scale::mini(), SampleMode::Off);
+    let journal = temp_trace("cg-only.journal.jsonl");
+    {
+        // a journal holding CG's points only: the state a reproduce
+        // interrupted while Hash walked leaves behind
+        let sweep = SweepCtx::fresh(&scale, &journal, sample).unwrap();
+        let cache = SimCache::new();
+        let ctx = ExperimentCtx::new(scale, &cache)
+            .with_workloads(&[WorkloadKind::Cg])
+            .with_sweep(&sweep);
+        walk_artifacts(&ctx, &ARTIFACT_NAMES).unwrap();
+        assert_eq!(sweep.persisted_points(), 79);
+    }
+    let (sweep, _) = SweepCtx::resume(&scale, &journal, sample).unwrap();
+    memsim_obs::reset();
+    memsim_obs::set_enabled(true);
+    let cache = SimCache::new();
+    walk_artifacts(&cg_hash(&cache).with_sweep(&sweep), &ARTIFACT_NAMES).unwrap();
+    memsim_obs::set_enabled(false);
+    assert_eq!(counter("sim.workload_runs"), 1);
+    assert_eq!(counter("sweep.points_skipped"), 79);
+    assert_eq!(counter("sweep.points_done"), 79);
+    assert_eq!(cache.len(), 18);
+    assert_eq!(sweep.persisted_points(), 2 * 79);
+    memsim_obs::reset();
+    std::fs::remove_file(&journal).ok();
 }
 
 #[test]

@@ -27,27 +27,62 @@ impl TraceSink for Both {
     }
 }
 
-fn validate(workload: &mut dyn Workload, block_bytes: u32, capacity_blocks: u64) {
+/// A fully associative LRU cache of `capacity_blocks` blocks beside the
+/// oracle at the same block size.
+fn fully_associative(block_bytes: u32, capacity_blocks: u64) -> Both {
     let cache = Cache::new(CacheConfig::fully_associative(
         "FA",
         capacity_blocks * u64::from(block_bytes),
         block_bytes,
     ));
-    let mut both = Both {
+    Both {
         sim: Hierarchy::new(vec![cache], CountingMemory::default()),
         oracle: ReuseDistance::new(u64::from(block_bytes)),
-    };
-    workload.run(&mut both);
+    }
+}
+
+/// The simulator hits what the oracle predicts, over the same references.
+fn assert_agree(both: &Both, capacity_blocks: u64, what: &str) {
     let simulated_hits = both.sim.levels()[0].stats().hits();
     let predicted_hits = both.oracle.predicted_lru_hits(capacity_blocks);
     assert_eq!(
-        simulated_hits,
-        predicted_hits,
-        "{}: simulator and stack-distance oracle disagree at C={capacity_blocks}×{block_bytes}B",
-        workload.name()
+        simulated_hits, predicted_hits,
+        "{what}: simulator and stack-distance oracle disagree at C={capacity_blocks}"
     );
-    // both saw the same reference count
-    assert_eq!(both.sim.total_refs(), both.oracle.total_refs());
+    assert_eq!(both.sim.total_refs(), both.oracle.total_refs(), "{what}");
+}
+
+fn validate(workload: &mut dyn Workload, block_bytes: u32, capacity_blocks: u64) {
+    let mut both = fully_associative(block_bytes, capacity_blocks);
+    workload.run(&mut both);
+    let what = format!("{} at {block_bytes} B blocks", workload.name());
+    assert_agree(&both, capacity_blocks, &what);
+}
+
+/// Size-0 events follow one rule on both sides: one touches the block
+/// holding its address, unless the address is on a block boundary
+/// (address 0 included), where it touches nothing.
+#[test]
+fn size_zero_events_agree_with_the_oracle() {
+    let stream = [
+        TraceEvent::load(0, 0), // boundary: nothing
+        TraceEvent::load(65, 0),
+        TraceEvent::load(0, 8),
+        TraceEvent::store(64, 0), // boundary: nothing
+        TraceEvent::store(65, 0),
+        TraceEvent::load(128, 8),
+        TraceEvent::load(65, 0),
+        TraceEvent::load(0, 0), // boundary: nothing
+        TraceEvent::store(0, 8),
+    ];
+    let mut both = fully_associative(64, 2);
+    for ev in stream {
+        both.access(ev);
+    }
+    both.flush();
+    assert_agree(&both, 2, "size-0 stream");
+    assert_eq!(both.oracle.total_refs(), 6);
+    assert_eq!(both.sim.levels()[0].stats().hits(), 2);
 }
 
 #[test]
